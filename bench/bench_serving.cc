@@ -1,21 +1,18 @@
 // Multi-tenant serving benchmark: open-loop synthetic clients against
-// the ServingEngine (DESIGN.md §13), at 1 and 8 workers with the
-// cross-request batcher on and off.
+// the ServingEngine (DESIGN.md §13), at 1, 4 and 8 workers.
 //
-// Reports, and merges into BENCH_serving.json:
-//   - sustained QPS and e2e p50/p99/p999 per configuration (the
+// Reports, and writes to BENCH_serving.json:
+//   - sustained QPS and e2e p50/p99/p999 per worker count (the
 //     acceptance metric: >= 500 QPS sustained at 8 workers);
-//   - shed / reject rates under ~1.5x-capacity overload with mixed
-//     deadline tiers (none / generous / infeasibly tight);
-//   - the batch-occupancy histogram from the cross-request decoder
-//     (how many queries actually shared each gate-GEMM tick).
+//   - shed / reject rates under ~1.15x-capacity overload with mixed
+//     deadline tiers (none / generous / infeasibly tight).
 //
 //   ./build/bench/bench_serving [--smoke]
 //
 // --smoke trains a tiny corpus, submits the smoke queries concurrently
 // through the engine and asserts every ServedResult is bitwise
 // identical (tokens, float score bits, statuses) to the sequential
-// pipeline.Query() answer, then skips the JSON merge; CI uses it to
+// pipeline.Query() answer, then skips the JSON write; CI uses it to
 // gate Release builds. The committed BENCH_serving.json comes from a
 // full local run.
 
@@ -52,13 +49,14 @@ uint64_t NowNs() {
           .count());
 }
 
-/// q-th percentile (0..1) of `samples`; sorts a copy.
+/// Nearest-rank q-th percentile (0..1] of `samples`: the smallest value
+/// with at least q·n samples at or below it. Sorts a copy.
 uint64_t PercentileNs(std::vector<uint64_t> samples, double q) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
-  size_t idx = static_cast<size_t>(q * static_cast<double>(samples.size()));
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return samples[idx];
+  const double rank = std::ceil(q * static_cast<double>(samples.size()));
+  const size_t idx = static_cast<size_t>(std::max(rank, 1.0)) - 1;
+  return samples[std::min(idx, samples.size() - 1)];
 }
 
 /// One synthetic client: a question, a Poisson-process arrival offset
@@ -112,9 +110,6 @@ struct LoadStats {
   long long shed = 0;
   long long rejected = 0;
   long long deadline_misses = 0;
-  long long batch_ticks = 0;
-  long long batch_rows = 0;
-  std::vector<int64_t> occupancy;
 };
 
 /// Drives `plan` through a fresh engine: 16 submitter threads multiplex
@@ -122,14 +117,11 @@ struct LoadStats {
 /// (open loop: arrivals never wait for responses), then collect every
 /// ticket. Counters are read from a clean registry afterwards.
 LoadStats RunLoad(const core::NlidbPipeline& pipeline,
-                  const std::vector<ClientPlan>& plan, int workers,
-                  bool batching) {
+                  const std::vector<ClientPlan>& plan, int workers) {
   metrics::MetricsRegistry::Global().ResetAll();
   serving::ServingOptions options;
   options.num_workers = workers;
-  options.cross_request_batching = batching;
   options.queue_capacity = 512;
-  options.max_batch = 8;
   serving::ServingEngine engine(pipeline, options);
 
   const int kSubmitters = 8;
@@ -167,7 +159,6 @@ LoadStats RunLoad(const core::NlidbPipeline& pipeline,
   const uint64_t wall_ns = NowNs() - start;
 
   LoadStats stats;
-  stats.occupancy = engine.decoder().OccupancyCounts();
   engine.Shutdown();
 
   std::vector<uint64_t> e2e;
@@ -192,8 +183,6 @@ LoadStats RunLoad(const core::NlidbPipeline& pipeline,
   stats.rejected = reg.GetCounter("serving.rejected_queue_full").Value() +
                    reg.GetCounter("serving.rejected_shutdown").Value();
   stats.deadline_misses = reg.GetCounter("serving.deadline_misses").Value();
-  stats.batch_ticks = reg.GetCounter("serving.batch.ticks").Value();
-  stats.batch_rows = reg.GetCounter("serving.batch.rows").Value();
   return stats;
 }
 
@@ -218,7 +207,7 @@ uint64_t CalibrateServiceNs(const core::NlidbPipeline& pipeline,
 }
 
 /// Smoke gate: submit every smoke query through the engine N times
-/// concurrently (so ticks really batch) and require each ServedResult
+/// concurrently (so workers really interleave) and require each ServedResult
 /// to match the sequential pipeline answer bit for bit: same s^a
 /// tokens, same translate_score float bits, same statuses.
 bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
@@ -239,8 +228,6 @@ bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
 
   serving::ServingOptions options;
   options.num_workers = 4;
-  options.cross_request_batching = true;
-  options.max_batch = 8;
   serving::ServingEngine engine(pipeline, options);
 
   const int kRounds = 4;
@@ -290,13 +277,11 @@ bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
 }
 
 int Run(bool smoke) {
-  PrintHeader("Multi-tenant serving: cross-request batching under load");
+  PrintHeader("Multi-tenant serving: worker pool under open-loop load");
 
   BenchEnv env;
   // Tiny in full mode too, with 24-dim embeddings and greedy decode:
-  // this bench stresses the scheduler and the cross-request batcher at
-  // the high-QPS serving point (beam 1 is also where batching matters
-  // most — sequential ticks degenerate to single-row GEMMs), so
+  // this bench stresses the scheduler at the high-QPS serving point, so
   // per-query model cost is kept small enough that throughput reflects
   // harness behavior, not model FLOPs (model latency has its own
   // benches: bench_decoder, bench_stage_breakdown). Smoke keeps the
@@ -338,17 +323,19 @@ int Run(bool smoke) {
   const uint64_t generous_ns = 400 * service_ns;
   const uint64_t tight_ns = service_ns / 4;
   const int hw = ThreadPool::DefaultParallelism();
-  FlatJson json = FlatJson::Load(ServingJsonPath());
+  // Written fresh, not merged: this bench is the file's only writer, so
+  // keys from an older configuration set never linger.
+  FlatJson json;
   json.Set("serving_clients", clients);
   json.Set("serving_mean_service_ns", static_cast<double>(service_ns));
   json.Set("serving_hw_parallelism", hw);
 
-  double qps_w8_batch = 0.0;
-  for (const int workers : {1, 8}) {
+  double qps_w8 = 0.0;
+  for (const int workers : {1, 4, 8}) {
     // The sequential calibration misses scheduler overhead (submitters,
     // condvar churn, worker interleaving), so a short deadline-free
     // pilot measures what the full serving stack actually sustains at
-    // this worker count; the measured run then offers ~1.1x that —
+    // this worker count; the measured run then offers ~1.15x that —
     // enough overload that the queue backs up and the deadline
     // machinery earns its keep, not so much that sheds dominate.
     const double capacity =
@@ -357,82 +344,48 @@ int Run(bool smoke) {
             : 1000.0;
     const std::vector<ClientPlan> pilot_plan =
         MakePlan(env.splits.test, 300, capacity, 0, 0, /*seed=*/3);
-    const LoadStats pilot =
-        RunLoad(*pipeline, pilot_plan, workers, /*batching=*/true);
+    const LoadStats pilot = RunLoad(*pipeline, pilot_plan, workers);
     const double sustained = std::max(pilot.qps, 50.0);
     const double offered_qps = 1.15 * sustained;
-    std::printf("[pilot] w%d sustains %.0f qps; offering %.0f qps\n",
-                workers, sustained, offered_qps);
-    json.Set(std::string("serving_pilot_qps_w") + std::to_string(workers),
-             sustained);
-    json.Set(std::string("serving_offered_qps_w") + std::to_string(workers),
-             offered_qps);
-    for (const bool batching : {false, true}) {
-      const std::vector<ClientPlan> plan =
-          MakePlan(env.splits.test, clients, offered_qps, generous_ns,
-                   tight_ns, /*seed=*/7);
-      LoadStats stats = RunLoad(*pipeline, plan, workers, batching);
-      const double shed_rate =
-          stats.admitted > 0
-              ? static_cast<double>(stats.shed) / stats.admitted
-              : 0.0;
-      const std::string sfx = std::string("w") + std::to_string(workers) +
-                              (batching ? "_batch" : "_seq");
-      std::printf(
-          "%-9s  %7.0f qps  ok %4lld/%d  p50 %7.2f ms  p99 %7.2f ms  "
-          "p999 %7.2f ms  shed %4.1f%%  rejected %lld\n",
-          sfx.c_str(), stats.qps, stats.ok, clients,
-          stats.p50_ns / 1e6, stats.p99_ns / 1e6, stats.p999_ns / 1e6,
-          100.0 * shed_rate, stats.rejected);
-      json.Set("serving_qps_" + sfx, stats.qps);
-      json.Set("serving_ok_" + sfx, stats.ok);
-      json.Set("serving_p50_ns_" + sfx, static_cast<double>(stats.p50_ns));
-      json.Set("serving_p99_ns_" + sfx, static_cast<double>(stats.p99_ns));
-      json.Set("serving_p999_ns_" + sfx, static_cast<double>(stats.p999_ns));
-      json.Set("serving_shed_rate_" + sfx, shed_rate);
-      json.Set("serving_rejected_" + sfx, stats.rejected);
-      json.Set("serving_deadline_misses_" + sfx, stats.deadline_misses);
-      if (batching) {
-        if (workers == 8) qps_w8_batch = stats.qps;
-        const double rows_per_tick =
-            stats.batch_ticks > 0 ? static_cast<double>(stats.batch_rows) /
-                                        static_cast<double>(stats.batch_ticks)
-                                  : 0.0;
-        json.Set("serving_batch_rows_per_tick_" + sfx, rows_per_tick);
-        // Occupancy histogram: how many queries shared each tick's gate
-        // GEMMs (bucket 16 = 16 or more).
-        int64_t occ_ticks = 0;
-        int64_t occ_weighted = 0;
-        std::printf("  occupancy:");
-        for (size_t b = 1; b < stats.occupancy.size(); ++b) {
-          occ_ticks += stats.occupancy[b];
-          occ_weighted += static_cast<int64_t>(b) * stats.occupancy[b];
-          if (stats.occupancy[b] > 0) {
-            std::printf(" %zu:%lld", b,
-                        static_cast<long long>(stats.occupancy[b]));
-            json.Set("serving_occ_" + std::to_string(b) + "_" + sfx,
-                     static_cast<long long>(stats.occupancy[b]));
-          }
-        }
-        const double occ_mean =
-            occ_ticks > 0 ? static_cast<double>(occ_weighted) /
-                                static_cast<double>(occ_ticks)
-                          : 0.0;
-        std::printf("  (mean %.2f queries/tick)\n", occ_mean);
-        json.Set("serving_occ_mean_" + sfx, occ_mean);
-      }
-    }
+    const std::string sfx = "w" + std::to_string(workers);
+    std::printf("[pilot] %s sustains %.0f qps; offering %.0f qps\n",
+                sfx.c_str(), sustained, offered_qps);
+    json.Set("serving_pilot_qps_" + sfx, sustained);
+    json.Set("serving_offered_qps_" + sfx, offered_qps);
+
+    const std::vector<ClientPlan> plan =
+        MakePlan(env.splits.test, clients, offered_qps, generous_ns,
+                 tight_ns, /*seed=*/7);
+    const LoadStats stats = RunLoad(*pipeline, plan, workers);
+    const double shed_rate =
+        stats.admitted > 0 ? static_cast<double>(stats.shed) / stats.admitted
+                           : 0.0;
+    std::printf(
+        "%-3s  %7.0f qps  ok %4lld/%d  p50 %7.2f ms  p99 %7.2f ms  "
+        "p999 %7.2f ms  shed %4.1f%%  rejected %lld\n",
+        sfx.c_str(), stats.qps, stats.ok, clients, stats.p50_ns / 1e6,
+        stats.p99_ns / 1e6, stats.p999_ns / 1e6, 100.0 * shed_rate,
+        stats.rejected);
+    json.Set("serving_qps_" + sfx, stats.qps);
+    json.Set("serving_ok_" + sfx, stats.ok);
+    json.Set("serving_p50_ns_" + sfx, static_cast<double>(stats.p50_ns));
+    json.Set("serving_p99_ns_" + sfx, static_cast<double>(stats.p99_ns));
+    json.Set("serving_p999_ns_" + sfx, static_cast<double>(stats.p999_ns));
+    json.Set("serving_shed_rate_" + sfx, shed_rate);
+    json.Set("serving_rejected_" + sfx, stats.rejected);
+    json.Set("serving_deadline_misses_" + sfx, stats.deadline_misses);
+    if (workers == 8) qps_w8 = stats.qps;
   }
   ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 
-  std::printf("\nacceptance: 8-worker batched QPS %.0f (target >= 500) %s\n",
-              qps_w8_batch, qps_w8_batch >= 500.0 ? "PASS" : "FAIL");
+  std::printf("\nacceptance: 8-worker QPS %.0f (target >= 500) %s\n", qps_w8,
+              qps_w8 >= 500.0 ? "PASS" : "FAIL");
 
   if (!json.Save(ServingJsonPath())) {
     std::printf("cannot write %s\n", ServingJsonPath());
     return 1;
   }
-  std::printf("merged %s (%zu keys)\n", ServingJsonPath(), json.size());
+  std::printf("wrote %s (%zu keys)\n", ServingJsonPath(), json.size());
   return 0;
 }
 

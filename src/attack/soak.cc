@@ -129,8 +129,6 @@ SoakReport RunSoak(const core::NlidbPipeline& pipeline,
   serving::ServingOptions serving_options;
   serving_options.num_workers = options.workers;
   serving_options.queue_capacity = options.queue_capacity;
-  serving_options.max_batch = options.max_batch;
-  serving_options.cross_request_batching = options.cross_request_batching;
   serving::ServingEngine engine(pipeline, serving_options);
 
   if (lockdep::Enabled()) lockdep::ClearReports();

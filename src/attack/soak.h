@@ -34,8 +34,6 @@ struct SoakOptions {
   // Engine shape (mirrors ServingOptions).
   int workers = 4;
   int queue_capacity = 256;
-  int max_batch = 8;
-  bool cross_request_batching = true;
 
   /// Offered load. 0 auto-calibrates: a short sequential pilot measures
   /// the mean service time and the soak offers ~1.1x the worker pool's

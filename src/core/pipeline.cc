@@ -238,9 +238,7 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
     trace::TraceSpan stage("pipeline.translate");
     begin_stage();
     StatusOr<Seq2SeqTranslator::Decoded> decoded =
-        request.translate_override
-            ? request.translate_override(result.annotated_question, &ctx)
-            : translator_->Decode(result.annotated_question, &ctx);
+        translator_->Decode(result.annotated_question, &ctx);
     if (!decoded.ok()) return fail(decoded.status());
     result.annotated_sql = std::move(decoded->tokens);
     result.translate_score = decoded->score;

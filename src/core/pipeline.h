@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,15 +63,6 @@ struct QueryRequest {
   /// completed entries of `QueryResult::stages` — so callers can see
   /// where the time went even for a query that did not finish.
   QueryResult* partial_result = nullptr;
-
-  /// When set, the translate stage calls this instead of
-  /// `translator().Decode(q^a, ctx)`. The serving engine routes decoding
-  /// through its cross-request batcher this way without the pipeline
-  /// knowing about scheduling; the override must return exactly what the
-  /// translator would (the batcher's bitwise-equivalence contract).
-  std::function<StatusOr<Seq2SeqTranslator::Decoded>(
-      const std::vector<std::string>&, const CancelContext*)>
-      translate_override;
 };
 
 /// Wall time of one pipeline stage, forming a per-request tree rooted

@@ -34,8 +34,6 @@ namespace core {
 ///    make the mask inapplicable.
 enum class DecodeMode { kReference, kReferenceMasked, kFastUnmasked, kFast };
 
-class FastDecodeState;
-
 /// In-place top-k selection over `ids` by (scores[id] descending, id
 /// ascending) — ties always resolve to the lower index, so selection
 /// order is pinned across implementations. Truncates `ids` to
@@ -133,12 +131,6 @@ class Seq2SeqTranslator : public TranslatorInterface {
   const ModelConfig& config() const { return config_; }
 
  private:
-  /// The resumable fast-path decode state (core/seq2seq_fast.h) reads the
-  /// model parameters and config directly; it is the implementation of
-  /// FastBeamSearch, factored out so the serving batcher can interleave
-  /// decode steps of concurrent queries.
-  friend class FastDecodeState;
-
   struct EncoderOutput {
     Var states;       // [n, 2h]
     Var memory_proj;  // attention projection of states

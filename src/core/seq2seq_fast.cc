@@ -1,18 +1,15 @@
-/// Graph-free decoder inference fast path (DESIGN.md §12/§13).
+/// Graph-free decoder inference fast path (DESIGN.md §12).
 ///
-/// `FastDecodeState` re-implements `Seq2SeqTranslator::BeamSearch` without
-/// the autodiff tape: every intermediate lives in a Workspace arena, every
-/// matrix product is a direct GemmAccumulateRaw call, and the GRU gate
-/// products for the whole beam frontier are batched into single [B, 3H]
-/// GEMMs. The per-query encoder state (encoder states, projected attention
-/// keys, copy-scatter slot table, gathered output columns for the grammar
-/// mask) is computed once and reused every step.
-///
-/// The state is resumable at the gate-GEMM boundary (see seq2seq_fast.h):
-/// `Seq2SeqTranslator::FastBeamSearch` is the single-query driver, and
-/// serving/batched_decoder.cc drives many states through shared ComputeGates
-/// calls. Both produce the same bits because every computation outside
-/// ComputeGates is per-query and ComputeGates is row-local bitwise.
+/// `FastBeamSearch` re-implements `Seq2SeqTranslator::BeamSearch` without
+/// the autodiff tape, as one straight-line function per query: encode,
+/// then one decode loop over the beam frontier. Every intermediate lives
+/// in the calling thread's Workspace arena, every matrix product is a
+/// direct GemmAccumulateRaw call, and the GRU gate products for the whole
+/// beam frontier are batched into single [B, 3H] GEMMs. The per-query
+/// encoder state (encoder states, projected attention keys, copy-scatter
+/// slot table, gathered output columns for the grammar mask) is computed
+/// once and reused every step. Nothing is shared across queries: serving
+/// workers each run this loop for their own request.
 ///
 /// The contract is bitwise equivalence with the reference implementation:
 /// kFastUnmasked reproduces kReference and kFast reproduces
@@ -24,8 +21,6 @@
 /// (c) this file compiles with -ffp-contract=off like the kernel TUs, so
 /// the compiler cannot fuse the replicated expressions into FMAs the
 /// reference path never executed (src/core/CMakeLists.txt pins the flag).
-#include "core/seq2seq_fast.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -105,69 +100,77 @@ void RunGruDirection(const nn::GruCell& cell, const float* xs, int n, int H,
   }
 }
 
+/// Per-query cached encoder state: everything `DecodeStep` would recompute
+/// from the encoder outputs, plus the grammar-mask tables.
+struct EncoderCache {
+  int n = 0;                    // source length
+  std::vector<int> source_ids;  // vocab ids of the source tokens
+  float* enc_states = nullptr;  // [n, 2h] bidirectional states
+  float* mem_proj = nullptr;    // [n, att] projected attention keys
+  float* d0 = nullptr;          // [2h] initial decoder state
+
+  // Grammar-mask extras (empty when masking is off).
+  std::vector<int> domain;        // sorted vocab ids the mask can emit
+  std::vector<int> slot_of_src;   // domain slot per source position
+  std::vector<uint8_t> in_source; // by vocab id
+  float* u_sub = nullptr;         // [4h, |domain|] gathered output columns
+  float* bias_sub = nullptr;      // [|domain|] gathered output bias
+};
+
 }  // namespace
 
-FastDecodeState::FastDecodeState(const Seq2SeqTranslator& translator,
-                                 const std::vector<std::string>& source,
-                                 int beam_width, bool use_grammar_mask,
-                                 Workspace& ws)
-    : t_(translator),
-      source_(source),
-      beam_width_(beam_width),
-      ws_(ws),
-      d_(translator.config_.word_dim),
-      h_(translator.config_.seq2seq_hidden),
-      att_(translator.config_.seq2seq_hidden),
-      h2_(2 * translator.config_.seq2seq_hidden),
-      h4_(4 * translator.config_.seq2seq_hidden),
-      xin_(translator.config_.word_dim + 2 * translator.config_.seq2seq_hidden),
-      vocab_size_(translator.vocab_.size()),
-      n_(static_cast<int>(source.size())),
-      // The grammar is built per query (vocabulary classification is O(V)
-      // on token strings); an unusable grammar downgrades to unmasked
-      // decoding.
-      grammar_(translator.vocab_),
-      masked_(use_grammar_mask && grammar_.usable()) {}
-
-bool FastDecodeState::WantsMask(const Seq2SeqTranslator& translator,
-                                DecodeMode mode) {
-  return mode == DecodeMode::kFast && translator.GrammarMaskEligible();
-}
-
-Status FastDecodeState::Admit() {
-  if (source_.empty()) {
+StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
+    const std::vector<std::string>& source, int beam_width,
+    bool use_grammar_mask, const CancelContext* ctx) const {
+  if (source.empty()) {
     return Status::InvalidArgument("cannot decode an empty source sequence");
   }
-  if (beam_width_ > 1) {
+  if (beam_width > 1) {
     // Injectable exhaustion: lets tests exercise the greedy-fallback path
     // without crafting a model whose beams genuinely all die.
     NLIDB_RETURN_IF_ERROR(NLIDB_FAILPOINT("seq2seq/beam_exhausted"));
   }
-  return Status::Ok();
-}
+  trace::TraceSpan span("seq2seq.translate");
+  span.Annotate("beam_width", static_cast<int64_t>(beam_width));
 
-void FastDecodeState::BuildEncoderCache() {
-  const int d = d_;
-  const int h = h_;
-  const int att = att_;
-  const int h2 = h2_;
-  const int h4 = h4_;
-  const int vocab_size = vocab_size_;
-  const int n = n_;
-  Workspace& ws = ws_;
+  const int d = config_.word_dim;
+  const int h = config_.seq2seq_hidden;
+  const int att = h;
+  const int h2 = 2 * h;  // decoder hidden size H
+  const int h4 = 4 * h;  // [d_i ; beta_i] width
+  const int vocab_size = vocab_.size();
+  const int n = static_cast<int>(source.size());
+
+  static metrics::Counter& decode_steps =
+      metrics::MetricsRegistry::Global().GetCounter("seq2seq.decode_steps");
+  static metrics::Counter& copy_steps =
+      metrics::MetricsRegistry::Global().GetCounter("seq2seq.copy_steps");
+  static metrics::Counter& masked_tokens =
+      metrics::MetricsRegistry::Global().GetCounter(
+          "seq2seq.grammar_masked_tokens");
+
+  Workspace& ws = Workspace::ThreadLocal();
+  Workspace::Scope query_scope(ws);
+
+  // The grammar is built per query (vocabulary classification is O(V) on
+  // token strings); an unusable grammar downgrades to unmasked decoding.
+  DecodeGrammar grammar(vocab_);
+  const bool masked = use_grammar_mask && grammar.usable();
 
   // ---- Per-query encoder cache -------------------------------------------
+  EncoderCache cache;
+  cache.n = n;
   {
     trace::TraceSpan encode_span("seq2seq.encode");
     encode_span.Annotate("source_len", static_cast<int64_t>(n));
-    cache_.source_ids = t_.vocab_.Encode(source_);
+    cache.source_ids = vocab_.Encode(source);
 
     // Embedding gather: [n, d].
-    const Tensor& table = t_.embedding_->table()->value;
+    const Tensor& table = embedding_->table()->value;
     float* seq = ws.Floats(static_cast<size_t>(n) * d);
     for (int i = 0; i < n; ++i) {
       std::memcpy(seq + static_cast<size_t>(i) * d,
-                  table.data() + static_cast<size_t>(cache_.source_ids[i]) * d,
+                  table.data() + static_cast<size_t>(cache.source_ids[i]) * d,
                   sizeof(float) * d);
     }
 
@@ -178,24 +181,23 @@ void FastDecodeState::BuildEncoderCache() {
     const float* layer_in = seq;
     float* fw = ws.Floats(static_cast<size_t>(n) * h);
     float* bw = ws.Floats(static_cast<size_t>(n) * h);
-    cache_.enc_states = ws.Floats(static_cast<size_t>(n) * h2);
-    for (int l = 0; l < t_.encoder_->num_layers(); ++l) {
+    cache.enc_states = ws.Floats(static_cast<size_t>(n) * h2);
+    for (int l = 0; l < encoder_->num_layers(); ++l) {
       Workspace::Scope layer_scope(ws);
-      const nn::Linear& affine = t_.encoder_->input_affine(l);
+      const nn::Linear& affine = encoder_->input_affine(l);
       float* xs = ws.Floats(static_cast<size_t>(n) * h);
       GemmAccumulateRaw(layer_in, affine.weight()->value.data(), xs, n,
                         in_width, h);
       AddBiasRows(xs, affine.bias()->value.data(), n, h);
-      RunGruDirection(t_.encoder_->forward_cell(l), xs, n, h, 0, 1, fw, ws);
-      RunGruDirection(t_.encoder_->backward_cell(l), xs, n, h, n - 1, -1, bw,
-                      ws);
+      RunGruDirection(encoder_->forward_cell(l), xs, n, h, 0, 1, fw, ws);
+      RunGruDirection(encoder_->backward_cell(l), xs, n, h, n - 1, -1, bw, ws);
       for (int i = 0; i < n; ++i) {
-        std::memcpy(cache_.enc_states + static_cast<size_t>(i) * h2,
+        std::memcpy(cache.enc_states + static_cast<size_t>(i) * h2,
                     fw + static_cast<size_t>(i) * h, sizeof(float) * h);
-        std::memcpy(cache_.enc_states + static_cast<size_t>(i) * h2 + h,
+        std::memcpy(cache.enc_states + static_cast<size_t>(i) * h2 + h,
                     bw + static_cast<size_t>(i) * h, sizeof(float) * h);
       }
-      layer_in = cache_.enc_states;
+      layer_in = cache.enc_states;
       in_width = h2;
     }
 
@@ -203,28 +205,27 @@ void FastDecodeState::BuildEncoderCache() {
     float* cat0 = ws.Floats(h2);
     std::memcpy(cat0, fw + static_cast<size_t>(n - 1) * h, sizeof(float) * h);
     std::memcpy(cat0 + h, bw, sizeof(float) * h);
-    cache_.d0 = ws.Floats(h2);
-    GemmAccumulateRaw(cat0, t_.init_proj_->weight()->value.data(), cache_.d0,
-                      1, h2, h2);
-    AddBiasRows(cache_.d0, t_.init_proj_->bias()->value.data(), 1, h2);
-    for (int j = 0; j < h2; ++j) cache_.d0[j] = std::tanh(cache_.d0[j]);
+    cache.d0 = ws.Floats(h2);
+    GemmAccumulateRaw(cat0, init_proj_->weight()->value.data(), cache.d0, 1,
+                      h2, h2);
+    AddBiasRows(cache.d0, init_proj_->bias()->value.data(), 1, h2);
+    for (int j = 0; j < h2; ++j) cache.d0[j] = std::tanh(cache.d0[j]);
 
     // Projected attention keys: [n, 2h] x [2h, att].
-    cache_.mem_proj = ws.Floats(static_cast<size_t>(n) * att);
-    GemmAccumulateRaw(
-        cache_.enc_states,
-        t_.attention_->memory_projection().weight()->value.data(),
-        cache_.mem_proj, n, h2, att);
+    cache.mem_proj = ws.Floats(static_cast<size_t>(n) * att);
+    GemmAccumulateRaw(cache.enc_states,
+                      attention_->memory_projection().weight()->value.data(),
+                      cache.mem_proj, n, h2, att);
 
-    if (masked_) {
+    if (masked) {
       // Emittable-token domain: structural tokens plus everything the
       // source can supply, in ascending vocab-id order (so masked sums
       // walk ids in the same order as the reference masked path).
-      cache_.in_source.assign(vocab_size, 0);
-      for (int id : cache_.source_ids) cache_.in_source[id] = 1;
+      cache.in_source.assign(vocab_size, 0);
+      for (int id : cache.source_ids) cache.in_source[id] = 1;
       std::vector<int> slot_of_id(vocab_size, -1);
       for (int id = 0; id < vocab_size; ++id) {
-        const DecodeGrammar::TokenClass c = grammar_.Classify(id);
+        const DecodeGrammar::TokenClass c = grammar.Classify(id);
         const bool structural = c == DecodeGrammar::TokenClass::kSelect ||
                                 c == DecodeGrammar::TokenClass::kWhere ||
                                 c == DecodeGrammar::TokenClass::kAnd ||
@@ -232,360 +233,322 @@ void FastDecodeState::BuildEncoderCache() {
                                 c == DecodeGrammar::TokenClass::kOp ||
                                 c == DecodeGrammar::TokenClass::kEos ||
                                 c == DecodeGrammar::TokenClass::kUnk;
-        if (structural || cache_.in_source[id]) {
-          slot_of_id[id] = static_cast<int>(cache_.domain.size());
-          cache_.domain.push_back(id);
+        if (structural || cache.in_source[id]) {
+          slot_of_id[id] = static_cast<int>(cache.domain.size());
+          cache.domain.push_back(id);
         }
       }
-      cache_.slot_of_src.resize(n);
+      cache.slot_of_src.resize(n);
       for (int i = 0; i < n; ++i) {
-        cache_.slot_of_src[i] = slot_of_id[cache_.source_ids[i]];
+        cache.slot_of_src[i] = slot_of_id[cache.source_ids[i]];
       }
       // Gather U's columns (and bias entries) for the domain once per
       // query: logits over the domain then cost [B, 4h]x[4h, |domain|]
       // instead of [B, 4h]x[4h, kVocabBudget] per step.
-      const int ds = static_cast<int>(cache_.domain.size());
-      const Tensor& u = t_.output_proj_->weight()->value;
-      const Tensor& ub = t_.output_proj_->bias()->value;
-      cache_.u_sub = ws.Floats(static_cast<size_t>(h4) * ds);
-      cache_.bias_sub = ws.Floats(ds);
+      const int ds = static_cast<int>(cache.domain.size());
+      const Tensor& u = output_proj_->weight()->value;
+      const Tensor& ub = output_proj_->bias()->value;
+      cache.u_sub = ws.Floats(static_cast<size_t>(h4) * ds);
+      cache.bias_sub = ws.Floats(ds);
       for (int k = 0; k < h4; ++k) {
         const float* urow = u.data() + static_cast<size_t>(k) * kVocabBudget;
-        float* srow = cache_.u_sub + static_cast<size_t>(k) * ds;
-        for (int s = 0; s < ds; ++s) srow[s] = urow[cache_.domain[s]];
+        float* srow = cache.u_sub + static_cast<size_t>(k) * ds;
+        for (int s = 0; s < ds; ++s) srow[s] = urow[cache.domain[s]];
       }
       for (int s = 0; s < ds; ++s) {
-        cache_.bias_sub[s] = ub(cache_.domain[s]);
+        cache.bias_sub[s] = ub(cache.domain[s]);
       }
     }
   }
 
-  // ---- Beam-search state --------------------------------------------------
-  const int W = beam_width_;
-  score_width_ =
-      masked_ ? static_cast<int>(cache_.domain.size()) : vocab_size;
-  gemm_width_ = masked_ ? score_width_ : kVocabBudget;
+  // ---- Batched beam search ------------------------------------------------
+  trace::TraceSpan decode_span("seq2seq.decode");
+
+  struct FastBeam {
+    int prev_token = text::Vocab::kBos;
+    int grammar_state = DecodeGrammar::kStart;
+    int slot = 0;  // row in d_prev/beta_prev
+    std::vector<std::string> tokens;
+    float log_prob = 0.0f;
+    bool finished = false;
+  };
+
+  const int W = beam_width;
+  const int score_width = masked ? static_cast<int>(cache.domain.size())
+                                 : vocab_size;
+  const int gemm_width = masked ? score_width : kVocabBudget;
+  const int xin = d + h2;  // decoder GRU input width
 
   // Beam-state ping-pong buffers and per-step scratch, allocated once.
-  // The frontier's GRU staging buffers (x/gi/gh/d_gather) are the
-  // driver's: a batching driver sizes them for the sum of its queries'
-  // frontiers, the single-query driver for W rows.
-  d_prev_ = ws.Floats(static_cast<size_t>(W) * h2);
-  beta_prev_ = ws.Floats(static_cast<size_t>(W) * h2);
-  d_swap_ = ws.Floats(static_cast<size_t>(W) * h2);
-  beta_swap_ = ws.Floats(static_cast<size_t>(W) * h2);
-  d_next_ = ws.Floats(static_cast<size_t>(W) * h2);
-  query_ = ws.Floats(static_cast<size_t>(W) * att);
-  tanh_keys_ = ws.Floats(static_cast<size_t>(n) * att);
-  energies_ = ws.Floats(n);
-  weights_all_ = ws.Floats(static_cast<size_t>(W) * n);
-  beta_next_ = ws.Floats(static_cast<size_t>(W) * h2);
-  cat_ = ws.Floats(static_cast<size_t>(W) * h4);
-  logits_ = ws.Floats(static_cast<size_t>(W) * gemm_width_);
-  mass_ = ws.Floats(score_width_);
-  scores_ = ws.Floats(static_cast<size_t>(W) * score_width_);
+  float* d_prev = ws.Floats(static_cast<size_t>(W) * h2);
+  float* beta_prev = ws.Floats(static_cast<size_t>(W) * h2);
+  float* d_swap = ws.Floats(static_cast<size_t>(W) * h2);
+  float* beta_swap = ws.Floats(static_cast<size_t>(W) * h2);
+  float* x = ws.Floats(static_cast<size_t>(W) * xin);
+  float* gi = ws.Floats(static_cast<size_t>(W) * 3 * h2);
+  float* gh = ws.Floats(static_cast<size_t>(W) * 3 * h2);
+  float* d_gather = ws.Floats(static_cast<size_t>(W) * h2);
+  float* d_next = ws.Floats(static_cast<size_t>(W) * h2);
+  float* query = ws.Floats(static_cast<size_t>(W) * att);
+  float* tanh_keys = ws.Floats(static_cast<size_t>(n) * att);
+  float* energies = ws.Floats(n);
+  float* weights_all = ws.Floats(static_cast<size_t>(W) * n);
+  float* beta_next = ws.Floats(static_cast<size_t>(W) * h2);
+  float* cat = ws.Floats(static_cast<size_t>(W) * h4);
+  float* logits = ws.Floats(static_cast<size_t>(W) * gemm_width);
+  float* mass = ws.Floats(score_width);
+  float* scores = ws.Floats(static_cast<size_t>(W) * score_width);
+
+  const Tensor& emb_table = embedding_->table()->value;
+  const float* dec_w_ih = decoder_cell_->w_ih()->value.data();
+  const float* dec_w_hh = decoder_cell_->w_hh()->value.data();
+  const float* dec_b_ih = decoder_cell_->b_ih()->value.data();
+  const float* dec_b_hh = decoder_cell_->b_hh()->value.data();
+  const float* q_w = query_proj_->weight()->value.data();
+  const float* v_w = attention_->score_vector().weight()->value.data();
+  const float* out_w = output_proj_->weight()->value.data();
+  const float* out_b = output_proj_->bias()->value.data();
 
   FastBeam init;
-  init.prev_token = text::Vocab::kBos;
-  std::memcpy(d_prev_, cache_.d0, sizeof(float) * h2);
+  std::memcpy(d_prev, cache.d0, sizeof(float) * h2);
   // beta_prev row 0 is already zero (arena buffers are zero-initialized).
-  beams_ = {init};
-}
+  std::vector<FastBeam> beams = {init};
+  std::vector<FastBeam> finished;
 
-Status FastDecodeState::BeginStep(const CancelContext* ctx) {
-  if (step_ >= t_.config_.max_decode_length) {
-    done_ = true;
-    return Status::Ok();
-  }
-  // Decode steps dominate query latency, so the deadline is polled at
-  // this granularity (same contract as the reference path).
-  NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "seq2seq.decode"));
+  struct Candidate {
+    int parent_slot = 0;
+    FastBeam beam;
+  };
 
-  // Live frontier.
-  live_.clear();
-  for (int b = 0; b < static_cast<int>(beams_.size()); ++b) {
-    if (!beams_[b].finished) live_.push_back(b);
-  }
-  const int B = static_cast<int>(live_.size());
-  if (B == 0) {
-    done_ = true;
-    return Status::Ok();
-  }
+  for (int step = 0; step < config_.max_decode_length; ++step) {
+    // Decode steps dominate query latency, so the deadline is polled at
+    // this granularity (same contract as the reference path).
+    NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "seq2seq.decode"));
 
-  // Output-safe early termination. Per-step log-prob increments are
-  // log(p + 1e-12f) with p = score/(sum + 1e-9f) <= 1.0f in float
-  // (score is one of the summed positive terms and float addition of
-  // positives is monotone), so log_prob never increases along a path.
-  // A hypothesis finishing later divides by a denominator of at most
-  // max_decode_length, and x/len is monotone in len for x <= 0, so
-  // log_prob / max_decode_length bounds every descendant's normalized
-  // score (float division is monotone, so the bound holds bitwise).
-  // When every live hypothesis is strictly below the best finished
-  // score, nothing the remaining steps could add survives the strict
-  // ">" selection in TakeResult — the reference loop would do the work
-  // and then discard it, so stopping here returns the identical result.
-  if (!finished_.empty()) {
-    float best_norm = -1e30f;
-    for (const FastBeam& f : finished_) {
-      const float denom =
-          static_cast<float>(std::max<size_t>(1, f.tokens.size()));
-      best_norm = std::max(best_norm, f.log_prob / denom);
+    // Live frontier.
+    std::vector<int> live;
+    for (int b = 0; b < static_cast<int>(beams.size()); ++b) {
+      if (!beams[b].finished) live.push_back(b);
     }
-    const float len_cap = static_cast<float>(t_.config_.max_decode_length);
-    bool viable = false;
-    for (const int b : live_) {
-      if (!(beams_[b].log_prob / len_cap < best_norm)) {
-        viable = true;
+    const int B = static_cast<int>(live.size());
+    if (B == 0) break;
+
+    // Output-safe early termination. Per-step log-prob increments are
+    // log(p + 1e-12f) with p = score/(sum + 1e-9f) <= 1.0f in float
+    // (score is one of the summed positive terms and float addition of
+    // positives is monotone), so log_prob never increases along a path.
+    // A hypothesis finishing later divides by a denominator of at most
+    // max_decode_length, and x/len is monotone in len for x <= 0, so
+    // log_prob / max_decode_length bounds every descendant's normalized
+    // score (float division is monotone, so the bound holds bitwise).
+    // When every live hypothesis is strictly below the best finished
+    // score, nothing the remaining steps could add survives the strict
+    // ">" selection below — the reference loop would do the work and
+    // then discard it, so stopping here returns the identical result.
+    if (!finished.empty()) {
+      float best_norm = -1e30f;
+      for (const FastBeam& f : finished) {
+        const float denom =
+            static_cast<float>(std::max<size_t>(1, f.tokens.size()));
+        best_norm = std::max(best_norm, f.log_prob / denom);
+      }
+      const float len_cap = static_cast<float>(config_.max_decode_length);
+      bool viable = false;
+      for (const int b : live) {
+        if (!(beams[b].log_prob / len_cap < best_norm)) {
+          viable = true;
+          break;
+        }
+      }
+      if (!viable) break;
+    }
+    decode_steps.Increment(B);
+    if (config_.use_copy_mechanism) copy_steps.Increment(B);
+
+    // Stage [emb(prev) ; beta_prev] and gather d_prev for the frontier.
+    for (int r = 0; r < B; ++r) {
+      const FastBeam& beam = beams[live[r]];
+      std::memcpy(x + static_cast<size_t>(r) * xin,
+                  emb_table.data() +
+                      static_cast<size_t>(beam.prev_token) * d,
+                  sizeof(float) * d);
+      std::memcpy(x + static_cast<size_t>(r) * xin + d,
+                  beta_prev + static_cast<size_t>(beam.slot) * h2,
+                  sizeof(float) * h2);
+      std::memcpy(d_gather + static_cast<size_t>(r) * h2,
+                  d_prev + static_cast<size_t>(beam.slot) * h2,
+                  sizeof(float) * h2);
+    }
+
+    // Batched GRU gates for the whole frontier: two [B, 3H] GEMMs.
+    std::fill_n(gi, static_cast<size_t>(B) * 3 * h2, 0.0f);
+    GemmAccumulateRaw(x, dec_w_ih, gi, B, xin, 3 * h2);
+    AddBiasRows(gi, dec_b_ih, B, 3 * h2);
+    std::fill_n(gh, static_cast<size_t>(B) * 3 * h2, 0.0f);
+    GemmAccumulateRaw(d_gather, dec_w_hh, gh, B, h2, 3 * h2);
+    AddBiasRows(gh, dec_b_hh, B, 3 * h2);
+    GruElementwise(gi, gh, d_gather, d_next, B, h2);
+
+    // Attention query contribution W3 d_i, batched: [B, 2h] x [2h, att].
+    std::fill_n(query, static_cast<size_t>(B) * att, 0.0f);
+    GemmAccumulateRaw(d_next, q_w, query, B, h2, att);
+
+    // Attention + context per frontier row (memory rows differ per query,
+    // not per beam, but the softmax/argmax are row-local anyway).
+    for (int r = 0; r < B; ++r) {
+      const float* qrow = query + static_cast<size_t>(r) * att;
+      for (int i = 0; i < n; ++i) {
+        const float* mrow = cache.mem_proj + static_cast<size_t>(i) * att;
+        float* trow = tanh_keys + static_cast<size_t>(i) * att;
+        for (int a = 0; a < att; ++a) trow[a] = std::tanh(mrow[a] + qrow[a]);
+      }
+      std::fill_n(energies, n, 0.0f);
+      GemmAccumulateRaw(tanh_keys, v_w, energies, n, att, 1);
+
+      // SoftmaxRows over [1, n] (unclamped exp, reference loop order).
+      float* wrow = weights_all + static_cast<size_t>(r) * n;
+      float mx = energies[0];
+      for (int i = 1; i < n; ++i) mx = std::max(mx, energies[i]);
+      float wsum = 0.0f;
+      for (int i = 0; i < n; ++i) {
+        wrow[i] = std::exp(energies[i] - mx);
+        wsum += wrow[i];
+      }
+      for (int i = 0; i < n; ++i) wrow[i] /= wsum;
+
+      // beta_i = weights x enc_states: [1, n] x [n, 2h].
+      float* brow = beta_next + static_cast<size_t>(r) * h2;
+      std::fill_n(brow, h2, 0.0f);
+      GemmAccumulateRaw(wrow, cache.enc_states, brow, 1, n, h2);
+
+      std::memcpy(cat + static_cast<size_t>(r) * h4,
+                  d_next + static_cast<size_t>(r) * h2, sizeof(float) * h2);
+      std::memcpy(cat + static_cast<size_t>(r) * h4 + h2, brow,
+                  sizeof(float) * h2);
+
+      // Output scores: exp(U [d;beta] + b) plus copy mass. The copy mass
+      // accumulates in its own zeroed buffer and is added afterwards,
+      // replicating ops::Add(Exp(logits), ScatterSumCols(...)) so the
+      // float addition association matches the reference bitwise.
+      float* lrow = logits + static_cast<size_t>(r) * gemm_width;
+      std::fill_n(lrow, gemm_width, 0.0f);
+      const float* w_mat = masked ? cache.u_sub : out_w;
+      GemmAccumulateRaw(cat + static_cast<size_t>(r) * h4, w_mat, lrow, 1, h4,
+                        gemm_width);
+      AddBiasRows(lrow, masked ? cache.bias_sub : out_b, 1, score_width);
+      float* srow = scores + static_cast<size_t>(r) * score_width;
+      if (config_.use_copy_mechanism) {
+        std::fill_n(mass, score_width, 0.0f);
+        for (int i = 0; i < n; ++i) {
+          const int slot = masked ? cache.slot_of_src[i] : cache.source_ids[i];
+          mass[slot] += ClampedExpF(energies[i]);
+        }
+        for (int s = 0; s < score_width; ++s) {
+          srow[s] = ClampedExpF(lrow[s]) + mass[s];
+        }
+      } else {
+        for (int s = 0; s < score_width; ++s) srow[s] = ClampedExpF(lrow[s]);
+      }
+    }
+
+    // Candidate expansion: identical control flow, sums and tie-breaks to
+    // the reference (domain slots ascend in vocab-id order, so masked
+    // normalization sums walk the same ids in the same order).
+    std::vector<Candidate> candidates;
+    const int k = std::min(beam_width, vocab_size);
+    for (int r = 0; r < B; ++r) {
+      const FastBeam& beam = beams[live[r]];
+      const float* srow = scores + static_cast<size_t>(r) * score_width;
+      float sum = 0.0f;
+      std::vector<int> top;
+      if (masked) {
+        std::vector<int> legal;
+        legal.reserve(score_width);
+        for (int s = 0; s < score_width; ++s) {
+          if (grammar.IsLegal(beam.grammar_state, cache.domain[s],
+                              cache.in_source)) {
+            legal.push_back(s);
+          }
+        }
+        masked_tokens.Increment(vocab_size - static_cast<int>(legal.size()));
+        for (int s : legal) sum += srow[s];
+        top = std::move(legal);
+        TopKByScore(&top, srow, k);
+      } else {
+        for (int j = 0; j < vocab_size; ++j) sum += srow[j];
+        top = TopKScoreIndices(srow, vocab_size, k);
+      }
+      for (const int sel : top) {
+        const int tok = masked ? cache.domain[sel] : sel;
+        if (!masked &&
+            (tok == text::Vocab::kPad || tok == text::Vocab::kBos)) {
+          continue;
+        }
+        const float p = srow[sel] / (sum + 1e-9f);
+        Candidate c;
+        c.parent_slot = r;  // row in d_next/beta_next
+        c.beam = beam;
+        c.beam.prev_token = tok;
+        c.beam.log_prob = beam.log_prob + std::log(p + 1e-12f);
+        if (masked) {
+          c.beam.grammar_state = grammar.Advance(beam.grammar_state, tok);
+        }
+        if (tok == text::Vocab::kEos) {
+          c.beam.finished = true;
+        } else if (tok == text::Vocab::kUnk) {
+          // Pointer fallback: emit the source token under the attention
+          // peak instead of a literal <unk>.
+          const float* wrow = weights_all + static_cast<size_t>(r) * n;
+          int peak = 0;
+          for (int i = 1; i < n; ++i) {
+            if (wrow[i] > wrow[peak]) peak = i;
+          }
+          c.beam.tokens.push_back(source[peak]);
+        } else {
+          c.beam.tokens.push_back(vocab_.GetToken(tok));
+        }
+        candidates.push_back(std::move(c));
+      }
+    }
+    if (candidates.empty()) break;
+    // stable_sort pins candidate order on log-prob ties to construction
+    // order (beam order, then score rank), matching the reference path.
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.beam.log_prob > b.beam.log_prob;
+                     });
+    beams.clear();
+    for (Candidate& c : candidates) {
+      if (c.beam.finished) {
+        finished.push_back(std::move(c.beam));
+      } else if (static_cast<int>(beams.size()) < beam_width) {
+        const int slot = static_cast<int>(beams.size());
+        std::memcpy(d_swap + static_cast<size_t>(slot) * h2,
+                    d_next + static_cast<size_t>(c.parent_slot) * h2,
+                    sizeof(float) * h2);
+        std::memcpy(beta_swap + static_cast<size_t>(slot) * h2,
+                    beta_next + static_cast<size_t>(c.parent_slot) * h2,
+                    sizeof(float) * h2);
+        c.beam.slot = slot;
+        beams.push_back(std::move(c.beam));
+      }
+      if (static_cast<int>(beams.size()) >= beam_width &&
+          static_cast<int>(finished.size()) >= beam_width) {
         break;
       }
     }
-    if (!viable) {
-      done_ = true;
-      return Status::Ok();
-    }
+    std::swap(d_prev, d_swap);
+    std::swap(beta_prev, beta_swap);
+    if (beams.empty()) break;
   }
-
-  static metrics::Counter& decode_steps =
-      metrics::MetricsRegistry::Global().GetCounter("seq2seq.decode_steps");
-  static metrics::Counter& copy_steps =
-      metrics::MetricsRegistry::Global().GetCounter("seq2seq.copy_steps");
-  decode_steps.Increment(B);
-  if (t_.config_.use_copy_mechanism) copy_steps.Increment(B);
-
-  frontier_rows_ = B;
-  return Status::Ok();
-}
-
-void FastDecodeState::StageFrontier(float* x, float* d_gather) const {
-  const int d = d_;
-  const int h2 = h2_;
-  const int xin = xin_;
-  const Tensor& emb_table = t_.embedding_->table()->value;
-  // Stage [emb(prev) ; beta_prev] and gather d_prev for the frontier.
-  for (int r = 0; r < frontier_rows_; ++r) {
-    const FastBeam& beam = beams_[live_[r]];
-    std::memcpy(x + static_cast<size_t>(r) * xin,
-                emb_table.data() + static_cast<size_t>(beam.prev_token) * d,
-                sizeof(float) * d);
-    std::memcpy(x + static_cast<size_t>(r) * xin + d,
-                beta_prev_ + static_cast<size_t>(beam.slot) * h2,
-                sizeof(float) * h2);
-    std::memcpy(d_gather + static_cast<size_t>(r) * h2,
-                d_prev_ + static_cast<size_t>(beam.slot) * h2,
-                sizeof(float) * h2);
-  }
-}
-
-void FastDecodeState::ComputeGates(const Seq2SeqTranslator& translator,
-                                   const float* x, const float* d_gather,
-                                   int rows, float* gi, float* gh) {
-  const int h2 = 2 * translator.config_.seq2seq_hidden;
-  const int xin = translator.config_.word_dim + h2;
-  const float* dec_w_ih = translator.decoder_cell_->w_ih()->value.data();
-  const float* dec_w_hh = translator.decoder_cell_->w_hh()->value.data();
-  const float* dec_b_ih = translator.decoder_cell_->b_ih()->value.data();
-  const float* dec_b_hh = translator.decoder_cell_->b_hh()->value.data();
-  // Batched GRU gates for the whole frontier: two [rows, 3H] GEMMs. The
-  // kernels' per-output accumulation order is independent of `rows`
-  // (tensor/tensor.h contract) and the bias add is row-local, so any
-  // concatenation of query frontiers produces each row's bits unchanged.
-  std::fill_n(gi, static_cast<size_t>(rows) * 3 * h2, 0.0f);
-  GemmAccumulateRaw(x, dec_w_ih, gi, rows, xin, 3 * h2);
-  AddBiasRows(gi, dec_b_ih, rows, 3 * h2);
-  std::fill_n(gh, static_cast<size_t>(rows) * 3 * h2, 0.0f);
-  GemmAccumulateRaw(d_gather, dec_w_hh, gh, rows, h2, 3 * h2);
-  AddBiasRows(gh, dec_b_hh, rows, 3 * h2);
-}
-
-void FastDecodeState::FinishStep(const float* gi, const float* gh,
-                                 const float* d_gather) {
-  const int att = att_;
-  const int h2 = h2_;
-  const int h4 = h4_;
-  const int vocab_size = vocab_size_;
-  const int n = n_;
-  const int B = frontier_rows_;
-  const int score_width = score_width_;
-  const int gemm_width = gemm_width_;
-
-  const float* q_w = t_.query_proj_->weight()->value.data();
-  const float* v_w = t_.attention_->score_vector().weight()->value.data();
-  const float* out_w = t_.output_proj_->weight()->value.data();
-  const float* out_b = t_.output_proj_->bias()->value.data();
-
-  GruElementwise(gi, gh, d_gather, d_next_, B, h2);
-
-  // Attention query contribution W3 d_i, batched: [B, 2h] x [2h, att].
-  std::fill_n(query_, static_cast<size_t>(B) * att, 0.0f);
-  GemmAccumulateRaw(d_next_, q_w, query_, B, h2, att);
-
-  // Attention + context per frontier row (memory rows differ per query,
-  // not per beam, but the softmax/argmax are row-local anyway).
-  for (int r = 0; r < B; ++r) {
-    const float* qrow = query_ + static_cast<size_t>(r) * att;
-    for (int i = 0; i < n; ++i) {
-      const float* mrow = cache_.mem_proj + static_cast<size_t>(i) * att;
-      float* trow = tanh_keys_ + static_cast<size_t>(i) * att;
-      for (int a = 0; a < att; ++a) trow[a] = std::tanh(mrow[a] + qrow[a]);
-    }
-    std::fill_n(energies_, n, 0.0f);
-    GemmAccumulateRaw(tanh_keys_, v_w, energies_, n, att, 1);
-
-    // SoftmaxRows over [1, n] (unclamped exp, reference loop order).
-    float* wrow = weights_all_ + static_cast<size_t>(r) * n;
-    float mx = energies_[0];
-    for (int i = 1; i < n; ++i) mx = std::max(mx, energies_[i]);
-    float wsum = 0.0f;
-    for (int i = 0; i < n; ++i) {
-      wrow[i] = std::exp(energies_[i] - mx);
-      wsum += wrow[i];
-    }
-    for (int i = 0; i < n; ++i) wrow[i] /= wsum;
-
-    // beta_i = weights x enc_states: [1, n] x [n, 2h].
-    float* brow = beta_next_ + static_cast<size_t>(r) * h2;
-    std::fill_n(brow, h2, 0.0f);
-    GemmAccumulateRaw(wrow, cache_.enc_states, brow, 1, n, h2);
-
-    std::memcpy(cat_ + static_cast<size_t>(r) * h4,
-                d_next_ + static_cast<size_t>(r) * h2, sizeof(float) * h2);
-    std::memcpy(cat_ + static_cast<size_t>(r) * h4 + h2, brow,
-                sizeof(float) * h2);
-
-    // Output scores: exp(U [d;beta] + b) plus copy mass. The copy mass
-    // accumulates in its own zeroed buffer and is added afterwards,
-    // replicating ops::Add(Exp(logits), ScatterSumCols(...)) so the
-    // float addition association matches the reference bitwise.
-    float* lrow = logits_ + static_cast<size_t>(r) * gemm_width;
-    std::fill_n(lrow, gemm_width, 0.0f);
-    const float* w_mat = masked_ ? cache_.u_sub : out_w;
-    GemmAccumulateRaw(cat_ + static_cast<size_t>(r) * h4, w_mat, lrow, 1, h4,
-                      gemm_width);
-    AddBiasRows(lrow, masked_ ? cache_.bias_sub : out_b, 1, score_width);
-    float* srow = scores_ + static_cast<size_t>(r) * score_width;
-    if (t_.config_.use_copy_mechanism) {
-      std::fill_n(mass_, score_width, 0.0f);
-      for (int i = 0; i < n; ++i) {
-        const int slot =
-            masked_ ? cache_.slot_of_src[i] : cache_.source_ids[i];
-        mass_[slot] += ClampedExpF(energies_[i]);
-      }
-      for (int s = 0; s < score_width; ++s) {
-        srow[s] = ClampedExpF(lrow[s]) + mass_[s];
-      }
-    } else {
-      for (int s = 0; s < score_width; ++s) srow[s] = ClampedExpF(lrow[s]);
-    }
-  }
-
-  static metrics::Counter& masked_tokens =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "seq2seq.grammar_masked_tokens");
-
-  // Candidate expansion: identical control flow, sums and tie-breaks to
-  // the reference (domain slots ascend in vocab-id order, so masked
-  // normalization sums walk the same ids in the same order).
-  std::vector<Candidate> candidates;
-  const int k = std::min(beam_width_, vocab_size);
-  for (int r = 0; r < B; ++r) {
-    const FastBeam& beam = beams_[live_[r]];
-    const float* srow = scores_ + static_cast<size_t>(r) * score_width;
-    float sum = 0.0f;
-    std::vector<int> top;
-    if (masked_) {
-      std::vector<int> legal;
-      legal.reserve(score_width);
-      for (int s = 0; s < score_width; ++s) {
-        if (grammar_.IsLegal(beam.grammar_state, cache_.domain[s],
-                             cache_.in_source)) {
-          legal.push_back(s);
-        }
-      }
-      masked_tokens.Increment(vocab_size - static_cast<int>(legal.size()));
-      for (int s : legal) sum += srow[s];
-      top = std::move(legal);
-      TopKByScore(&top, srow, k);
-    } else {
-      for (int j = 0; j < vocab_size; ++j) sum += srow[j];
-      top = TopKScoreIndices(srow, vocab_size, k);
-    }
-    for (const int sel : top) {
-      const int tok = masked_ ? cache_.domain[sel] : sel;
-      if (!masked_ && (tok == text::Vocab::kPad || tok == text::Vocab::kBos)) {
-        continue;
-      }
-      const float p = srow[sel] / (sum + 1e-9f);
-      Candidate c;
-      c.parent_slot = r;  // row in d_next/beta_next
-      c.beam = beam;
-      c.beam.prev_token = tok;
-      c.beam.log_prob = beam.log_prob + std::log(p + 1e-12f);
-      if (masked_) {
-        c.beam.grammar_state = grammar_.Advance(beam.grammar_state, tok);
-      }
-      if (tok == text::Vocab::kEos) {
-        c.beam.finished = true;
-      } else if (tok == text::Vocab::kUnk) {
-        // Pointer fallback: emit the source token under the attention
-        // peak instead of a literal <unk>.
-        const float* wrow = weights_all_ + static_cast<size_t>(r) * n;
-        int peak = 0;
-        for (int i = 1; i < n; ++i) {
-          if (wrow[i] > wrow[peak]) peak = i;
-        }
-        c.beam.tokens.push_back(source_[peak]);
-      } else {
-        c.beam.tokens.push_back(t_.vocab_.GetToken(tok));
-      }
-      candidates.push_back(std::move(c));
-    }
-  }
-  ++step_;
-  if (candidates.empty()) {
-    done_ = true;
-    return;
-  }
-  // stable_sort pins candidate order on log-prob ties to construction
-  // order (beam order, then score rank), matching the reference path.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.beam.log_prob > b.beam.log_prob;
-                   });
-  beams_.clear();
-  for (Candidate& c : candidates) {
-    if (c.beam.finished) {
-      finished_.push_back(std::move(c.beam));
-    } else if (static_cast<int>(beams_.size()) < beam_width_) {
-      const int slot = static_cast<int>(beams_.size());
-      std::memcpy(d_swap_ + static_cast<size_t>(slot) * h2,
-                  d_next_ + static_cast<size_t>(c.parent_slot) * h2,
-                  sizeof(float) * h2);
-      std::memcpy(beta_swap_ + static_cast<size_t>(slot) * h2,
-                  beta_next_ + static_cast<size_t>(c.parent_slot) * h2,
-                  sizeof(float) * h2);
-      c.beam.slot = slot;
-      beams_.push_back(std::move(c.beam));
-    }
-    if (static_cast<int>(beams_.size()) >= beam_width_ &&
-        static_cast<int>(finished_.size()) >= beam_width_) {
-      break;
-    }
-  }
-  std::swap(d_prev_, d_swap_);
-  std::swap(beta_prev_, beta_swap_);
-  if (beams_.empty()) done_ = true;
-}
-
-StatusOr<FastDecodeState::Result> FastDecodeState::TakeResult() {
-  for (FastBeam& b : beams_) finished_.push_back(std::move(b));
-  beams_.clear();
-  if (finished_.empty()) {
+  for (FastBeam& b : beams) finished.push_back(std::move(b));
+  if (finished.empty()) {
     return Status::Internal("beam search exhausted every hypothesis");
   }
   // Length-normalized selection.
-  FastBeam* best = &finished_[0];
+  const FastBeam* best = &finished[0];
   float best_score = -1e30f;
-  for (FastBeam& b : finished_) {
+  for (const FastBeam& b : finished) {
     const float denom =
         static_cast<float>(std::max<size_t>(1, b.tokens.size()));
     const float s = b.log_prob / denom;
@@ -594,41 +557,7 @@ StatusOr<FastDecodeState::Result> FastDecodeState::TakeResult() {
       best = &b;
     }
   }
-  return Result{std::move(best->tokens), best_score};
-}
-
-StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
-    const std::vector<std::string>& source, int beam_width,
-    bool use_grammar_mask, const CancelContext* ctx) const {
-  Workspace& ws = Workspace::ThreadLocal();
-  Workspace::Scope query_scope(ws);
-  FastDecodeState state(*this, source, beam_width, use_grammar_mask, ws);
-  NLIDB_RETURN_IF_ERROR(state.Admit());
-  trace::TraceSpan span("seq2seq.translate");
-  span.Annotate("beam_width", static_cast<int64_t>(beam_width));
-  state.BuildEncoderCache();
-
-  trace::TraceSpan decode_span("seq2seq.decode");
-  // Frontier staging buffers for the single-query driver: one query, so
-  // at most beam_width rows per step.
-  const int W = beam_width;
-  const int xin = state.x_width();
-  const int h2 = state.h_width();
-  float* x = ws.Floats(static_cast<size_t>(W) * xin);
-  float* gi = ws.Floats(static_cast<size_t>(W) * 3 * h2);
-  float* gh = ws.Floats(static_cast<size_t>(W) * 3 * h2);
-  float* d_gather = ws.Floats(static_cast<size_t>(W) * h2);
-  while (true) {
-    NLIDB_RETURN_IF_ERROR(state.BeginStep(ctx));
-    if (state.done()) break;
-    state.StageFrontier(x, d_gather);
-    FastDecodeState::ComputeGates(*this, x, d_gather, state.frontier_rows(),
-                                  gi, gh);
-    state.FinishStep(gi, gh, d_gather);
-  }
-  StatusOr<FastDecodeState::Result> result = state.TakeResult();
-  if (!result.ok()) return result.status();
-  return ScoredTokens{std::move(result->tokens), result->score};
+  return ScoredTokens{best->tokens, best_score};
 }
 
 }  // namespace core

@@ -8,9 +8,11 @@
 // every hop: infeasible ones are shed at submit (before consuming a
 // queue slot), expired ones are shed at dequeue (before consuming
 // compute), and in-flight ones abort at the pipeline's CancelContext
-// poll points. Worker decodes are routed through `BatchedDecoder`, so
-// concurrent queries share GRU-gate GEMMs while staying bitwise
-// identical to sequential `pipeline.Query()` calls.
+// poll points. Each worker runs one request at a time through
+// `pipeline.Query()`, so served results are bitwise identical to
+// sequential calls. Decodes are not batched across requests: on a
+// 4-core box a shared decode tick cost both throughput and p99
+// (DESIGN.md §13).
 //
 // Counter invariant (asserted by serving_fault_test):
 //   serving.submitted == serving.admitted + serving.rejected_queue_full
@@ -23,6 +25,7 @@
 // SchemaRef cannot resolve is failed at admission (admitted + completed,
 // plus serving.schema_unresolvable) without consuming a queue slot.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,13 +35,12 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/pipeline.h"
-#include "serving/batched_decoder.h"
 
 // The worker pool deliberately bypasses common/thread_pool (lint
-// suppression on the member below): serving workers block on condition
-// variables — queue waits, batch rendezvous — which the shared compute
-// pool's run-to-completion tasks must never do, and the compute pool
-// stays reserved for the GEMM substrate beneath the workers.
+// suppression on the member below): serving workers block on the
+// admission queue's condition variable, which the shared compute pool's
+// run-to-completion tasks must never do, and the compute pool stays
+// reserved for the GEMM substrate beneath the workers.
 #include <thread>
 
 namespace nlidb {
@@ -55,14 +57,6 @@ struct ServingOptions {
   /// Bounded admission queue capacity; submits beyond it are rejected
   /// with Unavailable rather than queued without bound.
   int queue_capacity = 256;
-
-  /// Max queries one batch-leader tick advances together.
-  int max_batch = 8;
-
-  /// Route worker decodes through the cross-request BatchedDecoder.
-  /// Off → each worker decodes sequentially (still bitwise identical;
-  /// the bench uses this to measure batching's contribution).
-  bool cross_request_batching = true;
 
   /// Shed a request at admission when its remaining deadline budget is
   /// under `shed_factor` × the EWMA service time. 0 disables
@@ -123,9 +117,6 @@ class ServingEngine {
   /// destructor calls it.
   void Shutdown();
 
-  /// The cross-request batcher (bench introspection: occupancy counts).
-  const BatchedDecoder& decoder() const { return decoder_; }
-
  private:
   struct Pending {
     core::QueryRequest request;
@@ -140,8 +131,6 @@ class ServingEngine {
 
   const core::NlidbPipeline& pipeline_;
   const ServingOptions options_;
-  // Internally synchronized (its own mu_/cv_ rendezvous).
-  BatchedDecoder decoder_;  // nlidb-lint: disable(mutex-coverage)
 
   Mutex mu_{"serving.queue"};
   CondVar cv_;

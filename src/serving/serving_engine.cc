@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "common/workspace.h"
 
 namespace nlidb {
 namespace serving {
@@ -60,11 +58,6 @@ ServingOptions ServingOptions::FromEnv() {
       std::max(0, EnvInt("NLIDB_SERVING_WORKERS", options.num_workers));
   options.queue_capacity =
       std::max(1, EnvInt("NLIDB_SERVING_QUEUE_CAP", options.queue_capacity));
-  options.max_batch =
-      std::max(1, EnvInt("NLIDB_SERVING_MAX_BATCH", options.max_batch));
-  options.cross_request_batching =
-      EnvInt("NLIDB_SERVING_BATCHING",
-             options.cross_request_batching ? 1 : 0) != 0;
   return options;
 }
 
@@ -85,9 +78,7 @@ void ServingEngine::Resolve(Ticket& ticket, ServedResult result) {
 
 ServingEngine::ServingEngine(const core::NlidbPipeline& pipeline,
                              const ServingOptions& options)
-    : pipeline_(pipeline),
-      options_(options),
-      decoder_(pipeline.translator(), options.max_batch) {
+    : pipeline_(pipeline), options_(options) {
   workers_.reserve(static_cast<size_t>(std::max(0, options_.num_workers)));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -227,19 +218,11 @@ void ServingEngine::Process(Pending pending) {
         Status::DeadlineExceeded("request shed at dequeue: deadline expired");
   } else {
     // Stitch the worker's spans under the submitter's span, so one
-    // request's queue-wait / batch / decode phases form one trace tree.
+    // request's queue-wait and pipeline phases form one trace tree.
     trace::ScopedParent stitch(pending.parent_span);
     trace::TraceSpan span("serving.request");
     span.Annotate("queue_wait_ns", static_cast<int64_t>(queue_wait));
-    core::QueryRequest request = std::move(pending.request);
-    if (options_.cross_request_batching && !request.translate_override) {
-      request.translate_override = [this](
-                                       const std::vector<std::string>& source,
-                                       const CancelContext* ctx) {
-        return decoder_.Decode(source, ctx, Workspace::ThreadLocal());
-      };
-    }
-    StatusOr<core::QueryResult> result = pipeline_.Query(request);
+    StatusOr<core::QueryResult> result = pipeline_.Query(pending.request);
     counters.completed.Increment();
     if (result.ok()) {
       served.result = std::move(result).value();

@@ -100,28 +100,22 @@ TEST_F(ServingFaultTest, BeamExhaustionDegradesInBandThroughEngine) {
   ASSERT_GT(pipeline_->config().beam_width, 1);
   failpoint::ScopedFailpoint fp("seq2seq/beam_exhausted", "error");
 
-  for (const bool batching : {true, false}) {
-    serving::ServingOptions options;
-    options.num_workers = 2;
-    options.cross_request_batching = batching;
-    serving::ServingEngine engine(*pipeline_, options);
-    const uint64_t fallbacks_before = Count("seq2seq.greedy_fallbacks");
-    std::vector<std::shared_ptr<serving::ServingEngine::Ticket>> tickets;
-    for (int i = 0; i < 4; ++i) tickets.push_back(engine.Submit(Request()));
-    for (auto& ticket : tickets) {
-      serving::ServedResult served = ticket->Take();
-      // Exhausted beams degrade to greedy decode — an answer, flagged,
-      // never an error out of the engine.
-      ASSERT_TRUE(served.status.ok())
-          << "batching=" << batching << ": " << served.status.message();
-      EXPECT_TRUE(served.result.degraded_greedy_decode)
-          << "batching=" << batching;
-    }
-    EXPECT_GE(Count("seq2seq.greedy_fallbacks"), fallbacks_before + 4)
-        << "batching=" << batching;
-    EXPECT_GE(Count("failpoint.seq2seq/beam_exhausted"), 4u);
-    engine.Shutdown();
+  serving::ServingOptions options;
+  options.num_workers = 2;
+  serving::ServingEngine engine(*pipeline_, options);
+  const uint64_t fallbacks_before = Count("seq2seq.greedy_fallbacks");
+  std::vector<std::shared_ptr<serving::ServingEngine::Ticket>> tickets;
+  for (int i = 0; i < 4; ++i) tickets.push_back(engine.Submit(Request()));
+  for (auto& ticket : tickets) {
+    serving::ServedResult served = ticket->Take();
+    // Exhausted beams degrade to greedy decode — an answer, flagged,
+    // never an error out of the engine.
+    ASSERT_TRUE(served.status.ok()) << served.status.message();
+    EXPECT_TRUE(served.result.degraded_greedy_decode);
   }
+  EXPECT_GE(Count("seq2seq.greedy_fallbacks"), fallbacks_before + 4);
+  EXPECT_GE(Count("failpoint.seq2seq/beam_exhausted"), 4u);
+  engine.Shutdown();
   ExpectCountersConsistent();
 }
 

@@ -245,8 +245,8 @@ TEST_F(ServingStressTest, TightDeadlinesUnderLoadStayInBand) {
 // Runs last: when the suite executes with NLIDB_DEADLOCK=on (the
 // serving_stress_lockdep ctest entry and the TSan/fault CI legs), the
 // whole battery above fed the lock-order graph — serving.queue,
-// serving.batch, serving.ticket, pool.*, metrics.registry — and none of
-// it may have produced an order-inversion report. Guards against
+// serving.ticket, pool.*, metrics.registry — and none of it may have
+// produced an order-inversion report. Guards against
 // detector false positives on the real locking discipline as much as
 // against real inversions sneaking into serving.
 TEST(ServingLockDiscipline, NoInversionReportsAcrossSuite) {
