@@ -84,16 +84,6 @@ CorpusRun RunCorpus(const core::NlidbPipeline& pipeline,
   return run;
 }
 
-const char* ModeName(core::DecodeMode mode) {
-  switch (mode) {
-    case core::DecodeMode::kReference: return "reference";
-    case core::DecodeMode::kReferenceMasked: return "reference_masked";
-    case core::DecodeMode::kFastUnmasked: return "fast_unmasked";
-    case core::DecodeMode::kFast: return "fast";
-  }
-  return "?";
-}
-
 int Run(bool smoke) {
   PrintHeader("Decoder fast path vs reference (graph-free batched beam)");
 
@@ -122,6 +112,7 @@ int Run(bool smoke) {
        {core::DecodeMode::kReference, core::DecodeMode::kFastUnmasked,
         core::DecodeMode::kFast}) {
     translator->set_decode_mode(mode);
+    const std::string name = core::Seq2SeqTranslator::DecodeModeName(mode);
     for (int threads : {1, 8}) {
       ThreadPool::SetGlobalParallelism(threads);
       CorpusRun run = RunCorpus(*pipeline, env.splits.test, limit);
@@ -130,16 +121,12 @@ int Run(bool smoke) {
       const uint64_t p99 = PercentileNs(run.translate_ns, 0.99);
       std::printf(
           "translate %-14s t%d  n=%3zu  p50 %8.3f ms  p99 %8.3f ms\n",
-          ModeName(mode), threads, run.translate_ns.size(), p50 / 1e6,
+          name.c_str(), threads, run.translate_ns.size(), p50 / 1e6,
           p99 / 1e6);
       if (!smoke) {
-        const std::string key = std::string("translate_p50_ns_") +
-                                ModeName(mode) + "_t" +
-                                std::to_string(threads);
-        json.Set(key, static_cast<double>(p50));
-        json.Set(std::string("translate_p99_ns_") + ModeName(mode) + "_t" +
-                     std::to_string(threads),
-                 static_cast<double>(p99));
+        const std::string sfx = name + "_t" + std::to_string(threads);
+        json.Set("translate_p50_ns_" + sfx, static_cast<double>(p50));
+        json.Set("translate_p99_ns_" + sfx, static_cast<double>(p99));
       }
       if (threads == 1) smoke_runs.push_back(std::move(run));
     }
@@ -186,6 +173,7 @@ int Run(bool smoke) {
   for (const core::DecodeMode mode :
        {core::DecodeMode::kReference, core::DecodeMode::kFast}) {
     translator->set_decode_mode(mode);
+    const std::string name = core::Seq2SeqTranslator::DecodeModeName(mode);
     for (int beam : {1, 4}) {
       const int64_t steps_before = decode_steps.Value();
       const int64_t base_before = gemm_base.Value();
@@ -206,11 +194,10 @@ int Run(bool smoke) {
       std::printf(
           "decode %-10s beam=%d  %4d decodes  %7lld steps  "
           "%9.0f ns/step  %9.0f steps/s\n",
-          ModeName(mode), beam, decoded, static_cast<long long>(steps),
+          name.c_str(), beam, decoded, static_cast<long long>(steps),
           ns_per_step, steps_per_sec);
       if (!smoke) {
-        const std::string suffix =
-            std::string(ModeName(mode)) + "_b" + std::to_string(beam);
+        const std::string suffix = name + "_b" + std::to_string(beam);
         json.Set("decode_ns_per_step_" + suffix, ns_per_step);
         json.Set("decode_steps_per_sec_" + suffix, steps_per_sec);
         json.Set("gemm_base_calls_" + suffix,

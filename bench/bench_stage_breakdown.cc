@@ -12,8 +12,8 @@
 
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,17 +26,19 @@ namespace bench {
 namespace {
 
 struct StageStats {
+  std::string name;
   uint64_t total_ns = 0;
   int count = 0;
 };
 
 // Runs every test example through Query() and accumulates the per-stage
-// wall time the pipeline reports. Returns stage -> stats plus a "total"
-// entry for the whole request.
-std::map<std::string, StageStats> RunCorpus(
-    const core::NlidbPipeline& pipeline, const data::Dataset& dataset,
-    int limit) {
-  std::map<std::string, StageStats> stats;
+// wall time the pipeline reports. Returns the stages in pipeline order
+// (as Query() reports them) followed by a "total" entry for the whole
+// request.
+std::vector<StageStats> RunCorpus(const core::NlidbPipeline& pipeline,
+                                  const data::Dataset& dataset, int limit) {
+  std::vector<StageStats> stages;
+  StageStats total{"total"};
   int done = 0;
   for (const data::Example& ex : dataset.examples) {
     core::QueryRequest request;
@@ -44,17 +46,20 @@ std::map<std::string, StageStats> RunCorpus(
     request.tokens = ex.tokens;
     StatusOr<core::QueryResult> result = pipeline.Query(request);
     if (!result.ok()) continue;
-    StageStats& total = stats["total"];
     total.total_ns += result->stages.wall_ns;
     total.count += 1;
     for (const core::StageTiming& stage : result->stages.children) {
-      StageStats& s = stats[stage.name];
-      s.total_ns += stage.wall_ns;
-      s.count += 1;
+      auto it = std::find_if(
+          stages.begin(), stages.end(),
+          [&](const StageStats& s) { return s.name == stage.name; });
+      if (it == stages.end()) it = stages.insert(it, StageStats{stage.name});
+      it->total_ns += stage.wall_ns;
+      it->count += 1;
     }
     if (++done >= limit) break;
   }
-  return stats;
+  stages.push_back(total);
+  return stages;
 }
 
 int Run(bool smoke) {
@@ -75,28 +80,20 @@ int Run(bool smoke) {
   const int limit = smoke ? 4 : 64;
   FlatJson json = FlatJson::Load(ObservabilityJsonPath());
 
-  // The stage ordering the pipeline reports; map iteration is sorted by
-  // name, so keep an explicit print order.
-  const std::vector<std::string> stage_order = {
-      "tokenize", "annotate", "build_qa", "translate",
-      "recover",  "execute",  "total"};
-
   for (int threads : {1, 8}) {
     ThreadPool::SetGlobalParallelism(threads);
     const auto stats = RunCorpus(*pipeline, env.splits.test, limit);
     ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 
     std::printf("\n--- mean wall time per stage, threads=%d (n=%d) ---\n",
-                threads, stats.count("total") ? stats.at("total").count : 0);
-    for (const std::string& name : stage_order) {
-      auto it = stats.find(name);
-      if (it == stats.end() || it->second.count == 0) continue;
-      const double mean_ns =
-          static_cast<double>(it->second.total_ns) / it->second.count;
-      std::printf("%-10s %12.0f ns  %8.3f ms\n", name.c_str(), mean_ns,
+                threads, stats.back().count);
+    for (const StageStats& stage : stats) {
+      if (stage.count == 0) continue;
+      const double mean_ns = static_cast<double>(stage.total_ns) / stage.count;
+      std::printf("%-10s %12.0f ns  %8.3f ms\n", stage.name.c_str(), mean_ns,
                   mean_ns / 1e6);
       if (!smoke) {
-        json.Set("stage_" + name + "_ns_t" + std::to_string(threads),
+        json.Set("stage_" + stage.name + "_ns_t" + std::to_string(threads),
                  mean_ns);
       }
     }

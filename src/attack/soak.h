@@ -1,20 +1,14 @@
 #ifndef NLIDB_ATTACK_SOAK_H_
 #define NLIDB_ATTACK_SOAK_H_
 
-// Open-loop adversarial soak over the ServingEngine.
+// Open-loop adversarial soak over the ServingEngine (DESIGN.md §16).
 //
-// RunSoak replays a mutated corpus as paced open-loop traffic — Poisson
-// arrivals, mixed deadline tiers, optional random-delay failpoint
-// schedule — through a fresh engine, triaging every resolved ticket into
-// the per-mutator × per-stage AttackMatrix as it completes. A sliding
-// ticket window keeps memory bounded, so `queries` scales from the
-// 10k-query acceptance run to millions with the same knobs
-// (NLIDB_ATTACK_*, see README.md).
-//
-// The run doubles as a correctness gate: afterwards the serving counter
-// decomposition must balance exactly (submitted == admitted +
-// rejected_*; admitted == completed + shed + cancelled) and, when the
-// lockdep detector is live, zero inversion reports may have fired.
+// RunSoak replays a mutated corpus through the shared open-loop driver
+// (serving/open_loop.h), optionally under a random-delay failpoint
+// schedule, and triages every resolved ticket into the per-mutator ×
+// per-stage AttackMatrix. The run doubles as a correctness gate: the
+// serving counters must balance exactly and, with the lockdep detector
+// live, no inversion report may fire. Knobs: NLIDB_ATTACK_* (README.md).
 
 #include <cstdint>
 #include <string>
@@ -23,6 +17,7 @@
 #include "attack/mutator.h"
 #include "attack/triage.h"
 #include "core/pipeline.h"
+#include "serving/open_loop.h"
 
 namespace nlidb {
 namespace attack {
@@ -41,11 +36,6 @@ struct SoakOptions {
   /// pressure stay exercised without sheds dominating.
   double offered_qps = 0.0;
 
-  /// Deadline tier mix (fractions of traffic; the remainder is the
-  /// infeasibly tight tier). Generous = 400x service, tight = service/4.
-  double frac_no_deadline = 0.35;
-  double frac_generous = 0.50;
-
   /// Arrival-schedule / tier-assignment seed.
   uint64_t seed = 7;
 
@@ -58,21 +48,9 @@ struct SoakOptions {
   static SoakOptions FromEnv();
 };
 
-struct SoakReport {
+/// The driver's counter snapshot plus what the soak adds on top.
+struct SoakReport : serving::OpenLoopReport {
   AttackMatrix matrix;
-
-  // Serving counters after shutdown.
-  int64_t submitted = 0;
-  int64_t admitted = 0;
-  int64_t rejected_queue_full = 0;
-  int64_t rejected_shutdown = 0;
-  int64_t completed = 0;
-  int64_t shed = 0;
-  int64_t cancelled = 0;
-  int64_t deadline_misses = 0;
-
-  /// Both decomposition identities held exactly.
-  bool counters_balanced = false;
 
   /// Lockdep findings during the run (-1: detector not enabled).
   int lockdep_reports = -1;
@@ -80,7 +58,6 @@ struct SoakReport {
   /// Failpoint fires observed during the run (0 when no schedule).
   int64_t failpoints_fired = 0;
 
-  double wall_s = 0.0;
   double qps = 0.0;            // resolved queries / wall_s
   uint64_t service_ns = 0;     // calibrated sequential service time
   double offered_qps = 0.0;    // what the plan actually offered
@@ -88,11 +65,9 @@ struct SoakReport {
   std::string ToString() const;
 };
 
-/// Replays `corpus` (round-robin) through a fresh engine on `pipeline`.
-/// Resets the global metrics registry at entry; exports `attack.*`
-/// metrics from the final matrix before returning. The caller should
-/// pin ThreadPool::SetGlobalParallelism(1) around serving runs (the
-/// engine's workers are the concurrency under test).
+/// Replays `corpus` (round-robin) through the shared driver on
+/// `pipeline` and exports `attack.*` metrics from the final matrix. Pin
+/// ThreadPool::SetGlobalParallelism(1) around it, as for the driver.
 SoakReport RunSoak(const core::NlidbPipeline& pipeline,
                    const std::vector<Mutant>& corpus,
                    const SoakOptions& options);

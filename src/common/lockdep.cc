@@ -113,12 +113,19 @@ struct HeldLock {
   metrics::Histogram* held_hist = nullptr;
 };
 
-thread_local std::vector<HeldLock> tls_held;
-
 /// Re-entrancy guard: locks taken *by the hooks themselves* (metrics
 /// registry, allocator-internal paths) degrade to the plain operation
 /// instead of recursing into the detector.
 thread_local bool tls_in_hook = false;
+
+/// The calling thread's held set. The main thread's dies before static
+/// destructors that still lock (the global ThreadPool's), so teardown
+/// leaves the thread "in a hook" for good: later locks are plain.
+struct HeldSet {
+  std::vector<HeldLock> locks;
+  ~HeldSet() { tls_in_hook = true; }
+};
+thread_local HeldSet tls_held;
 
 std::atomic<int> g_watchdog_ms{30000};
 
@@ -320,7 +327,7 @@ void EmitInversionReport(Graph& g, int held_id, int new_id,
 /// into the graph; fires a report when a new edge closes a cycle.
 void RecordEdges(int new_id, const RawStack& current_stack) {
   Graph& g = G();
-  for (const HeldLock& held : tls_held) {
+  for (const HeldLock& held : tls_held.locks) {
     // Same-class edges are skipped: instances of one class share a
     // node, so A1->A2 would self-loop (documented blind spot).
     if (held.class_id == new_id) continue;
@@ -390,12 +397,12 @@ void LockSlow(Mutex* mu) {
   }
   counters.acquisitions->Increment();
 
-  if (!tls_held.empty()) {
+  if (!tls_held.locks.empty()) {
     // Stack capture only on nested acquisitions: single-lock sections
     // (the overwhelmingly common case) never pay for backtrace().
     RecordEdges(cid, CaptureStack());
   }
-  tls_held.push_back(
+  tls_held.locks.push_back(
       HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
   tls_in_hook = false;
 }
@@ -407,12 +414,13 @@ void UnlockSlow(Mutex* mu) {
     return;
   }
   tls_in_hook = true;
-  for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
+  std::vector<HeldLock>& held = tls_held.locks;
+  for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (it->mu == mu) {
       if (it->held_hist != nullptr) {
         it->held_hist->Record(trace::NowNs() - it->acquired_ns);
       }
-      tls_held.erase(std::next(it).base());
+      held.erase(std::next(it).base());
       break;
     }
     // No entry: acquired while the detector was off (or inside a hook);
@@ -437,7 +445,7 @@ void OnTryLockAcquired(Mutex* mu) {
   // deliberately not folded into the graph (they would be false
   // positives). The acquisition still joins the held set: blocking
   // locks taken while this one is held do create edges from it.
-  tls_held.push_back(
+  tls_held.locks.push_back(
       HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
   tls_in_hook = false;
 }
@@ -474,7 +482,7 @@ bool FatalReports() {
 
 void SetEnabled(bool on) {
   internal::g_mode.store(on ? 1 : 0, std::memory_order_relaxed);
-  if (!on) tls_held.clear();  // the caller is quiescent by contract
+  if (!on) tls_held.locks.clear();  // the caller is quiescent by contract
 }
 
 int WatchdogTimeoutMs() {
@@ -509,7 +517,7 @@ void ResetGraphForTest() {
   g.reports.clear();
   g.reported_pairs.clear();
   g.reported_stuck.clear();
-  tls_held.clear();
+  tls_held.locks.clear();
 }
 
 std::string RenderReports() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -16,6 +17,11 @@ namespace nlidb {
 namespace core {
 
 namespace {
+
+/// The NLIDB_DECODE spellings, indexed by DecodeMode; both directions
+/// read this one table.
+constexpr const char* kDecodeModeNames[] = {"reference", "reference_masked",
+                                            "fast_unmasked", "fast"};
 
 constexpr int kVocabBudget = 1536;
 
@@ -55,14 +61,17 @@ std::vector<int> TopKScoreIndices(const float* scores, int count, int k) {
   return ids;
 }
 
+const char* Seq2SeqTranslator::DecodeModeName(DecodeMode mode) {
+  return kDecodeModeNames[static_cast<int>(mode)];
+}
+
 DecodeMode Seq2SeqTranslator::DecodeModeFromEnv() {
   const char* v = std::getenv("NLIDB_DECODE");
   if (v == nullptr || *v == '\0') return DecodeMode::kFast;
   const std::string name(v);
-  if (name == "reference") return DecodeMode::kReference;
-  if (name == "reference_masked") return DecodeMode::kReferenceMasked;
-  if (name == "fast_unmasked") return DecodeMode::kFastUnmasked;
-  if (name == "fast") return DecodeMode::kFast;
+  for (size_t mode = 0; mode < std::size(kDecodeModeNames); ++mode) {
+    if (name == kDecodeModeNames[mode]) return static_cast<DecodeMode>(mode);
+  }
   NLIDB_LOG(Warning) << "unknown NLIDB_DECODE value '" << name
                      << "'; using the fast path";
   return DecodeMode::kFast;

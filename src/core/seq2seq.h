@@ -114,6 +114,8 @@ class Seq2SeqTranslator : public TranslatorInterface {
     decode_mode_.store(mode, std::memory_order_relaxed);
   }
   static DecodeMode DecodeModeFromEnv();
+  /// The NLIDB_DECODE spelling of `mode` ("fast", "reference", ...).
+  static const char* DecodeModeName(DecodeMode mode);
 
   /// Beam-search translation of a source sequence. Thin wrapper over
   /// `Decode` satisfying TranslatorInterface; decode errors surface as

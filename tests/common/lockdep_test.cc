@@ -289,5 +289,29 @@ TEST(LockdepTest, DisabledSequencesAreInvisible) {
   EXPECT_TRUE(lockdep::Reports().empty());
 }
 
+/// Locks a Mutex with the detector on from a static destructor, which
+/// runs after the main thread's thread_local held set is destroyed (the
+/// global ThreadPool's destructor does the same). The hooks must fall
+/// back to the plain lock there; a sanitizer build reports a
+/// use-after-free at process exit otherwise.
+struct LockAtExit {
+  ~LockAtExit() {
+    lockdep::SetEnabled(true);
+    Mutex mu{"test.at_exit"};
+    MutexLock hold(mu);
+  }
+};
+
+TEST(LockdepTest, StaticDestructorLocksAfterThreadLocalTeardown) {
+  DetectorScope detector;
+  Mutex mu{"test.before_exit"};
+  {
+    // Gives this thread's held set a heap buffer to outlive.
+    MutexLock hold(mu);
+  }
+  static LockAtExit lock_at_exit;
+  EXPECT_TRUE(lockdep::Reports().empty());
+}
+
 }  // namespace
 }  // namespace nlidb

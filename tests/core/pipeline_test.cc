@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "data/generator.h"
 #include "text/tokenizer.h"
 
@@ -99,6 +102,49 @@ TEST_F(PipelineTest, QueryReturnsEveryStage) {
     // execute=true by default: rows or an execution error, never neither.
     EXPECT_NE(result->rows.has_value(), !result->execution_status.ok());
   }
+}
+
+TEST_F(PipelineTest, StageTreeListsEveryStageInPipelineOrder) {
+  data::GeneratorConfig gc;
+  gc.num_tables = 6;
+  gc.questions_per_table = 4;
+  gc.seed = 1;
+  const data::Splits splits = data::GenerateWikiSqlSplits(gc);
+  NlidbPipeline pipeline(config_, provider_);
+  pipeline.Train(splits.train);
+
+  const std::vector<std::string> with_execute = {
+      "tokenize", "resolve", "annotate", "build_qa",
+      "translate", "recover", "execute"};
+  const std::vector<std::string> without_execute(with_execute.begin(),
+                                                 with_execute.end() - 1);
+  auto child_names = [](const StageTiming& root) {
+    std::vector<std::string> names;
+    for (const StageTiming& child : root.children) {
+      names.push_back(child.name);
+      EXPECT_LE(child.wall_ns, root.wall_ns) << child.name;
+    }
+    return names;
+  };
+  int checked = 0;
+  for (const data::Example& ex : splits.train.examples) {
+    QueryRequest request;
+    request.schema_ref = SchemaRef::Table(ex.table.get());
+    request.tokens = ex.tokens;
+    auto executed = pipeline.Query(request);
+    ASSERT_TRUE(executed.ok()) << executed.status();
+    // The execute stage runs only on a recovered query.
+    if (!executed->query.has_value()) continue;
+    EXPECT_EQ(executed->stages.name, "query");
+    EXPECT_EQ(child_names(executed->stages), with_execute);
+
+    request.execute = false;
+    auto planned = pipeline.Query(request);
+    ASSERT_TRUE(planned.ok()) << planned.status();
+    EXPECT_EQ(child_names(planned->stages), without_execute);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST_F(PipelineTest, QueryTimingsCanBeDisabled) {

@@ -17,6 +17,7 @@
 #include "core/pipeline.h"
 #include "data/generator.h"
 #include "tensor/gemm_kernels.h"
+#include "testing/decode_mode.h"
 #include "testing/golden.h"
 #include "testing/trace.h"
 
@@ -68,21 +69,6 @@ class GoldenTraceTest : public ::testing::Test {
   static data::Dataset* trace_corpus_;
 };
 
-/// Pins the pipeline's decode mode for one test, restoring on exit.
-class ScopedDecodeMode {
- public:
-  ScopedDecodeMode(core::NlidbPipeline* pipeline, core::DecodeMode mode)
-      : translator_(pipeline->MutableForTraining().translator),
-        saved_(translator_->decode_mode()) {
-    translator_->set_decode_mode(mode);
-  }
-  ~ScopedDecodeMode() { translator_->set_decode_mode(saved_); }
-
- private:
-  core::Seq2SeqTranslator* translator_;
-  core::DecodeMode saved_;
-};
-
 std::shared_ptr<text::EmbeddingProvider>* GoldenTraceTest::provider_ = nullptr;
 core::NlidbPipeline* GoldenTraceTest::pipeline_ = nullptr;
 data::Dataset* GoldenTraceTest::trace_corpus_ = nullptr;
@@ -116,7 +102,7 @@ TEST_F(GoldenTraceTest, BitwiseIdenticalAcrossThreadCountsAndTiers) {
 TEST_F(GoldenTraceTest, MatchesCommittedGolden) {
   // The reference decoder is the behavior baseline: its trace is the
   // committed golden, byte for byte.
-  ScopedDecodeMode mode(pipeline_, core::DecodeMode::kReference);
+  testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kReference);
   ThreadPool::SetGlobalParallelism(8);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
   ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
@@ -127,7 +113,7 @@ TEST_F(GoldenTraceTest, FastUnmaskedMatchesReferenceGolden) {
   // The bitwise-equivalence gate for the graph-free fast path: decoding
   // with kFastUnmasked must reproduce the *reference* golden exactly —
   // same bytes, not just same answers (DESIGN.md §12).
-  ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFastUnmasked);
+  testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFastUnmasked);
   ThreadPool::SetGlobalParallelism(8);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
   ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
@@ -138,7 +124,7 @@ TEST_F(GoldenTraceTest, MaskedDefaultMatchesCommittedGolden) {
   // The serving default (kFast = fast path + grammar mask) has its own
   // golden: the mask legitimately restricts decoding to well-formed s^a,
   // so its trace differs from the reference, but it must still be pinned.
-  ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFast);
+  testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFast);
   ThreadPool::SetGlobalParallelism(8);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
   ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
@@ -151,11 +137,12 @@ TEST_F(GoldenTraceTest, MaskedFastMatchesMaskedReference) {
   ThreadPool::SetGlobalParallelism(8);
   std::string fast, reference_masked;
   {
-    ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFast);
+    testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFast);
     fast = testing::TraceDataset(*pipeline_, *trace_corpus_);
   }
   {
-    ScopedDecodeMode mode(pipeline_, core::DecodeMode::kReferenceMasked);
+    testing::ScopedDecodeMode mode(pipeline_,
+                                   core::DecodeMode::kReferenceMasked);
     reference_masked = testing::TraceDataset(*pipeline_, *trace_corpus_);
   }
   ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());

@@ -19,6 +19,7 @@
 #include "core/seq2seq.h"
 #include "data/generator.h"
 #include "serving/serving.h"
+#include "testing/decode_mode.h"
 
 namespace nlidb {
 namespace {
@@ -113,38 +114,14 @@ std::shared_ptr<text::EmbeddingProvider>* ServingEquivalenceTest::provider_ =
 data::Splits* ServingEquivalenceTest::splits_ = nullptr;
 core::NlidbPipeline* ServingEquivalenceTest::pipeline_ = nullptr;
 
-/// Pins the pipeline's decode mode for one scope, restoring on exit.
-class ScopedDecodeMode {
- public:
-  ScopedDecodeMode(core::NlidbPipeline* pipeline, core::DecodeMode mode)
-      : translator_(pipeline->MutableForTraining().translator),
-        saved_(translator_->decode_mode()) {
-    translator_->set_decode_mode(mode);
-  }
-  ~ScopedDecodeMode() { translator_->set_decode_mode(saved_); }
-
- private:
-  core::Seq2SeqTranslator* translator_;
-  core::DecodeMode saved_;
-};
-
-const char* ModeName(core::DecodeMode mode) {
-  switch (mode) {
-    case core::DecodeMode::kReference: return "reference";
-    case core::DecodeMode::kReferenceMasked: return "reference_masked";
-    case core::DecodeMode::kFastUnmasked: return "fast_unmasked";
-    case core::DecodeMode::kFast: return "fast";
-  }
-  return "?";
-}
-
 TEST_F(ServingEquivalenceTest, EngineMatchesSequentialAcrossClientsAndModes) {
   const std::vector<const data::Example*> corpus = Corpus(8);
   ASSERT_FALSE(corpus.empty());
   for (const core::DecodeMode mode :
        {core::DecodeMode::kFast, core::DecodeMode::kFastUnmasked,
         core::DecodeMode::kReference, core::DecodeMode::kReferenceMasked}) {
-    ScopedDecodeMode pin(pipeline_, mode);
+    testing::ScopedDecodeMode pin(pipeline_, mode);
+    const char* name = core::Seq2SeqTranslator::DecodeModeName(mode);
     std::vector<StatusOr<core::QueryResult>> sequential;
     for (const data::Example* ex : corpus) {
       sequential.push_back(pipeline_->Query(RequestFor(*ex)));
@@ -162,7 +139,7 @@ TEST_F(ServingEquivalenceTest, EngineMatchesSequentialAcrossClientsAndModes) {
       }
       for (int i = 0; i < clients; ++i) {
         ExpectSame(tickets[i]->Take(), sequential[i % corpus.size()],
-                   std::string(ModeName(mode)) + " clients=" +
+                   std::string(name) + " clients=" +
                        std::to_string(clients) + " i=" + std::to_string(i));
       }
     }
