@@ -5,12 +5,15 @@
 //
 // Before the google-benchmark suite runs, main() times the tiled GEMM
 // kernels against the seed-equivalent reference loops (gemm_reference.cc,
-// compiled with the seed's flags) and appends the results to
+// compiled with the seed's flags) and the tanh row kernels of both tiers
+// against a libm std::tanh loop, and appends the results to
 // BENCH_substrate.json (override the path with NLIDB_BENCH_JSON).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "common/thread_pool.h"
@@ -20,6 +23,7 @@
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/statistics.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "text/dependency.h"
 #include "text/tokenizer.h"
@@ -174,21 +178,19 @@ BENCHMARK(BM_AnnotationRoundTrip);
 
 using GemmFn = void (*)(const Tensor&, const Tensor&, Tensor&);
 
-// Runs `fn` until ~80 ms have elapsed (at least 3 iterations) and
-// returns ns per call; best of 3 batches. `out` is re-zeroed every call
-// on both sides of a comparison, so the Fill cost cancels.
-double TimeGemmNs(GemmFn fn, const Tensor& a, const Tensor& b, Tensor& out) {
+// Runs `call` until ~80 ms have elapsed (at least 3 iterations) and
+// returns ns per call; best of 3 batches, after one warmup call.
+template <typename Call>
+double BestNsPerCall(const Call& call) {
   using Clock = std::chrono::steady_clock;
-  out.Fill(0.0f);
-  fn(a, b, out);  // warmup
+  call();  // warmup
   double best = 1e30;
   for (int batch = 0; batch < 3; ++batch) {
     int iters = 0;
     const auto start = Clock::now();
     double elapsed_ns = 0.0;
     do {
-      out.Fill(0.0f);
-      fn(a, b, out);
+      call();
       ++iters;
       elapsed_ns = std::chrono::duration<double, std::nano>(Clock::now() -
                                                             start)
@@ -197,6 +199,15 @@ double TimeGemmNs(GemmFn fn, const Tensor& a, const Tensor& b, Tensor& out) {
     best = std::min(best, elapsed_ns / iters);
   }
   return best;
+}
+
+// `out` is re-zeroed every call on both sides of a comparison, so the
+// Fill cost cancels.
+double TimeGemmNs(GemmFn fn, const Tensor& a, const Tensor& b, Tensor& out) {
+  return BestNsPerCall([&] {
+    out.Fill(0.0f);
+    fn(a, b, out);
+  });
 }
 
 struct GemmCase {
@@ -240,6 +251,47 @@ void RunSubstrateGemmReport(bench::FlatJson& json) {
   }
 }
 
+// --- tanh row kernels vs libm (BENCH_substrate.json) -------------------
+
+using TanhFn = void (*)(const float* in, float* out, int n);
+
+void LibmTanhRows(const float* in, float* out, int n) {
+  for (int i = 0; i < n; ++i) out[i] = std::tanh(in[i]);
+}
+
+void RunSubstrateTanhReport(bench::FlatJson& json) {
+  // One decoder attention block: n=32 source positions x att=64 units of
+  // mem_proj + query sums.
+  constexpr int kRows = 32;
+  constexpr int kCols = 64;
+  Rng rng(11);
+  const Tensor block = Tensor::Gaussian({kRows, kCols}, 1.0f, rng);
+  const std::vector<float> in(block.data(), block.data() + block.size());
+  std::vector<float> out(in.size());
+  struct TanhCase {
+    const char* key;
+    TanhFn fn;
+  };
+  std::vector<TanhCase> cases = {{"libm", &LibmTanhRows},
+                                 {"base", &gemm::base::TanhRows}};
+  if (gemm::avx2::Available()) {
+    cases.push_back({"avx2", &gemm::avx2::TanhRows});
+  }
+  std::printf("\nsubstrate: tanh on a %dx%d attention block\n", kRows,
+              kCols);
+  std::printf("%-6s %12s\n", "tanh", "ns/elem");
+  const int n = static_cast<int>(in.size());
+  for (const TanhCase& c : cases) {
+    const double ns = BestNsPerCall([&] {
+                        c.fn(in.data(), out.data(), n);
+                        benchmark::DoNotOptimize(out.data());
+                      }) /
+                      n;
+    std::printf("%-6s %12.2f\n", c.key, ns);
+    json.Set(std::string("tanh_ns_per_elem_") + c.key, ns);
+  }
+}
+
 }  // namespace
 }  // namespace nlidb
 
@@ -249,6 +301,7 @@ int main(int argc, char** argv) {
         nlidb::bench::FlatJson::Load(nlidb::bench::SubstrateJsonPath());
     json.Set("threads", nlidb::ThreadPool::Global().parallelism());
     nlidb::RunSubstrateGemmReport(json);
+    nlidb::RunSubstrateTanhReport(json);
     json.Save(nlidb::bench::SubstrateJsonPath());
     std::printf("wrote %s (%zu keys)\n\n", nlidb::bench::SubstrateJsonPath(),
                 json.size());

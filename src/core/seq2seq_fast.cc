@@ -15,7 +15,8 @@
 /// kFastUnmasked reproduces kReference and kFast reproduces
 /// kReferenceMasked — same token sequences, same hypothesis scores, same
 /// error statuses. That only holds because (a) this TU replicates each
-/// elementwise formula of tensor/ops.cc in the reference evaluation order,
+/// elementwise formula of tensor/ops.cc in the reference evaluation order
+/// and computes tanh with the same TanhRaw kernel as ops::Tanh,
 /// (b) GemmAccumulateRaw shares the deterministic kernels whose per-output
 /// accumulation order is independent of batching and threading, and
 /// (c) this file compiles with -ffp-contract=off like the kernel TUs, so
@@ -57,8 +58,9 @@ void AddBiasRows(float* out, const float* bias, int rows, int cols) {
 
 /// GruCell::Step after the two gate GEMMs, batched over `batch` rows:
 /// gi/gh are [batch, 3H] with biases already added, h_prev/h_next are
-/// [batch, H]. Gate layout [reset, update, new]; the h' association
-/// (n - z*n) + (z*h) matches rnn.cc exactly.
+/// [batch, H] and must not overlap. Gate layout [reset, update, new];
+/// the h' association (n - z*n) + (z*h) matches rnn.cc exactly. Each
+/// row's n-gate arguments are staged in h_next for one TanhRaw call.
 void GruElementwise(const float* gi, const float* gh, const float* h_prev,
                     float* h_next, int batch, int H) {
   for (int b = 0; b < batch; ++b) {
@@ -68,8 +70,12 @@ void GruElementwise(const float* gi, const float* gh, const float* h_prev,
     float* hn = h_next + static_cast<size_t>(b) * H;
     for (int j = 0; j < H; ++j) {
       const float r = SigmoidF(gib[j] + ghb[j]);
+      hn[j] = gib[2 * H + j] + r * ghb[2 * H + j];
+    }
+    TanhRaw(hn, hn, H);
+    for (int j = 0; j < H; ++j) {
       const float z = SigmoidF(gib[H + j] + ghb[H + j]);
-      const float n = std::tanh(gib[2 * H + j] + r * ghb[2 * H + j]);
+      const float n = hn[j];
       hn[j] = (n - z * n) + (z * hp[j]);
     }
   }
@@ -209,7 +215,7 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
     GemmAccumulateRaw(cat0, init_proj_->weight()->value.data(), cache.d0, 1,
                       h2, h2);
     AddBiasRows(cache.d0, init_proj_->bias()->value.data(), 1, h2);
-    for (int j = 0; j < h2; ++j) cache.d0[j] = std::tanh(cache.d0[j]);
+    TanhRaw(cache.d0, cache.d0, h2);
 
     // Projected attention keys: [n, 2h] x [2h, att].
     cache.mem_proj = ws.Floats(static_cast<size_t>(n) * att);
@@ -264,11 +270,21 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
   // ---- Batched beam search ------------------------------------------------
   trace::TraceSpan decode_span("seq2seq.decode");
 
+  // Emitted tokens live in one append-only history shared by every
+  // hypothesis: a hypothesis holds the index of its last entry, entries
+  // link to their parent, and strings are built once for the winner.
+  struct TokenEntry {
+    int parent;  // previous entry, -1 at the start of the sequence
+    int code;    // vocab id, or -1 - source position (<unk> pointer)
+  };
+  std::vector<TokenEntry> history;
+
   struct FastBeam {
     int prev_token = text::Vocab::kBos;
     int grammar_state = DecodeGrammar::kStart;
     int slot = 0;  // row in d_prev/beta_prev
-    std::vector<std::string> tokens;
+    int last = -1;    // history entry of the last emitted token
+    int length = 0;   // emitted tokens (eos excluded)
     float log_prob = 0.0f;
     bool finished = false;
   };
@@ -348,8 +364,7 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
     if (!finished.empty()) {
       float best_norm = -1e30f;
       for (const FastBeam& f : finished) {
-        const float denom =
-            static_cast<float>(std::max<size_t>(1, f.tokens.size()));
+        const float denom = static_cast<float>(std::max(1, f.length));
         best_norm = std::max(best_norm, f.log_prob / denom);
       }
       const float len_cap = static_cast<float>(config_.max_decode_length);
@@ -400,8 +415,9 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
       for (int i = 0; i < n; ++i) {
         const float* mrow = cache.mem_proj + static_cast<size_t>(i) * att;
         float* trow = tanh_keys + static_cast<size_t>(i) * att;
-        for (int a = 0; a < att; ++a) trow[a] = std::tanh(mrow[a] + qrow[a]);
+        for (int a = 0; a < att; ++a) trow[a] = mrow[a] + qrow[a];
       }
+      TanhRaw(tanh_keys, tanh_keys, n * att);
       std::fill_n(energies, n, 0.0f);
       GemmAccumulateRaw(tanh_keys, v_w, energies, n, att, 1);
 
@@ -495,17 +511,21 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
         }
         if (tok == text::Vocab::kEos) {
           c.beam.finished = true;
-        } else if (tok == text::Vocab::kUnk) {
-          // Pointer fallback: emit the source token under the attention
-          // peak instead of a literal <unk>.
-          const float* wrow = weights_all + static_cast<size_t>(r) * n;
-          int peak = 0;
-          for (int i = 1; i < n; ++i) {
-            if (wrow[i] > wrow[peak]) peak = i;
-          }
-          c.beam.tokens.push_back(source[peak]);
         } else {
-          c.beam.tokens.push_back(vocab_.GetToken(tok));
+          int code = tok;
+          if (tok == text::Vocab::kUnk) {
+            // Pointer fallback: emit the source token under the attention
+            // peak instead of a literal <unk>.
+            const float* wrow = weights_all + static_cast<size_t>(r) * n;
+            int peak = 0;
+            for (int i = 1; i < n; ++i) {
+              if (wrow[i] > wrow[peak]) peak = i;
+            }
+            code = -1 - peak;
+          }
+          history.push_back({beam.last, code});
+          c.beam.last = static_cast<int>(history.size()) - 1;
+          ++c.beam.length;
         }
         candidates.push_back(std::move(c));
       }
@@ -549,15 +569,20 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
   const FastBeam* best = &finished[0];
   float best_score = -1e30f;
   for (const FastBeam& b : finished) {
-    const float denom =
-        static_cast<float>(std::max<size_t>(1, b.tokens.size()));
+    const float denom = static_cast<float>(std::max(1, b.length));
     const float s = b.log_prob / denom;
     if (s > best_score) {
       best_score = s;
       best = &b;
     }
   }
-  return ScoredTokens{best->tokens, best_score};
+  std::vector<std::string> tokens(best->length);
+  for (int e = best->last, pos = best->length - 1; e >= 0;
+       e = history[e].parent, --pos) {
+    const int code = history[e].code;
+    tokens[pos] = code >= 0 ? vocab_.GetToken(code) : source[-1 - code];
+  }
+  return ScoredTokens{std::move(tokens), best_score};
 }
 
 }  // namespace core

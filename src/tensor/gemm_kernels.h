@@ -1,18 +1,27 @@
 #ifndef NLIDB_TENSOR_GEMM_KERNELS_H_
 #define NLIDB_TENSOR_GEMM_KERNELS_H_
 
-// Row-range GEMM kernel entry points, compiled once per ISA tier.
+// Row kernels compiled once per ISA tier: the row-range GEMMs and the
+// elementwise tanh.
 //
-// The tiled micro-kernels in gemm_tiles.h are instantiated by two
-// translation units: gemm_kernels_base.cc (the toolchain's default
-// target, runs anywhere the binary does) and gemm_kernels_avx2.cc
-// (-march=x86-64-v3 where the compiler supports it, selected at runtime
-// only when the CPU reports AVX2). Both TUs build with -ffp-contract=off,
-// so neither tier fuses multiply-adds and both produce bitwise-identical
-// results — which machine runs the model never changes its outputs.
+// The kernels are instantiated by two translation units:
+// gemm_kernels_base.cc (the toolchain's default target, runs anywhere the
+// binary does) and gemm_kernels_avx2.cc (-march=x86-64-v3 where the
+// compiler supports it, selected at runtime only when the CPU reports
+// AVX2). Both TUs build with -ffp-contract=off, so neither tier fuses
+// multiply-adds and both produce bitwise-identical results — which
+// machine runs the model never changes its outputs.
 //
-// Each function processes output rows [ib, ie) only, so callers can
-// partition rows across the thread pool without further coordination.
+// The GEMMs process output rows [ib, ie) only, so callers can partition
+// rows across the thread pool without further coordination.
+//
+// tanh does not call libm. The base tier is a scalar port of the fdlibm
+// tanhf -> expm1f algorithm (the code glibc ships for tanhf on x86-64);
+// the AVX2 tier runs the same float operations on 8 lanes and hands
+// lanes outside its range (|x| >= 22, |x| < 2^-55, ±0, inf, NaN) to the
+// scalar port. tests/tensor/tanh_kernel_test.cc checks the two tiers
+// bit for bit over all 2^32 inputs, so a glibc whose tanhf rounds
+// differently cannot change model outputs.
 
 namespace nlidb {
 namespace gemm {
@@ -26,6 +35,8 @@ using RowsABtFn = void (*)(const float* a, const float* b, float* out, int ib,
 // out[ib..ie) += (a^T)[ib..ie) * b      (a [k,m], b [k,n], out [m,n])
 using RowsAtBFn = void (*)(const float* a, const float* b, float* out, int ib,
                            int ie, int k, int m, int n);
+// out[i] = tanh(in[i]) for i in [0, n); in == out is allowed.
+using TanhRowsFn = void (*)(const float* in, float* out, int n);
 
 namespace base {
 void RowsAB(const float* a, const float* b, float* out, int ib, int ie, int k,
@@ -34,6 +45,10 @@ void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
              int n);
 void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
              int m, int n);
+/// The scalar fdlibm tanhf port; the AVX2 tier also uses it for the
+/// lanes it does not vectorize.
+[[nodiscard]] float Tanh(float x);
+void TanhRows(const float* in, float* out, int n);
 }  // namespace base
 
 namespace avx2 {
@@ -46,12 +61,14 @@ void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
              int n);
 void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
              int m, int n);
+void TanhRows(const float* in, float* out, int n);
 }  // namespace avx2
 
 struct RowKernels {
   RowsABFn rows_ab;
   RowsABtFn rows_abt;
   RowsAtBFn rows_atb;
+  TanhRowsFn tanh_rows;
 };
 
 /// Kernel tier selection. `kAuto` picks the best tier the CPU supports;

@@ -115,7 +115,7 @@ Var Sigmoid(const Var& a) {
 
 Var Tanh(const Var& a) {
   Tensor out = a->value;
-  for (float& x : out.vec()) x = std::tanh(x);
+  TanhRaw(out.data(), out.data(), static_cast<int>(out.size()));
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
     Tensor* ga = GradSink(*n.parents[0]);
     if (!ga) return;

@@ -296,8 +296,10 @@ namespace gemm {
 
 namespace {
 
-constexpr RowKernels kBaseKernels{base::RowsAB, base::RowsABt, base::RowsAtB};
-constexpr RowKernels kAvx2Kernels{avx2::RowsAB, avx2::RowsABt, avx2::RowsAtB};
+constexpr RowKernels kBaseKernels{base::RowsAB, base::RowsABt, base::RowsAtB,
+                                  base::TanhRows};
+constexpr RowKernels kAvx2Kernels{avx2::RowsAB, avx2::RowsABt, avx2::RowsAtB,
+                                  avx2::TanhRows};
 
 Tier TierFromEnv() {
   const char* env = std::getenv("NLIDB_GEMM_TIER");
@@ -345,5 +347,13 @@ const RowKernels& Kernels() {
 }
 
 }  // namespace gemm
+
+void TanhRaw(const float* in, float* out, int n) {
+  // Not through Kernels(): its counters count GEMM dispatches.
+  const gemm::RowKernels& kr = gemm::ActiveTier() == gemm::Tier::kAvx2
+                                   ? gemm::kAvx2Kernels
+                                   : gemm::kBaseKernels;
+  kr.tanh_rows(in, out, n);
+}
 
 }  // namespace nlidb

@@ -132,6 +132,13 @@ void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
                        int k, int n);
 
+/// out[i] = tanh(in[i]) for i in [0, n); `in == out` is allowed. Runs the
+/// active tier's tanh kernel (gemm_kernels.h): fdlibm's tanhf, the
+/// algorithm glibc ships, bit for bit on both tiers and without calling
+/// libm. Every tanh in the model goes through here, so training,
+/// reference and fast decoding round identically on any machine.
+void TanhRaw(const float* in, float* out, int n);
+
 /// out += a^T * b ([k,m]^T x [k,n] -> [m,n]). When `a` is mostly zeros
 /// (sparse activation gradients: zero-padded feature slots, ReLU outputs,
 /// embedding-style one-hots), a skip-on-zero path is used instead of the
