@@ -29,6 +29,7 @@
 
 #include "bench/bench_util.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -73,6 +74,27 @@ int Run(bool smoke) {
   gc.num_tables = smoke ? 8 : EnvTables(24);
   gc.questions_per_table = smoke ? 4 : 8;
   gc.seed = 1;
+  // The one soak override: long runs scale the query count (DESIGN.md
+  // §16). The random-delay failpoint schedule is always on.
+  attack::SoakOptions soak_options;
+  if (smoke) {
+    soak_options.queries = 2500;
+  } else if (const char* q = std::getenv("NLIDB_ATTACK_QUERIES");
+             q != nullptr && *q != '\0') {
+    // A typo must not silently shorten the soak: reject anything but a
+    // whole positive decimal count.
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(q, &end, 10);
+    if (*end != '\0' || n == 0 || q[0] == '-') {
+      std::fprintf(stderr,
+                   "NLIDB_ATTACK_QUERIES=\"%s\" is not a positive query "
+                   "count\n",
+                   q);
+      return 2;
+    }
+    soak_options.queries = n;
+  }
+  soak_options.random_delay_seed = 99;
   env.splits = data::GenerateWikiSqlSplits(gc);
   env.config = core::ModelConfig::Tiny();
   env.config.word_dim = env.provider->dim();
@@ -83,12 +105,6 @@ int Run(bool smoke) {
   // ---- Soak leg: mutated open-loop traffic through the engine. ----
   const std::vector<attack::Mutant> soak_corpus =
       engine.MutateCorpus(env.splits.test, attack::AllMutators(), /*salt=*/0);
-  attack::SoakOptions soak_options = attack::SoakOptions::FromEnv();
-  if (smoke) soak_options.queries = 2500;
-  if (soak_options.random_delay_seed == 0) {
-    soak_options.random_delay_seed = 99;  // schedule perturbation on
-  }
-
   std::printf("[soak] %llu queries over %zu mutants (%zu test examples x "
               "%d mutators)\n",
               static_cast<unsigned long long>(soak_options.queries),

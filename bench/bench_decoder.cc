@@ -19,7 +19,6 @@
 
 #include "bench/bench_util.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -40,15 +39,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// q-th percentile (0..1) of `samples`; sorts a copy.
-uint64_t PercentileNs(std::vector<uint64_t> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  size_t idx = static_cast<size_t>(q * static_cast<double>(samples.size()));
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return samples[idx];
 }
 
 struct CorpusRun {

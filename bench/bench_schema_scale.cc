@@ -22,7 +22,6 @@
 
 #include "bench/bench_util.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -43,13 +42,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-double PercentileNs(std::vector<uint64_t> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t idx = static_cast<size_t>(p * (samples.size() - 1));
-  return static_cast<double>(samples[idx]);
 }
 
 /// A wide table the default shortlist_k=16 must prune.

@@ -16,7 +16,6 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -33,7 +32,7 @@ namespace bench {
 namespace {
 
 /// One replay through the shared driver and the answered queries' e2e
-/// latencies, sorted.
+/// latencies.
 struct LoadStats {
   serving::OpenLoopReport load;
   std::vector<uint64_t> e2e_ns;
@@ -41,14 +40,6 @@ struct LoadStats {
   double Qps() const {
     return load.wall_s > 0 ? static_cast<double>(e2e_ns.size()) / load.wall_s
                            : 0.0;
-  }
-  /// Nearest-rank q-th percentile (0..1]: the smallest sample with at
-  /// least q·n samples at or below it.
-  double PercentileNs(double q) const {
-    if (e2e_ns.empty()) return 0;
-    const double rank = std::ceil(q * static_cast<double>(e2e_ns.size()));
-    const size_t idx = static_cast<size_t>(std::max(rank, 1.0)) - 1;
-    return static_cast<double>(e2e_ns[std::min(idx, e2e_ns.size() - 1)]);
   }
 };
 
@@ -67,7 +58,6 @@ LoadStats Measure(const core::NlidbPipeline& pipeline,
       [&](size_t, const serving::ServedResult& served) {
         if (served.status.ok()) stats.e2e_ns.push_back(served.e2e_ns);
       });
-  std::sort(stats.e2e_ns.begin(), stats.e2e_ns.end());
   return stats;
 }
 
@@ -173,9 +163,9 @@ int Run(bool smoke) {
         load.submit_s > 0 ? static_cast<double>(load.submitted) / load.submit_s
                           : 0.0;
     const long long ok = static_cast<long long>(stats.e2e_ns.size());
-    const double p50 = stats.PercentileNs(0.5);
-    const double p99 = stats.PercentileNs(0.99);
-    const double p999 = stats.PercentileNs(0.999);
+    const double p50 = PercentileNs(stats.e2e_ns, 0.5);
+    const double p99 = PercentileNs(stats.e2e_ns, 0.99);
+    const double p999 = PercentileNs(stats.e2e_ns, 0.999);
     std::printf(
         "%-3s  %7.0f qps  ok %4lld/%d  p50 %7.2f ms  p99 %7.2f ms  "
         "p999 %7.2f ms  shed %4.1f%%  rejected %lld  arrivals %.0f/s\n",

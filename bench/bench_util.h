@@ -7,10 +7,14 @@
 // the synthetic WikiSQL-style corpus, so absolute numbers differ from
 // the paper while orderings and trends are the reproduction target.
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "data/generator.h"
@@ -30,6 +34,18 @@ struct BenchEnv {
 inline int EnvTables(int fallback = 60) {
   const char* v = std::getenv("NLIDB_BENCH_TABLES");
   return v != nullptr ? std::atoi(v) : fallback;
+}
+
+/// Nearest-rank q-quantile (0 < q <= 1) of `samples`: the smallest
+/// sample with at least q·n samples at or below it, as in
+/// perfbench/stats.py's `percentile`. 0 for no samples; sorts a copy.
+inline uint64_t PercentileNs(std::vector<uint64_t> samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const double n = static_cast<double>(samples.size());
+  // The epsilon keeps q·n from rounding up past a whole rank.
+  const double rank = std::clamp(std::ceil(q * n - 1e-9), 1.0, n);
+  return samples[static_cast<size_t>(rank) - 1];
 }
 
 inline BenchEnv MakeEnv(uint64_t seed = 1) {

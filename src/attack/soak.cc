@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/failpoint.h"
 #include "common/lockdep.h"
@@ -10,31 +9,6 @@
 
 namespace nlidb {
 namespace attack {
-
-namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
-}  // namespace
-
-SoakOptions SoakOptions::FromEnv() {
-  SoakOptions options;
-  options.queries = EnvU64("NLIDB_ATTACK_QUERIES", options.queries);
-  options.workers = static_cast<int>(
-      EnvU64("NLIDB_ATTACK_WORKERS", static_cast<uint64_t>(options.workers)));
-  options.queue_capacity = static_cast<int>(EnvU64(
-      "NLIDB_ATTACK_QUEUE_CAP", static_cast<uint64_t>(options.queue_capacity)));
-  const char* qps = std::getenv("NLIDB_ATTACK_QPS");
-  if (qps != nullptr && qps[0] != '\0') options.offered_qps = std::atof(qps);
-  options.seed = EnvU64("NLIDB_ATTACK_SEED", options.seed);
-  options.random_delay_seed =
-      EnvU64("NLIDB_ATTACK_DELAY_SEED", options.random_delay_seed);
-  return options;
-}
 
 std::string SoakReport::ToString() const {
   char buf[320];
@@ -74,11 +48,11 @@ SoakReport RunSoak(const core::NlidbPipeline& pipeline,
 
   report.service_ns = serving::CalibrateServiceNs(pipeline, requests);
   const uint64_t service_ns = std::max<uint64_t>(report.service_ns, 1);
-  report.offered_qps = options.offered_qps;
-  if (report.offered_qps <= 0.0) {
-    report.offered_qps = 1.1 * static_cast<double>(options.workers) * 1e9 /
-                         static_cast<double>(service_ns);
-  }
+  // Offer ~1.1x the worker pool's calibrated capacity: enough overload
+  // that shedding and queue pressure stay exercised without sheds
+  // dominating.
+  report.offered_qps = 1.1 * static_cast<double>(options.workers) * 1e9 /
+                       static_cast<double>(service_ns);
 
   serving::ServingOptions serving_options;
   serving_options.num_workers = options.workers;

@@ -8,7 +8,8 @@
 // schedule, and triages every resolved ticket into the per-mutator ×
 // per-stage AttackMatrix. The run doubles as a correctness gate: the
 // serving counters must balance exactly and, with the lockdep detector
-// live, no inversion report may fire. Knobs: NLIDB_ATTACK_* (README.md).
+// live, no inversion report may fire. Callers set SoakOptions in code;
+// bench_attack scales the run length with NLIDB_ATTACK_QUERIES.
 
 #include <cstdint>
 #include <string>
@@ -30,22 +31,12 @@ struct SoakOptions {
   int workers = 4;
   int queue_capacity = 256;
 
-  /// Offered load. 0 auto-calibrates: a short sequential pilot measures
-  /// the mean service time and the soak offers ~1.1x the worker pool's
-  /// resulting capacity — enough overload that shedding and queue
-  /// pressure stay exercised without sheds dominating.
-  double offered_qps = 0.0;
-
   /// Arrival-schedule / tier-assignment seed.
   uint64_t seed = 7;
 
   /// When non-zero, activates the failpoint random-delay schedule for
   /// the duration of the run (unless the environment already did).
   uint64_t random_delay_seed = 0;
-
-  /// Defaults overridden by NLIDB_ATTACK_QUERIES / _WORKERS /
-  /// _QUEUE_CAP / _QPS / _SEED / _DELAY_SEED.
-  static SoakOptions FromEnv();
 };
 
 /// The driver's counter snapshot plus what the soak adds on top.

@@ -32,8 +32,7 @@ NlidbPipeline::NlidbPipeline(const ModelConfig& config,
   annotator_ = std::make_unique<Annotator>(config_, *provider_,
                                            classifier_.get(),
                                            value_detector_.get());
-  registry_ = std::make_unique<schema::SchemaRegistry>(
-      provider_, schema::SchemaRegistryOptions::FromEnv());
+  registry_ = std::make_unique<schema::SchemaRegistry>(provider_);
 }
 
 /// Shortlist for `tokens` against `table` when the registry's mode and

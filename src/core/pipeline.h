@@ -40,7 +40,8 @@ struct QueryRequest {
   std::string question;             // raw NL question (tokenized here)
   std::vector<std::string> tokens;  // pre-tokenized question
 
-  /// Run the recovered SQL against `table` and fill `QueryResult::rows`.
+  /// Run the recovered SQL against the resolved table and fill
+  /// `QueryResult::rows`.
   bool execute = true;
 
   /// Fill `QueryResult::stages` with per-stage wall times. Cheap (a

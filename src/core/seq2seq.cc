@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <iterator>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -18,8 +16,7 @@ namespace core {
 
 namespace {
 
-/// The NLIDB_DECODE spellings, indexed by DecodeMode; both directions
-/// read this one table.
+/// DecodeModeName's spellings, indexed by DecodeMode.
 constexpr const char* kDecodeModeNames[] = {"reference", "reference_masked",
                                             "fast_unmasked", "fast"};
 
@@ -65,21 +62,8 @@ const char* Seq2SeqTranslator::DecodeModeName(DecodeMode mode) {
   return kDecodeModeNames[static_cast<int>(mode)];
 }
 
-DecodeMode Seq2SeqTranslator::DecodeModeFromEnv() {
-  const char* v = std::getenv("NLIDB_DECODE");
-  if (v == nullptr || *v == '\0') return DecodeMode::kFast;
-  const std::string name(v);
-  for (size_t mode = 0; mode < std::size(kDecodeModeNames); ++mode) {
-    if (name == kDecodeModeNames[mode]) return static_cast<DecodeMode>(mode);
-  }
-  NLIDB_LOG(Warning) << "unknown NLIDB_DECODE value '" << name
-                     << "'; using the fast path";
-  return DecodeMode::kFast;
-}
-
 Seq2SeqTranslator::Seq2SeqTranslator(const ModelConfig& config)
-    : config_(config), symbol_rng_(config.seed + 2),
-      decode_mode_(DecodeModeFromEnv()) {
+    : config_(config), symbol_rng_(config.seed + 2) {
   Rng rng(config_.seed + 3);
   const int d = config_.word_dim;
   const int h = config_.seq2seq_hidden;

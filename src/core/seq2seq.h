@@ -104,17 +104,15 @@ class Seq2SeqTranslator : public TranslatorInterface {
                                         int beam_width,
                                         const CancelContext* ctx = nullptr) const;
 
-  /// The decoder implementation `Decode` uses. Defaults to the
-  /// NLIDB_DECODE environment variable (reference | reference_masked |
-  /// fast_unmasked | fast), read once at construction; `fast` when unset.
+  /// The decoder implementation `Decode` uses; `kFast` from
+  /// construction. Tests and benches switch it to compare decoders.
   DecodeMode decode_mode() const {
     return decode_mode_.load(std::memory_order_relaxed);
   }
   void set_decode_mode(DecodeMode mode) {
     decode_mode_.store(mode, std::memory_order_relaxed);
   }
-  static DecodeMode DecodeModeFromEnv();
-  /// The NLIDB_DECODE spelling of `mode` ("fast", "reference", ...).
+  /// The report spelling of `mode` ("fast", "reference", ...).
   static const char* DecodeModeName(DecodeMode mode);
 
   /// Beam-search translation of a source sequence. Thin wrapper over

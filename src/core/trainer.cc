@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "nn/optimizer.h"
@@ -71,6 +72,61 @@ data::Dataset AugmentDataset(const data::Dataset& base,
   return merged;
 }
 
+namespace {
+
+/// The epoch loop every stage trainer shares: each epoch shuffles
+/// `pairs` with `rng`, then takes one clipped Adam step per pair on
+/// `loss(pair)` (which may draw from `rng` too). Returns the final
+/// epoch's mean loss; 0 when there are no pairs.
+template <typename Pair, typename LossFn>
+float TrainEpochs(const char* stage, std::vector<Pair>& pairs,
+                  std::vector<Var> params, float lr, int epochs,
+                  float grad_clip, Rng& rng, int* num_pairs, LossFn loss) {
+  if (num_pairs != nullptr) *num_pairs = static_cast<int>(pairs.size());
+  if (pairs.empty()) return 0.0f;
+  nn::Adam optimizer(std::move(params), lr);
+  float final_epoch_loss = 0.0f;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    rng.Shuffle(pairs);
+    float total = 0.0f;
+    for (const Pair& p : pairs) {
+      Var pair_loss = loss(p);
+      optimizer.ZeroGrad();
+      Backward(pair_loss);
+      nn::ClipGradNorm(optimizer.params(), grad_clip);
+      optimizer.Step();
+      total += pair_loss->value(0);
+    }
+    final_epoch_loss = total / static_cast<float>(pairs.size());
+    NLIDB_LOG(Debug) << stage << " epoch " << epoch << " loss "
+                     << final_epoch_loss;
+  }
+  return final_epoch_loss;
+}
+
+/// Randomly degrades a gold annotation to mimic inference-time annotator
+/// errors: a pair may lose its column span (becoming implicit), lose its
+/// value span (forcing the decoder to emit the literal), or disappear.
+/// Training against degraded annotations makes the decoder robust to the
+/// exposure gap between gold and predicted annotations.
+Annotation DegradeAnnotation(const Annotation& gold, Rng& rng) {
+  Annotation out = gold;
+  if (out.pairs.empty()) return out;
+  const size_t victim = rng.NextUint64(out.pairs.size());
+  const float r = rng.NextFloat();
+  if (r < 0.45f) {
+    out.pairs[victim].column_span = text::Span{};  // implicit mention
+  } else if (r < 0.8f) {
+    out.pairs[victim].value_span = text::Span{};
+    out.pairs[victim].value_text.clear();  // value goes literal
+  } else {
+    out.pairs.erase(out.pairs.begin() + victim);  // pair fully missed
+  }
+  return out;
+}
+
+}  // namespace
+
 float TrainColumnMentionClassifier(ColumnMentionClassifier& classifier,
                                    const data::Dataset& dataset,
                                    const ModelConfig& config, int* num_pairs) {
@@ -92,31 +148,16 @@ float TrainColumnMentionClassifier(ColumnMentionClassifier& classifier,
       pairs.push_back({&ex, col_tokens, referenced[c] ? 1.0f : 0.0f});
     }
   }
-  if (num_pairs != nullptr) *num_pairs = static_cast<int>(pairs.size());
-  if (pairs.empty()) return 0.0f;
-
-  nn::Adam optimizer(classifier.Parameters(), config.classifier_lr);
   Rng rng(config.seed + 11);
-  float final_epoch_loss = 0.0f;
-  for (int epoch = 0; epoch < config.classifier_epochs; ++epoch) {
-    rng.Shuffle(pairs);
-    float total = 0.0f;
-    for (const Pair& p : pairs) {
-      // Training pairs are built above and never empty; a Status here is
-      // a programming error, so value() (fatal on misuse) is right.
-      auto fr = classifier.Forward(p.example->tokens, p.column).value();
-      Var loss = ops::BceWithLogits(fr.logit, p.label);
-      optimizer.ZeroGrad();
-      Backward(loss);
-      nn::ClipGradNorm(optimizer.params(), config.grad_clip);
-      optimizer.Step();
-      total += loss->value(0);
-    }
-    final_epoch_loss = total / static_cast<float>(pairs.size());
-    NLIDB_LOG(Debug) << "classifier epoch " << epoch << " loss "
-                     << final_epoch_loss;
-  }
-  return final_epoch_loss;
+  return TrainEpochs(
+      "classifier", pairs, classifier.Parameters(), config.classifier_lr,
+      config.classifier_epochs, config.grad_clip, rng, num_pairs,
+      [&](const Pair& p) {
+        // Training pairs are built above and never empty; a Status here
+        // is a programming error, so value() (fatal on misuse) is right.
+        auto fr = classifier.Forward(p.example->tokens, p.column).value();
+        return ops::BceWithLogits(fr.logit, p.label);
+      });
 }
 
 float TrainValueDetector(ValueDetector& detector, const data::Dataset& dataset,
@@ -164,54 +205,15 @@ float TrainValueDetector(ValueDetector& detector, const data::Dataset& dataset,
                        stats[col].embedding, 0.0f, 1.0f});
     }
   }
-  if (num_pairs != nullptr) *num_pairs = static_cast<int>(pairs.size());
-  if (pairs.empty()) return 0.0f;
-
-  nn::Adam optimizer(detector.Parameters(), config.value_lr);
-  float final_epoch_loss = 0.0f;
-  for (int epoch = 0; epoch < config.value_epochs; ++epoch) {
-    rng.Shuffle(pairs);
-    float total = 0.0f;
-    for (const Pair& p : pairs) {
-      Var logit = detector.ForwardFromVectors(p.span_emb, p.stats_emb).value();
-      Var loss = ops::ScalarMul(ops::BceWithLogits(logit, p.label), p.weight);
-      optimizer.ZeroGrad();
-      Backward(loss);
-      nn::ClipGradNorm(optimizer.params(), config.grad_clip);
-      optimizer.Step();
-      total += loss->value(0);
-    }
-    final_epoch_loss = total / static_cast<float>(pairs.size());
-    NLIDB_LOG(Debug) << "value detector epoch " << epoch << " loss "
-                     << final_epoch_loss;
-  }
-  return final_epoch_loss;
+  return TrainEpochs(
+      "value detector", pairs, detector.Parameters(), config.value_lr,
+      config.value_epochs, config.grad_clip, rng, num_pairs,
+      [&](const Pair& p) {
+        Var logit =
+            detector.ForwardFromVectors(p.span_emb, p.stats_emb).value();
+        return ops::ScalarMul(ops::BceWithLogits(logit, p.label), p.weight);
+      });
 }
-
-namespace {
-
-/// Randomly degrades a gold annotation to mimic inference-time annotator
-/// errors: a pair may lose its column span (becoming implicit), lose its
-/// value span (forcing the decoder to emit the literal), or disappear.
-/// Training against degraded annotations makes the decoder robust to the
-/// exposure gap between gold and predicted annotations.
-Annotation DegradeAnnotation(const Annotation& gold, Rng& rng) {
-  Annotation out = gold;
-  if (out.pairs.empty()) return out;
-  const size_t victim = rng.NextUint64(out.pairs.size());
-  const float r = rng.NextFloat();
-  if (r < 0.45f) {
-    out.pairs[victim].column_span = text::Span{};  // implicit mention
-  } else if (r < 0.8f) {
-    out.pairs[victim].value_span = text::Span{};
-    out.pairs[victim].value_text.clear();  // value goes literal
-  } else {
-    out.pairs.erase(out.pairs.begin() + victim);  // pair fully missed
-  }
-  return out;
-}
-
-}  // namespace
 
 float TrainSeq2Seq(TranslatorInterface& translator,
                    const data::Dataset& dataset,
@@ -239,38 +241,21 @@ float TrainSeq2Seq(TranslatorInterface& translator,
                                                ex.schema(), options));
     pairs.push_back(std::move(p));
   }
-  if (num_pairs != nullptr) *num_pairs = static_cast<int>(pairs.size());
-  if (pairs.empty()) return 0.0f;
-
-  nn::Adam optimizer(translator.Parameters(), config.seq2seq_lr);
   Rng rng(config.seed + 13);
-  float final_epoch_loss = 0.0f;
-  for (int epoch = 0; epoch < config.seq2seq_epochs; ++epoch) {
-    rng.Shuffle(pairs);
-    float total = 0.0f;
-    for (const Pair& p : pairs) {
-      Var loss;
-      if (rng.NextBool(config.annotation_noise_probability)) {
+  return TrainEpochs(
+      "seq2seq", pairs, translator.Parameters(), config.seq2seq_lr,
+      config.seq2seq_epochs, config.grad_clip, rng, num_pairs,
+      [&](const Pair& p) {
+        if (!rng.NextBool(config.annotation_noise_probability)) {
+          return translator.Loss(p.source, p.target);
+        }
         Annotation degraded = DegradeAnnotation(p.gold, rng);
-        const auto src = BuildAnnotatedQuestion(p.example->tokens, degraded,
-                                                p.example->schema(), options);
-        const auto tgt = BuildAnnotatedSql(p.example->query, degraded,
-                                           p.example->schema(), options);
-        loss = translator.Loss(src, tgt);
-      } else {
-        loss = translator.Loss(p.source, p.target);
-      }
-      optimizer.ZeroGrad();
-      Backward(loss);
-      nn::ClipGradNorm(optimizer.params(), config.grad_clip);
-      optimizer.Step();
-      total += loss->value(0);
-    }
-    final_epoch_loss = total / static_cast<float>(pairs.size());
-    NLIDB_LOG(Debug) << "seq2seq epoch " << epoch << " loss "
-                     << final_epoch_loss;
-  }
-  return final_epoch_loss;
+        return translator.Loss(
+            BuildAnnotatedQuestion(p.example->tokens, degraded,
+                                   p.example->schema(), options),
+            BuildAnnotatedSql(p.example->query, degraded,
+                              p.example->schema(), options));
+      });
 }
 
 }  // namespace core

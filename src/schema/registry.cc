@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -42,11 +41,13 @@ struct SchemaCounters {
   }
 };
 
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
+/// Max ranked tables `Resolve` carries in `Resolution.candidates` for a
+/// routed request.
+constexpr int kRouteLimit = 5;
+
+/// Rows per table sampled into the routing token index. Bounds index
+/// build cost per registered table.
+constexpr int kMaxIndexRows = 32;
 
 /// Question tokens that carry content: not stop words (which covers
 /// punctuation too). These drive routing and shortlist scoring; function
@@ -198,30 +199,12 @@ bool ParseEntry(Reader& reader, uint64_t* fingerprint,
 
 }  // namespace
 
-SchemaRegistryOptions SchemaRegistryOptions::FromEnv() {
-  SchemaRegistryOptions options;
-  const char* mode = std::getenv("NLIDB_SCHEMA_MODE");
-  if (mode != nullptr && *mode != '\0') {
-    const std::string m(mode);
-    if (m == "full" || m == "fullscan" || m == "full_scan") {
-      options.mode = ScanMode::kFullScan;
-    } else if (m == "shortlist") {
-      options.mode = ScanMode::kShortlist;
-    }
-  }
-  options.shortlist_k =
-      std::max(1, EnvInt("NLIDB_SCHEMA_SHORTLIST_K", options.shortlist_k));
-  options.route_limit =
-      std::max(1, EnvInt("NLIDB_SCHEMA_ROUTE_LIMIT", options.route_limit));
-  return options;
-}
-
 SchemaRegistry::SchemaRegistry(
     std::shared_ptr<const text::EmbeddingProvider> provider,
     const SchemaRegistryOptions& options)
     : provider_(std::move(provider)),
       options_(options),
-      mode_(static_cast<int>(options.mode)) {}
+      mode_(static_cast<int>(ScanMode::kShortlist)) {}
 
 void SchemaRegistry::FillDerived(const sql::Table& table,
                                  TableStatsEntry& entry) const {
@@ -309,7 +292,7 @@ StatusOr<TableId> SchemaRegistry::Register(
   const TableStatsEntry& entry = EntryFor(*table);
   std::vector<float> centroid = entry.centroid;
   std::vector<std::string> index_tokens =
-      IndexTokens(*table, options_.max_index_rows);
+      IndexTokens(*table, kMaxIndexRows);
 
   MutexLock lock(mu_);
   if (name_to_id_.count(table->name()) > 0) {
@@ -502,7 +485,7 @@ StatusOr<Resolution> SchemaRegistry::Resolve(
         return Status::InvalidArgument(
             "routing requires a non-empty tokenized question");
       }
-      resolution.candidates = Route(tokens, options_.route_limit);
+      resolution.candidates = Route(tokens, kRouteLimit);
       if (resolution.candidates.empty()) {
         return Status::FailedPrecondition(
             "cannot route: no tables registered");

@@ -52,23 +52,9 @@ enum class ScanMode {
 };
 
 struct SchemaRegistryOptions {
-  ScanMode mode = ScanMode::kShortlist;
-
   /// Max candidate columns the shortlist passes to the classifier.
   /// Tables at or under this width are never pruned.
   int shortlist_k = 16;
-
-  /// Max ranked tables `Route` returns (and `Resolution.candidates`
-  /// carries) for a table-free request.
-  int route_limit = 5;
-
-  /// Rows per table sampled into the routing token index. Bounds index
-  /// build cost per registered table.
-  int max_index_rows = 32;
-
-  /// Defaults overridden by NLIDB_SCHEMA_MODE ("shortlist" | "full"),
-  /// NLIDB_SCHEMA_SHORTLIST_K, NLIDB_SCHEMA_ROUTE_LIMIT (README.md).
-  static SchemaRegistryOptions FromEnv();
 };
 
 /// Everything the registry precomputes for one table content
@@ -93,7 +79,7 @@ struct RouteCandidate {
 /// The outcome of resolving a `SchemaRef`: the concrete table to run
 /// against, its registry handle when registered (ad-hoc `Table` refs
 /// may not be), and — for routed requests — the ranked candidate list
-/// the winner was drawn from.
+/// (at most five tables) the winner was drawn from.
 struct Resolution {
   const sql::Table* table = nullptr;
   TableId id = kInvalidTableId;
@@ -170,6 +156,8 @@ class SchemaRegistry {
   /// the parse error — callers fall back to recomputation.
   Status Load(const std::string& path);
 
+  /// kShortlist from construction; tests and benches flip it to
+  /// kFullScan for the equivalence oracle.
   ScanMode mode() const {
     return static_cast<ScanMode>(mode_.load(std::memory_order_relaxed));
   }

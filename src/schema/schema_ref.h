@@ -26,8 +26,7 @@ inline constexpr TableId kInvalidTableId = -1;
 ///                          the best-matching registered table from the
 ///                          question itself
 ///
-/// A default-constructed ref is unset; the pipeline rejects it (after
-/// honoring the deprecated `QueryRequest::table` shim for one release).
+/// A default-constructed ref is unset; resolving it is InvalidArgument.
 class SchemaRef {
  public:
   enum class Kind { kUnset, kTable, kName, kId, kRoute };

@@ -46,8 +46,7 @@
 namespace nlidb {
 namespace serving {
 
-/// Engine knobs. `FromEnv()` starts from the defaults and applies the
-/// NLIDB_SERVING_* environment overrides (documented in README.md).
+/// Engine shape, set in code by the caller.
 struct ServingOptions {
   /// Worker threads executing queries. 0 is legal (nothing executes
   /// until shutdown; admission and rejection still work) — used by
@@ -57,13 +56,6 @@ struct ServingOptions {
   /// Bounded admission queue capacity; submits beyond it are rejected
   /// with Unavailable rather than queued without bound.
   int queue_capacity = 256;
-
-  /// Shed a request at admission when its remaining deadline budget is
-  /// under `shed_factor` × the EWMA service time. 0 disables
-  /// feasibility shedding (expired deadlines are still shed).
-  double shed_factor = 0.5;
-
-  static ServingOptions FromEnv();
 };
 
 /// Everything the engine returns for one request. `status` carries

@@ -1,7 +1,6 @@
 #include "serving/serving.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/metrics.h"
@@ -12,11 +11,9 @@ namespace serving {
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
+/// A request is shed at admission when its remaining deadline budget is
+/// under this fraction of the EWMA service time.
+constexpr double kShedFactor = 0.5;
 
 struct ServingCounters {
   metrics::Counter& submitted;
@@ -52,15 +49,6 @@ struct ServingCounters {
 
 }  // namespace
 
-ServingOptions ServingOptions::FromEnv() {
-  ServingOptions options;
-  options.num_workers =
-      std::max(0, EnvInt("NLIDB_SERVING_WORKERS", options.num_workers));
-  options.queue_capacity =
-      std::max(1, EnvInt("NLIDB_SERVING_QUEUE_CAP", options.queue_capacity));
-  return options;
-}
-
 ServedResult ServingEngine::Ticket::Take() {
   MutexLock lock(mu_);
   while (!done_) cv_.Wait(mu_);
@@ -95,20 +83,19 @@ std::shared_ptr<ServingEngine::Ticket> ServingEngine::Submit(
   const uint64_t now = trace::NowNs();
 
   // Deadline feasibility at admission: a request that already expired,
-  // or whose remaining budget is under shed_factor × the recent service
+  // or whose remaining budget is under kShedFactor × the recent service
   // time, cannot be served in time — shed it before it occupies a queue
   // slot and delays feasible requests. Shed requests count as admitted
   // (they entered the system and resolved) to keep the counter invariant
   // admission-path independent.
   if (request.deadline.at_ns() != 0) {
     bool infeasible = now >= request.deadline.at_ns();
-    if (!infeasible && options_.shed_factor > 0) {
+    if (!infeasible) {
       const uint64_t est =
           ewma_service_ns_.load(std::memory_order_relaxed);
       const uint64_t remaining = request.deadline.at_ns() - now;
-      infeasible =
-          est > 0 && static_cast<double>(remaining) <
-                         static_cast<double>(est) * options_.shed_factor;
+      infeasible = est > 0 && static_cast<double>(remaining) <
+                                  static_cast<double>(est) * kShedFactor;
     }
     if (infeasible) {
       counters.admitted.Increment();

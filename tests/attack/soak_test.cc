@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "common/lockdep.h"
@@ -114,33 +113,6 @@ TEST_F(SoakTest, EmptyInputsYieldEmptyReport) {
   SoakOptions zero;
   zero.queries = 0;
   EXPECT_EQ(RunSoak(*pipeline_, corpus, zero).submitted, 0);
-}
-
-TEST(SoakOptionsTest, FromEnvOverridesKnobs) {
-  ::setenv("NLIDB_ATTACK_QUERIES", "123456", 1);
-  ::setenv("NLIDB_ATTACK_WORKERS", "3", 1);
-  ::setenv("NLIDB_ATTACK_QUEUE_CAP", "99", 1);
-  ::setenv("NLIDB_ATTACK_QPS", "250.5", 1);
-  ::setenv("NLIDB_ATTACK_SEED", "77", 1);
-  ::setenv("NLIDB_ATTACK_DELAY_SEED", "13", 1);
-  const SoakOptions options = SoakOptions::FromEnv();
-  EXPECT_EQ(options.queries, 123456u);
-  EXPECT_EQ(options.workers, 3);
-  EXPECT_EQ(options.queue_capacity, 99);
-  EXPECT_DOUBLE_EQ(options.offered_qps, 250.5);
-  EXPECT_EQ(options.seed, 77u);
-  EXPECT_EQ(options.random_delay_seed, 13u);
-  ::unsetenv("NLIDB_ATTACK_QUERIES");
-  ::unsetenv("NLIDB_ATTACK_WORKERS");
-  ::unsetenv("NLIDB_ATTACK_QUEUE_CAP");
-  ::unsetenv("NLIDB_ATTACK_QPS");
-  ::unsetenv("NLIDB_ATTACK_SEED");
-  ::unsetenv("NLIDB_ATTACK_DELAY_SEED");
-
-  // Defaults survive with the environment clear.
-  const SoakOptions defaults = SoakOptions::FromEnv();
-  EXPECT_EQ(defaults.queries, SoakOptions().queries);
-  EXPECT_DOUBLE_EQ(defaults.offered_qps, 0.0);
 }
 
 }  // namespace

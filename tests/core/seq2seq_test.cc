@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/metrics.h"
@@ -142,23 +141,6 @@ TEST(TopKTest, KLargerThanDomainSortsEverything) {
   const float scores[] = {0.2f, 0.8f, 0.2f};
   std::vector<int> top = TopKScoreIndices(scores, 3, 10);
   EXPECT_EQ(top, (std::vector<int>{1, 0, 2}));
-}
-
-TEST(Seq2SeqTest, DecodeModeFromEnvParsesEveryName) {
-  const char* saved = std::getenv("NLIDB_DECODE");
-  const std::string restore = saved ? saved : "";
-  setenv("NLIDB_DECODE", "reference", 1);
-  EXPECT_EQ(Seq2SeqTranslator::DecodeModeFromEnv(), DecodeMode::kReference);
-  setenv("NLIDB_DECODE", "reference_masked", 1);
-  EXPECT_EQ(Seq2SeqTranslator::DecodeModeFromEnv(),
-            DecodeMode::kReferenceMasked);
-  setenv("NLIDB_DECODE", "fast_unmasked", 1);
-  EXPECT_EQ(Seq2SeqTranslator::DecodeModeFromEnv(), DecodeMode::kFastUnmasked);
-  setenv("NLIDB_DECODE", "fast", 1);
-  EXPECT_EQ(Seq2SeqTranslator::DecodeModeFromEnv(), DecodeMode::kFast);
-  unsetenv("NLIDB_DECODE");
-  EXPECT_EQ(Seq2SeqTranslator::DecodeModeFromEnv(), DecodeMode::kFast);
-  if (saved) setenv("NLIDB_DECODE", restore.c_str(), 1);
 }
 
 /// Vocabulary that makes the grammar mask applicable: structural SQL

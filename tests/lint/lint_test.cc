@@ -197,8 +197,8 @@ TEST(LintTest, RawTimingExemptsTraceBenchAndKernelTus) {
   EXPECT_GE(CountRule(findings, "kernel-wall-clock"), 1);
 }
 
-// raw-file-write is scoped to src/, so the fixtures are linted under a
-// virtual src/core/ path.
+// raw-file-write and raw-getenv are scoped to src/, so their fixtures
+// are linted under a virtual src/core/ path.
 SourceFile LoadAs(const std::string& rel, const std::string& virtual_path) {
   SourceFile file;
   EXPECT_TRUE(LoadSourceFile(RepoRoot() + "/" + rel, virtual_path, &file))
@@ -241,6 +241,46 @@ TEST(LintTest, RawFileWriteScopeAndExemptions) {
                 LintFiles({LoadSource("src/data/serialization.cc", write)}),
                 "raw-file-write"),
             1);
+}
+
+TEST(LintTest, RawGetenvHit) {
+  const auto findings =
+      LintFiles({LoadAs("tests/lint/fixtures/raw_getenv_hit.cc",
+                        "src/core/raw_getenv_hit.cc")});
+  EXPECT_EQ(CountRule(findings, "raw-getenv"), 2);  // std::getenv, ::getenv
+  EXPECT_EQ(static_cast<int>(findings.size()),
+            CountRule(findings, "raw-getenv"));
+}
+
+TEST(LintTest, RawGetenvSuppressed) {
+  EXPECT_TRUE(LintFiles({LoadAs("tests/lint/fixtures/raw_getenv_suppressed.cc",
+                                "src/core/raw_getenv_suppressed.cc")})
+                  .empty());
+}
+
+TEST(LintTest, RawGetenvScopeAndExemptions) {
+  const std::string read =
+      "#include <cstdlib>\n"
+      "const char* F() { return std::getenv(\"X\"); }\n";
+  // The five process-switch readers, and everything outside src/, may
+  // read the environment.
+  for (const char* path :
+       {"src/common/thread_pool.cc", "src/tensor/tensor.cc",
+        "src/common/trace.cc", "src/common/failpoint.cc",
+        "src/common/lockdep.cc", "tests/core/foo_test.cc", "tools/gen.cc",
+        "bench/bench_foo.cc"}) {
+    EXPECT_EQ(CountRule(LintFiles({LoadSource(path, read)}), "raw-getenv"),
+              0)
+        << path;
+  }
+  // Same-named files elsewhere in src/ get no exemption.
+  for (const char* path :
+       {"src/schema/registry.cc", "src/core/seq2seq.cc",
+        "src/serving/trace.cc"}) {
+    EXPECT_EQ(CountRule(LintFiles({LoadSource(path, read)}), "raw-getenv"),
+              1)
+        << path;
+  }
 }
 
 TEST(LintTest, GemmLiteralDriftHit) {
@@ -296,6 +336,13 @@ TEST(LintTest, AuditSuppressionsListsEveryDisableComment) {
   EXPECT_EQ(sups[1].rule, "mutex-coverage");
   EXPECT_EQ(sups[2].line, 3);
   EXPECT_EQ(sups[2].rule, "naked-lock");
+}
+
+TEST(LintTest, AuditCountsRawGetenvSuppressions) {
+  const auto sups = AuditSuppressions({LoadSource(
+      "src/a.cc", "int x = 0;  // nlidb-lint: disable(raw-getenv)\n")});
+  ASSERT_EQ(sups.size(), 1u);
+  EXPECT_EQ(sups[0].rule, "raw-getenv");
 }
 
 TEST(LintTest, ParseAllowlistAcceptsEntriesAndRejectsMalformed) {

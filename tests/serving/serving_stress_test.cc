@@ -215,6 +215,39 @@ TEST_F(ServingStressTest, ExpiredDeadlineShedsAtAdmission) {
   ExpectCountersConsistent();
 }
 
+TEST_F(ServingStressTest, InfeasibleDeadlineShedsOnServiceEstimate) {
+  serving::ServingOptions options;
+  options.num_workers = 1;
+  serving::ServingEngine engine(*pipeline_, options);
+
+  // One served request seeds the EWMA service estimate; its e2e time
+  // bounds the service time from above.
+  const serving::ServedResult seed = engine.Query(Request());
+  ASSERT_EQ(Count("serving.completed"), 1u);
+  ASSERT_GT(seed.e2e_ns, 0u);
+
+  // A live deadline of ~1/8 of that request is under half the estimate:
+  // shed at admission without queueing.
+  core::QueryRequest tight = Request();
+  tight.deadline = Deadline::AfterNanos(seed.e2e_ns / 8);
+  const serving::ServedResult shed = engine.Query(std::move(tight));
+  EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(shed.status.message(),
+            "request shed at admission: deadline cannot be met");
+  EXPECT_EQ(Count("serving.shed"), 1u);
+
+  // A generous budget is admitted and runs to completion.
+  core::QueryRequest generous = Request();
+  generous.deadline = Deadline::AfterMillis(60000);
+  const serving::ServedResult served = engine.Query(std::move(generous));
+  EXPECT_NE(served.status.code(), StatusCode::kDeadlineExceeded)
+      << served.status.message();
+  EXPECT_EQ(Count("serving.completed"), 2u);
+  EXPECT_EQ(Count("serving.shed"), 1u);
+  engine.Shutdown();
+  ExpectCountersConsistent();
+}
+
 TEST_F(ServingStressTest, TightDeadlinesUnderLoadStayInBand) {
   serving::ServingOptions options;
   options.num_workers = 1;

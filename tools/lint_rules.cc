@@ -359,6 +359,35 @@ void CheckRawFileWrite(const SourceFile& file, std::vector<Finding>* out) {
 }
 
 // ---------------------------------------------------------------------------
+// raw-getenv: answers never depend on the environment.
+
+const char kRawGetenv[] = "raw-getenv";
+
+/// The src/ files that read process switches which cannot change an
+/// answer: thread count, GEMM tier, trace sink, failpoints, lockdep.
+bool EnvSwitchFile(const std::string& path) {
+  return path == "src/common/thread_pool.cc" ||
+         path == "src/tensor/tensor.cc" || path == "src/common/trace.cc" ||
+         path == "src/common/failpoint.cc" || path == "src/common/lockdep.cc";
+}
+
+void CheckRawGetenv(const SourceFile& file, std::vector<Finding>* out) {
+  // Only production code: tests, tools and benches may read their own
+  // environment knobs.
+  if (!StartsWith(file.path, "src/") || EnvSwitchFile(file.path)) return;
+  static const std::regex re("\\b(?:secure_)?getenv\\s*\\(");
+  for (size_t i = 0; i < file.code.size(); ++i) {
+    if (std::regex_search(file.code[i], re)) {
+      Report(file, static_cast<int>(i) + 1, kRawGetenv,
+             "environment read in src/; settings that can change an "
+             "answer are set in code through options, so a stray "
+             "variable cannot silently change every answer in the process",
+             out);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // mutex-unguarded: every mutex member names the state it protects.
 
 const char kMutexUnguarded[] = "mutex-unguarded";
@@ -771,6 +800,7 @@ std::vector<Finding> LintFiles(const std::vector<SourceFile>& files) {
     CheckKernelWallClock(file, &findings);
     CheckRawTiming(file, &findings);
     CheckRawFileWrite(file, &findings);
+    CheckRawGetenv(file, &findings);
     CheckMutexUnguarded(file, &findings);
     CheckNakedLock(file, &findings);
     CheckMutexCoverage(file, &findings);
@@ -825,6 +855,8 @@ std::vector<std::string> RuleDescriptions() {
       "gemm_kernels_<tier>.cc TUs in one directory",
       "raw-file-write: no std::ofstream/fopen in src/ outside "
       "src/common/file_io.*; durable writes use io::AtomicFileWriter",
+      "raw-getenv: no getenv in src/ outside the process-switch readers "
+      "listed in EnvSwitchFile",
       "mutex-unguarded: every mutex member has NLIDB_GUARDED_BY state "
       "in the same file",
       "naked-lock: no direct Lock()/Unlock() calls outside the Mutex "
@@ -843,8 +875,8 @@ std::vector<Suppression> AuditSuppressions(
   // checker's own documentation must not consume allowlist budget.
   const std::set<std::string> known = {
       kRawThread,  kRawRandom,      kKernelWallClock, kRawTiming,
-      kGemmLiteralDrift, kRawFileWrite, kMutexUnguarded, kNakedLock,
-      kMutexCoverage, kIncludeGuard};
+      kGemmLiteralDrift, kRawFileWrite, kRawGetenv, kMutexUnguarded,
+      kNakedLock, kMutexCoverage, kIncludeGuard};
   std::vector<Suppression> out;
   for (const SourceFile& file : files) {
     for (size_t i = 0; i < file.raw.size(); ++i) {
