@@ -1,9 +1,9 @@
 // Per-stage latency breakdown of the structured Query() pipeline, from
-// the stage timing tree the observability layer attaches to every
-// QueryResult. Runs the held-out corpus end to end (annotate ->
-// translate -> recover -> execute) at 1 and 8 pool threads, prints the
-// mean wall time per stage, dumps the process metrics registry, and
-// merges everything into BENCH_observability.json.
+// the stage timing tree the stage spans attach to every QueryResult.
+// Runs the held-out corpus end to end (annotate -> translate -> recover
+// -> execute) at 1 and 4 pool threads, prints the mean, p50 and p99
+// wall time of the whole query and of every stage, dumps the process
+// metrics registry, and writes everything to BENCH_observability.json.
 //
 //   ./build/bench/bench_stage_breakdown [--smoke]
 //
@@ -25,20 +25,19 @@ namespace nlidb {
 namespace bench {
 namespace {
 
-struct StageStats {
+// Raw wall-time samples of one node of the stage tree.
+struct StageSamples {
   std::string name;
-  uint64_t total_ns = 0;
-  int count = 0;
+  std::vector<uint64_t> ns;
 };
 
-// Runs every test example through Query() and accumulates the per-stage
-// wall time the pipeline reports. Returns the stages in pipeline order
-// (as Query() reports them) followed by a "total" entry for the whole
-// request.
-std::vector<StageStats> RunCorpus(const core::NlidbPipeline& pipeline,
-                                  const data::Dataset& dataset, int limit) {
-  std::vector<StageStats> stages;
-  StageStats total{"total"};
+// Runs every test example through Query() and collects the stage tree's
+// wall times: the root ("query") first, then the stages in pipeline
+// order, as Query() reports them.
+std::vector<StageSamples> RunCorpus(const core::NlidbPipeline& pipeline,
+                                    const data::Dataset& dataset,
+                                    int limit) {
+  std::vector<StageSamples> stages = {{"query", {}}};
   int done = 0;
   for (const data::Example& ex : dataset.examples) {
     core::QueryRequest request;
@@ -46,19 +45,18 @@ std::vector<StageStats> RunCorpus(const core::NlidbPipeline& pipeline,
     request.tokens = ex.tokens;
     StatusOr<core::QueryResult> result = pipeline.Query(request);
     if (!result.ok()) continue;
-    total.total_ns += result->stages.wall_ns;
-    total.count += 1;
+    stages.front().ns.push_back(result->stages.wall_ns);
     for (const core::StageTiming& stage : result->stages.children) {
       auto it = std::find_if(
           stages.begin(), stages.end(),
-          [&](const StageStats& s) { return s.name == stage.name; });
-      if (it == stages.end()) it = stages.insert(it, StageStats{stage.name});
-      it->total_ns += stage.wall_ns;
-      it->count += 1;
+          [&](const StageSamples& s) { return s.name == stage.name; });
+      if (it == stages.end()) {
+        it = stages.insert(it, StageSamples{stage.name, {}});
+      }
+      it->ns.push_back(stage.wall_ns);
     }
     if (++done >= limit) break;
   }
-  stages.push_back(total);
   return stages;
 }
 
@@ -78,47 +76,52 @@ int Run(bool smoke) {
   auto pipeline = TrainPipeline(env);
 
   const int limit = smoke ? 4 : 64;
-  FlatJson json = FlatJson::Load(ObservabilityJsonPath());
+  // This bench is the file's only writer: start empty so keys it no
+  // longer emits do not linger.
+  FlatJson json;
+  long long queries_timed = 0;
 
-  for (int threads : {1, 8}) {
+  for (int threads : {1, 4}) {
     ThreadPool::SetGlobalParallelism(threads);
-    const auto stats = RunCorpus(*pipeline, env.splits.test, limit);
+    const auto stages = RunCorpus(*pipeline, env.splits.test, limit);
     ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
+    queries_timed += static_cast<long long>(stages.front().ns.size());
 
-    std::printf("\n--- mean wall time per stage, threads=%d (n=%d) ---\n",
-                threads, stats.back().count);
-    for (const StageStats& stage : stats) {
-      if (stage.count == 0) continue;
-      const double mean_ns = static_cast<double>(stage.total_ns) / stage.count;
-      std::printf("%-10s %12.0f ns  %8.3f ms\n", stage.name.c_str(), mean_ns,
-                  mean_ns / 1e6);
-      if (!smoke) {
-        json.Set("stage_" + stage.name + "_ns_t" + std::to_string(threads),
-                 mean_ns);
-      }
+    std::printf("\n--- wall time per stage, threads=%d (n=%zu) ---\n"
+                "%-10s %12s %12s %12s\n",
+                threads, stages.front().ns.size(), "stage", "mean_us",
+                "p50_us", "p99_us");
+    for (const StageSamples& stage : stages) {
+      if (stage.ns.empty()) continue;
+      uint64_t total_ns = 0;
+      for (uint64_t ns : stage.ns) total_ns += ns;
+      const double mean = static_cast<double>(total_ns) /
+                         static_cast<double>(stage.ns.size());
+      const double p50 = PercentileNs(stage.ns, 0.5);
+      const double p99 = PercentileNs(stage.ns, 0.99);
+      std::printf("%-10s %12.1f %12.1f %12.1f\n", stage.name.c_str(),
+                  mean / 1e3, p50 / 1e3, p99 / 1e3);
+      const std::string prefix = "stage_" + stage.name;
+      const std::string suffix = "_ns_t" + std::to_string(threads);
+      json.Set(prefix + suffix, mean);
+      json.Set(prefix + "_p50" + suffix, p50);
+      json.Set(prefix + "_p99" + suffix, p99);
     }
   }
 
   // Process-wide metrics accumulated while the corpus ran: counters from
-  // the annotator/seq2seq/executor hot paths plus the request histogram.
+  // the annotator/seq2seq/executor hot paths plus every span's histogram.
   std::printf("\n--- metrics registry ---\n%s",
               metrics::MetricsRegistry::Global().RenderText().c_str());
-  metrics::Histogram& latency =
-      metrics::MetricsRegistry::Global().GetHistogram("pipeline.latency_ns");
-  if (!smoke && latency.Count() > 0) {
-    json.Set("query_p50_ns",
-             static_cast<double>(latency.ApproxPercentileNs(0.5)));
-    json.Set("query_p99_ns",
-             static_cast<double>(latency.ApproxPercentileNs(0.99)));
-    json.Set("queries_timed", static_cast<long long>(latency.Count()));
-    json.Set("bench_threads_swept", 8);
-    if (!json.Save(ObservabilityJsonPath())) {
-      std::printf("cannot write %s\n", ObservabilityJsonPath());
-      return 1;
-    }
-    std::printf("\nmerged %s (%zu keys)\n", ObservabilityJsonPath(),
-                json.size());
+  if (smoke || queries_timed == 0) return 0;
+  json.Set("queries_timed", queries_timed);
+  json.Set("bench_threads_swept", 4);
+  if (!json.Save(ObservabilityJsonPath())) {
+    std::printf("cannot write %s\n", ObservabilityJsonPath());
+    return 1;
   }
+  std::printf("\nwrote %s (%zu keys)\n", ObservabilityJsonPath(),
+              json.size());
   return 0;
 }
 

@@ -1,10 +1,12 @@
 #include "common/trace.h"
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <cstring>
 #include <mutex>
+#include <sstream>
 
 #include "common/metrics.h"
 #include "common/mutex.h"
@@ -48,6 +50,43 @@ SinkState& GlobalSinkState() {
 thread_local int tls_current_parent = 0;
 
 void FlushEnvSinkAtExit() { SetSink(nullptr); }
+
+// NLIDB_TRACE=stderr: every span already feeds its `<name>_ns`
+// histogram, so the summary is those lines of the registry dump.
+void PrintSpanHistogramsAtExit() {
+  std::istringstream lines(metrics::MetricsRegistry::Global().RenderText());
+  std::fputs("\n=== nlidb trace summary ===\n", stderr);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("_ns count=") != std::string::npos) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+    }
+  }
+}
+
+// The `<name>_ns` histogram of a span name. Span names are string
+// literals, so each thread keeps a small open-addressing table keyed on
+// the name's address; only a thread's first span of a given name goes
+// through the registry and its lock.
+metrics::Histogram& HistogramFor(const char* name) {
+  struct Slot {
+    const char* name = nullptr;
+    metrics::Histogram* histogram = nullptr;
+  };
+  constexpr size_t kSlots = 64;  // well above the number of span names
+  thread_local std::array<Slot, kSlots> cache;
+  // Fibonacci hash: the product's top 6 bits pick one of the 64 slots.
+  size_t i = static_cast<size_t>(
+      (reinterpret_cast<uintptr_t>(name) * 0x9E3779B97F4A7C15ull) >> 58);
+  auto lookup = [name] {
+    return &metrics::MetricsRegistry::Global().GetHistogram(
+        std::string(name) + "_ns");
+  };
+  for (size_t probe = 0; probe < kSlots; ++probe, i = (i + 1) % kSlots) {
+    if (cache[i].name == nullptr) cache[i] = {name, lookup()};
+    if (cache[i].name == name) return *cache[i].histogram;
+  }
+  return *lookup();  // table full: still correct, just locks
+}
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -103,17 +142,17 @@ void InitFromEnv() {
   std::call_once(once, [] {
     const char* env = std::getenv("NLIDB_TRACE");
     if (env == nullptr || env[0] == '\0') return;
-    if (CurrentSink() != nullptr) return;  // explicit sink wins
     if (std::string(env) == "stderr") {
-      SetSink(std::make_shared<StderrSummarySink>());
-    } else {
-      auto sink = std::make_shared<JsonLinesSink>(env);
-      if (!sink->ok()) {
-        std::fprintf(stderr, "nlidb: NLIDB_TRACE: cannot open '%s'\n", env);
-        return;
-      }
-      SetSink(std::move(sink));
+      std::atexit(PrintSpanHistogramsAtExit);
+      return;
     }
+    if (CurrentSink() != nullptr) return;  // explicit sink wins
+    auto sink = std::make_shared<JsonLinesSink>(env);
+    if (!sink->ok()) {
+      std::fprintf(stderr, "nlidb: NLIDB_TRACE: cannot open '%s'\n", env);
+      return;
+    }
+    SetSink(std::move(sink));
     // Static-destruction order is unreliable across TUs; flush the
     // env-installed sink explicitly before static teardown begins.
     std::atexit(FlushEnvSinkAtExit);
@@ -128,32 +167,53 @@ ScopedParent::ScopedParent(int parent_id) : saved_(tls_current_parent) {
 
 ScopedParent::~ScopedParent() { tls_current_parent = saved_; }
 
-TraceSpan::TraceSpan(const char* name) {
+const StageTiming* StageTiming::Child(const std::string& child_name) const {
+  for (const StageTiming& child : children) {
+    if (child.name == child_name) return &child;
+  }
+  return nullptr;
+}
+
+TraceSpan::TraceSpan(const char* name, StageTiming* tree)
+    : name_(name), tree_(tree) {
   InitFromEnv();
   active_ = Enabled();
-  if (!active_) return;
-  name_ = name;
-  span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  parent_id_ = tls_current_parent;
-  tls_current_parent = span_id_;
+  if (active_) {
+    span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+    parent_id_ = tls_current_parent;
+    tls_current_parent = span_id_;
+  }
   start_ns_ = NowNs();
 }
 
 TraceSpan::~TraceSpan() {
-  if (!active_) return;
-  const uint64_t end_ns = NowNs();
-  tls_current_parent = parent_id_;
+  End();
+  if (active_) tls_current_parent = parent_id_;
+}
+
+uint64_t TraceSpan::End() {
+  if (ended_) return duration_ns_;
+  ended_ = true;
+  duration_ns_ = NowNs() - start_ns_;
+  HistogramFor(name_).Record(duration_ns_);
+  if (tree_ != nullptr) {
+    const char* dot = std::strrchr(name_, '.');
+    tree_->children.push_back(
+        StageTiming{dot != nullptr ? dot + 1 : name_, duration_ns_, {}});
+  }
+  if (!active_) return duration_ns_;
   std::shared_ptr<TraceSink> sink = CurrentSink();
-  if (sink == nullptr) return;  // sink removed while the span was open
+  if (sink == nullptr) return duration_ns_;  // removed while the span was open
   SpanRecord record;
   record.name = name_;
   record.start_ns = start_ns_;
-  record.duration_ns = end_ns - start_ns_;
+  record.duration_ns = duration_ns_;
   record.span_id = span_id_;
   record.parent_id = parent_id_;
   record.thread_id = metrics::DenseThreadId();
   record.annotations = std::move(annotations_);
   sink->OnSpanEnd(record);
+  return duration_ns_;
 }
 
 void TraceSpan::Annotate(const char* key, std::string value) {
@@ -210,39 +270,6 @@ void JsonLinesSink::OnSpanEnd(const SpanRecord& record) {
     std::fputc('}', impl_->file);
   }
   std::fputs("}\n", impl_->file);
-}
-
-// ---------------------------------------------------------------------------
-// StderrSummarySink
-
-struct StderrSummarySink::Impl {
-  struct Agg {
-    int64_t count = 0;
-    uint64_t total_ns = 0;
-  };
-  Mutex mu{"trace.stderr_sink"};
-  std::map<std::string, Agg> by_name NLIDB_GUARDED_BY(mu);
-};
-
-StderrSummarySink::StderrSummarySink() : impl_(std::make_unique<Impl>()) {}
-
-StderrSummarySink::~StderrSummarySink() {
-  MutexLock lock(impl_->mu);
-  if (impl_->by_name.empty()) return;
-  std::fprintf(stderr, "\n=== nlidb trace summary ===\n%-36s %10s %14s\n",
-               "span", "count", "total_ms");
-  for (const auto& [name, agg] : impl_->by_name) {
-    std::fprintf(stderr, "%-36s %10lld %14.3f\n", name.c_str(),
-                 static_cast<long long>(agg.count),
-                 static_cast<double>(agg.total_ns) / 1e6);
-  }
-}
-
-void StderrSummarySink::OnSpanEnd(const SpanRecord& record) {
-  MutexLock lock(impl_->mu);
-  Impl::Agg& agg = impl_->by_name[record.name];
-  ++agg.count;
-  agg.total_ns += record.duration_ns;
 }
 
 // ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ class TraceSink {
   virtual void OnSpanEnd(const SpanRecord& record) = 0;
 };
 
-/// True when a sink is installed. One relaxed atomic load; this is the
-/// entire cost of a disabled `TraceSpan`.
+/// True when a sink is installed. One relaxed atomic load.
 bool Enabled();
 
 /// Installs (or, with nullptr, removes) the process-wide sink. The
@@ -58,12 +57,12 @@ std::shared_ptr<TraceSink> SetSink(std::shared_ptr<TraceSink> sink);
 /// The currently installed sink (may be null).
 std::shared_ptr<TraceSink> CurrentSink();
 
-/// Reads NLIDB_TRACE once and installs the matching sink if the
-/// variable is set and no sink is installed yet: "stderr" installs a
-/// `StderrSummarySink`, anything else is treated as a JSON-lines file
-/// path. Called lazily from the first `TraceSpan`; safe to call
-/// directly (e.g. from tool main()s that want tracing before the first
-/// span).
+/// Reads NLIDB_TRACE once. "stderr" installs no sink: the span
+/// histograms (`<name>_ns` lines of `MetricsRegistry::RenderText()`) are
+/// printed to stderr at exit. Anything else is a JSON-lines file path,
+/// installed as the sink unless one is installed already. Called lazily
+/// from the first `TraceSpan`; safe to call directly (e.g. from tool
+/// main()s that want tracing before the first span).
 void InitFromEnv();
 
 /// The id of the span currently open on this thread (0 if none).
@@ -85,19 +84,42 @@ class ScopedParent {
   int saved_;
 };
 
-/// RAII span. Construction opens the span (when tracing is enabled) and
-/// makes it the current parent on this thread; destruction closes it,
-/// restores the previous parent, and delivers the record to the sink.
-///
-/// Disabled cost: one relaxed atomic load in the constructor, one
-/// branch in the destructor — cheap enough to leave in hot loops.
+/// Wall time of one stage, forming a per-request tree. A `TraceSpan`
+/// given a node appends its own timing as a child, so the tree mirrors
+/// the span tree a sink would see but travels with the caller's result.
+struct StageTiming {
+  std::string name;
+  uint64_t wall_ns = 0;
+  std::vector<StageTiming> children;
+
+  /// The direct child named `child_name`, or nullptr.
+  const StageTiming* Child(const std::string& child_name) const;
+};
+
+/// RAII span, the one stage timer. Construction reads the clock and,
+/// when tracing is enabled, makes the span the thread's current parent.
+/// Closing it reads the clock once more, and that one duration feeds:
+///   - the `<name>_ns` histogram in `MetricsRegistry::Global()`, always;
+///   - a child of `tree` named after the last dotted component of `name`
+///     ("pipeline.annotate" -> "annotate"), when `tree` is non-null;
+///   - a `SpanRecord` to the sink, when tracing is enabled.
+/// Cost without sink or tree: two clock reads and one histogram record;
+/// the histogram comes from a per-thread cache, so no lock is taken once
+/// a thread has seen the name.
 class TraceSpan {
  public:
-  /// `name` must outlive the span (string literals in practice).
-  explicit TraceSpan(const char* name);
+  /// `name` must be a string literal: the histogram cache is keyed on
+  /// its address.
+  explicit TraceSpan(const char* name, StageTiming* tree = nullptr);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
+
+  /// Closes the span now and returns its duration; later calls return
+  /// the same duration and the destructor emits nothing more. The span
+  /// stays the thread's current parent until it is destroyed, so spans
+  /// still open inside it keep their place in the tree.
+  uint64_t End();
 
   /// Attaches a key/value pair to the span (no-op when disabled).
   void Annotate(const char* key, std::string value);
@@ -108,8 +130,11 @@ class TraceSpan {
 
  private:
   bool active_;
-  const char* name_ = nullptr;
+  bool ended_ = false;
+  const char* name_;
+  StageTiming* tree_;
   uint64_t start_ns_ = 0;
+  uint64_t duration_ns_ = 0;
   int span_id_ = 0;
   int parent_id_ = 0;
   std::vector<std::pair<std::string, std::string>> annotations_;
@@ -125,19 +150,6 @@ class JsonLinesSink : public TraceSink {
 
   /// False if the file could not be opened (records are then dropped).
   bool ok() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Aggregates per-name count/total-ns and prints a table to stderr when
-/// destroyed (i.e. at process exit for the env-installed sink).
-class StderrSummarySink : public TraceSink {
- public:
-  StderrSummarySink();
-  ~StderrSummarySink() override;
-  void OnSpanEnd(const SpanRecord& record) override;
 
  private:
   struct Impl;

@@ -12,13 +12,6 @@
 namespace nlidb {
 namespace core {
 
-const StageTiming* StageTiming::Child(const std::string& child_name) const {
-  for (const StageTiming& child : children) {
-    if (child.name == child_name) return &child;
-  }
-  return nullptr;
-}
-
 NlidbPipeline::NlidbPipeline(const ModelConfig& config,
                              std::shared_ptr<text::EmbeddingProvider> provider)
     : config_(config), provider_(std::move(provider)) {
@@ -33,18 +26,6 @@ NlidbPipeline::NlidbPipeline(const ModelConfig& config,
                                            classifier_.get(),
                                            value_detector_.get());
   registry_ = std::make_unique<schema::SchemaRegistry>(provider_);
-}
-
-/// Shortlist for `tokens` against `table` when the registry's mode and
-/// the table's width call for one; nullptr (full scan) otherwise. The
-/// returned pointer aliases `storage`.
-const std::vector<int>* NlidbPipeline::MaybeShortlist(
-    const std::vector<std::string>& tokens, const sql::Table& table,
-    std::vector<int>& storage) const {
-  if (registry_->mode() != schema::ScanMode::kShortlist) return nullptr;
-  if (table.num_columns() <= registry_->options().shortlist_k) return nullptr;
-  storage = registry_->ShortlistColumns(tokens, table);
-  return &storage;
 }
 
 AnnotationOptions NlidbPipeline::annotation_options() const {
@@ -90,13 +71,22 @@ StatusOr<Annotation> NlidbPipeline::Annotate(
   if (table.num_columns() == 0) {
     return Status::InvalidArgument("table has no columns");
   }
+  return AnnotateAgainst(tokens, table, /*ctx=*/nullptr, /*debug=*/nullptr);
+}
+
+StatusOr<Annotation> NlidbPipeline::AnnotateAgainst(
+    const std::vector<std::string>& tokens, const sql::Table& table,
+    const CancelContext* ctx, Annotator::AnnotateDebug* debug) const {
   const schema::TableStatsEntry& entry = registry_->EntryFor(table);
+  // Rank a column shortlist when the registry's mode and the table's
+  // width call for one; otherwise the annotator scans every column.
+  const bool shortlisted =
+      registry_->mode() == schema::ScanMode::kShortlist &&
+      table.num_columns() > registry_->options().shortlist_k;
   std::vector<int> shortlist;
-  const std::vector<int>* shortlist_ptr =
-      MaybeShortlist(tokens, table, shortlist);
-  return annotator_->Annotate(tokens, table, entry.stats, metadata_,
-                              /*ctx=*/nullptr, /*debug=*/nullptr,
-                              shortlist_ptr);
+  if (shortlisted) shortlist = registry_->ShortlistColumns(tokens, table);
+  return annotator_->Annotate(tokens, table, entry.stats, metadata_, ctx,
+                              debug, shortlisted ? &shortlist : nullptr);
 }
 
 StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
@@ -108,8 +98,6 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
   static metrics::Counter& execution_failures =
       metrics::MetricsRegistry::Global().GetCounter(
           "pipeline.execution_failures");
-  static metrics::Histogram& latency =
-      metrics::MetricsRegistry::Global().GetHistogram("pipeline.latency_ns");
   static metrics::Counter& deadline_exceeded =
       metrics::MetricsRegistry::Global().GetCounter(
           "pipeline.deadline_exceeded");
@@ -131,40 +119,30 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
 
   QueryResult result;
   const CancelContext ctx{request.deadline, request.cancel};
-  const bool timings = request.collect_timings;
-  const uint64_t query_start = trace::NowNs();
-  uint64_t stage_start = 0;
-  auto begin_stage = [&] {
-    if (timings) stage_start = trace::NowNs();
-  };
-  auto end_stage = [&](const char* name) {
-    if (timings) {
-      result.stages.children.push_back(
-          StageTiming{name, trace::NowNs() - stage_start, {}});
-    }
-  };
+  // Each stage span appends its own timing to the tree when it closes.
+  StageTiming* const tree =
+      request.collect_timings ? &result.stages : nullptr;
+  if (tree != nullptr) tree->name = "query";
   // Mid-flight failure path: the stages completed so far (with the total
   // wall time up to the failure) are handed to the caller through
   // `request.partial_result`, so a timed-out query still shows where
-  // its budget went.
+  // its budget went. A stage that fails is still open here, so it is
+  // left out of the tree.
   auto fail = [&](const Status& status) {
     if (status.code() == StatusCode::kDeadlineExceeded) {
       deadline_exceeded.Increment();
     }
     if (request.partial_result != nullptr) {
-      if (timings) result.stages.wall_ns = trace::NowNs() - query_start;
+      if (tree != nullptr) tree->wall_ns = span.End();
       *request.partial_result = std::move(result);
     }
     return status;
   };
-  if (timings) result.stages.name = "query";
 
   {
-    trace::TraceSpan stage("pipeline.tokenize");
-    begin_stage();
+    trace::TraceSpan stage("pipeline.tokenize", tree);
     result.tokens = request.tokens.empty() ? text::Tokenize(request.question)
                                            : request.tokens;
-    end_stage("tokenize");
   }
   if (result.tokens.empty()) {
     return fail(Status::InvalidArgument("empty question"));
@@ -181,8 +159,7 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
   // tree has a fixed shape.
   const sql::Table* resolved = nullptr;
   {
-    trace::TraceSpan stage("pipeline.resolve");
-    begin_stage();
+    trace::TraceSpan stage("pipeline.resolve", tree);
     StatusOr<schema::Resolution> resolution =
         registry_->Resolve(ref, result.tokens);
     if (!resolution.ok()) return fail(resolution.status());
@@ -191,7 +168,6 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
     result.table_name = resolved->name();
     result.routing = std::move(resolution->candidates);
     stage.Annotate("table", result.table_name);
-    end_stage("resolve");
   }
   const sql::Table& table = *resolved;
   if (table.num_columns() == 0) {
@@ -200,33 +176,24 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
   span.Annotate("num_columns", static_cast<int64_t>(table.num_columns()));
 
   {
-    trace::TraceSpan stage("pipeline.annotate");
-    begin_stage();
-    // Stats lookup and shortlist ranking are charged to the annotate
-    // stage: they are the per-question cost of column scoring, which is
-    // exactly what the scale bench's "annotate flat vs registry size"
-    // gate must observe.
-    const schema::TableStatsEntry& entry = registry_->EntryFor(table);
-    std::vector<int> shortlist;
-    const std::vector<int>* shortlist_ptr =
-        MaybeShortlist(result.tokens, table, shortlist);
+    // Stats lookup and shortlist ranking (inside AnnotateAgainst) are
+    // charged to the annotate stage: they are the per-question cost of
+    // column scoring, which is exactly what the scale bench's "annotate
+    // flat vs registry size" gate must observe.
+    trace::TraceSpan stage("pipeline.annotate", tree);
     Annotator::AnnotateDebug debug;
     StatusOr<Annotation> annotation =
-        annotator_->Annotate(result.tokens, table, entry.stats, metadata_,
-                             &ctx, &debug, shortlist_ptr);
+        AnnotateAgainst(result.tokens, table, &ctx, &debug);
     if (!annotation.ok()) return fail(annotation.status());
     result.annotation = std::move(annotation).value();
     result.degraded_linear_resolution = debug.linear_resolution_fallback;
-    end_stage("annotate");
   }
 
   {
-    trace::TraceSpan stage("pipeline.build_qa");
-    begin_stage();
+    trace::TraceSpan stage("pipeline.build_qa", tree);
     result.annotated_question = BuildAnnotatedQuestion(
         result.tokens, result.annotation, table.schema(),
         annotation_options());
-    end_stage("build_qa");
   }
   {
     Status s = ctx.Check("pipeline.build_qa");
@@ -234,23 +201,20 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
   }
 
   {
-    trace::TraceSpan stage("pipeline.translate");
-    begin_stage();
+    trace::TraceSpan stage("pipeline.translate", tree);
     StatusOr<Seq2SeqTranslator::Decoded> decoded =
         translator_->Decode(result.annotated_question, &ctx);
     if (!decoded.ok()) return fail(decoded.status());
     result.annotated_sql = std::move(decoded->tokens);
     result.translate_score = decoded->score;
     result.degraded_greedy_decode = decoded->used_greedy_fallback;
-    end_stage("translate");
   }
   if (result.degraded_linear_resolution || result.degraded_greedy_decode) {
     degraded_queries.Increment();
   }
 
   {
-    trace::TraceSpan stage("pipeline.recover");
-    begin_stage();
+    trace::TraceSpan stage("pipeline.recover", tree);
     StatusOr<sql::SelectQuery> recovered =
         RecoverSql(result.annotated_sql, result.annotation, table.schema());
     if (recovered.ok()) {
@@ -259,12 +223,10 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
       result.recovery_status = recovered.status();
       recovery_failures.Increment();
     }
-    end_stage("recover");
   }
 
   if (request.execute && result.query.has_value()) {
-    trace::TraceSpan stage("pipeline.execute");
-    begin_stage();
+    trace::TraceSpan stage("pipeline.execute", tree);
     StatusOr<std::vector<sql::Value>> rows = sql::Execute(*result.query, table);
     if (rows.ok()) {
       result.rows = std::move(rows).value();
@@ -272,13 +234,10 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
       result.execution_status = rows.status();
       execution_failures.Increment();
     }
-    end_stage("execute");
   }
 
-  const uint64_t total_ns = trace::NowNs() - query_start;
-  if (timings) result.stages.wall_ns = total_ns;
-  latency.Record(total_ns);
   span.Annotate("recovered", static_cast<int64_t>(result.query.has_value()));
+  if (tree != nullptr) tree->wall_ns = span.End();
   return result;
 }
 

@@ -10,6 +10,7 @@
 
 #include "common/deadline.h"
 #include "common/status.h"
+#include "common/trace.h"
 #include "core/annotator.h"
 #include "core/trainer.h"
 #include "schema/registry.h"
@@ -44,9 +45,10 @@ struct QueryRequest {
   /// `QueryResult::rows`.
   bool execute = true;
 
-  /// Fill `QueryResult::stages` with per-stage wall times. Cheap (a
-  /// handful of clock reads per request) but off-able for benchmarks
-  /// that measure the pipeline itself.
+  /// Build the `QueryResult::stages` tree. The stage spans time every
+  /// request and feed their `pipeline.<stage>_ns` histograms either
+  /// way; this only decides whether their timings are also copied into
+  /// the result (a few small allocations per request).
   bool collect_timings = true;
 
   /// Optional deadline. Polled at stage boundaries and inside the
@@ -66,17 +68,9 @@ struct QueryRequest {
   QueryResult* partial_result = nullptr;
 };
 
-/// Wall time of one pipeline stage, forming a per-request tree rooted
-/// at the "query" node. Mirrors the TraceSpan tree a sink would see,
-/// but returned inline with the result so callers need no sink.
-struct StageTiming {
-  std::string name;
-  uint64_t wall_ns = 0;
-  std::vector<StageTiming> children;
-
-  /// The direct child named `child_name`, or nullptr.
-  const StageTiming* Child(const std::string& child_name) const;
-};
+/// Per-stage wall times of one request, rooted at the "query" node and
+/// filled by the stage spans themselves (see trace::TraceSpan).
+using StageTiming = trace::StageTiming;
 
 /// Everything one pipeline pass produces. Intermediate artifacts
 /// (annotation, q^a, s^a) are first-class: per-stage inspection is how
@@ -198,11 +192,13 @@ class NlidbPipeline {
   void set_metadata(const NlMetadata* metadata) { metadata_ = metadata; }
 
  private:
-  /// Shortlist for the current mode/table width, or nullptr for a full
-  /// scan; the returned pointer aliases `storage`.
-  const std::vector<int>* MaybeShortlist(const std::vector<std::string>& tokens,
-                                         const sql::Table& table,
-                                         std::vector<int>& storage) const;
+  /// The one annotate path behind `Annotate` and `Query`: stats lookup,
+  /// column shortlist when the registry calls for one, then the
+  /// annotator, polling `ctx` and filling `debug` (both optional).
+  StatusOr<Annotation> AnnotateAgainst(const std::vector<std::string>& tokens,
+                                       const sql::Table& table,
+                                       const CancelContext* ctx,
+                                       Annotator::AnnotateDebug* debug) const;
 
   ModelConfig config_;
   std::shared_ptr<text::EmbeddingProvider> provider_;

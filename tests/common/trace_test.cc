@@ -1,6 +1,8 @@
 // Tests for the RAII tracing substrate (src/common/trace.h): disabled
 // no-op behavior, span nesting on one thread and across ThreadPool
-// workers, sink swapping, and the JSON-lines sink's output format.
+// workers, sink swapping, the JSON-lines sink's output format, and the
+// one-timer contract (one duration feeds record, stage tree and
+// histogram).
 
 #include "common/trace.h"
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 
 namespace nlidb {
@@ -171,6 +174,68 @@ TEST_F(TraceTest, JsonLinesSinkReportsUnopenableFile) {
   SpanRecord record;
   record.name = "dropped";
   sink.OnSpanEnd(record);  // must not crash
+}
+
+metrics::Histogram& HistogramNamed(const char* name) {
+  return metrics::MetricsRegistry::Global().GetHistogram(name);
+}
+
+TEST_F(TraceTest, OneDurationFeedsRecordTreeAndHistogram) {
+  metrics::Histogram& hist = HistogramNamed("test.one_timer_ns");
+  const int64_t count_before = hist.Count();
+  const int64_t sum_before = hist.SumNs();
+  auto sink = std::make_shared<InMemorySink>();
+  SetSink(sink);
+  StageTiming tree;
+  { TraceSpan span("test.one_timer", &tree); }
+  SetSink(nullptr);
+
+  const auto records = sink->Records();
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(tree.children.size(), 1u);
+  EXPECT_EQ(tree.children[0].name, "one_timer");  // last dotted component
+  EXPECT_EQ(tree.children[0].wall_ns, records[0].duration_ns);
+  EXPECT_EQ(hist.Count(), count_before + 1);
+  EXPECT_EQ(static_cast<uint64_t>(hist.SumNs() - sum_before),
+            records[0].duration_ns);
+}
+
+TEST_F(TraceTest, SpanWithoutSinkOrTreeStillFeedsItsHistogram) {
+  ASSERT_FALSE(Enabled());
+  metrics::Histogram& hist = HistogramNamed("test.untraced_ns");
+  const int64_t before = hist.Count();
+  { TraceSpan span("test.untraced"); }
+  EXPECT_EQ(hist.Count(), before + 1);
+  { TraceSpan span("test.untraced"); }  // cached histogram, same instance
+  EXPECT_EQ(hist.Count(), before + 2);
+}
+
+TEST_F(TraceTest, EndClosesOnceAndKeepsTheSpanAsParent) {
+  metrics::Histogram& hist = HistogramNamed("test.ended_ns");
+  const int64_t before = hist.Count();
+  auto sink = std::make_shared<InMemorySink>();
+  SetSink(sink);
+  StageTiming tree;
+  int ended_id = 0;
+  {
+    TraceSpan span("test.ended", &tree);
+    ended_id = CurrentSpanId();
+    const uint64_t duration = span.End();
+    EXPECT_EQ(span.End(), duration);
+    // Still the current parent: a span opened after End nests under it.
+    EXPECT_EQ(CurrentSpanId(), ended_id);
+    { TraceSpan inner("test.after_end"); }
+  }
+  EXPECT_EQ(CurrentSpanId(), 0);
+  SetSink(nullptr);
+
+  EXPECT_EQ(hist.Count(), before + 1);
+  EXPECT_EQ(tree.children.size(), 1u);
+  const auto records = sink->Records();
+  ASSERT_EQ(records.size(), 2u);  // End emitted the outer span first
+  EXPECT_EQ(records[0].name, "test.ended");
+  EXPECT_EQ(records[1].name, "test.after_end");
+  EXPECT_EQ(records[1].parent_id, ended_id);
 }
 
 TEST_F(TraceTest, NowNsIsMonotonic) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/thread_pool.h"
+#include "common/trace.h"
 #include "data/generator.h"
+#include "eval/metrics.h"
 #include "text/tokenizer.h"
 
 namespace nlidb {
@@ -159,6 +166,90 @@ TEST_F(PipelineTest, QueryTimingsCanBeDisabled) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->stages.children.empty());
   EXPECT_FALSE(result->rows.has_value());
+}
+
+TEST_F(PipelineTest, EveryStageHistogramAdvancesOncePerQuery) {
+  // The stage spans are the only timer: whether or not the tree is
+  // collected, one Query adds exactly one sample to `pipeline.query_ns`
+  // and to the `pipeline.<stage>_ns` histogram of every stage it ran.
+  NlidbPipeline pipeline(config_, provider_);
+  sql::Table table = FilmTable();
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  const std::vector<std::string> all_stages = {
+      "query", "tokenize", "resolve", "annotate", "build_qa",
+      "translate", "recover", "execute"};
+  for (int threads : {1, 8}) {
+    ThreadPool::SetGlobalParallelism(threads);
+    std::vector<std::string> ran;  // the root and its children
+    for (bool collect : {true, false}) {
+      std::map<std::string, int64_t> before;
+      for (const std::string& stage : all_stages) {
+        before[stage] =
+            registry.GetHistogram("pipeline." + stage + "_ns").Count();
+      }
+      QueryRequest request;
+      request.schema_ref = SchemaRef::Table(&table);
+      request.question = "which film name directed by sofia garcia ?";
+      request.collect_timings = collect;
+      auto result = pipeline.Query(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+      if (collect) {
+        ran = {result->stages.name};
+        for (const StageTiming& child : result->stages.children) {
+          ran.push_back(child.name);
+        }
+        ASSERT_EQ(ran.front(), "query");
+      } else {
+        EXPECT_TRUE(result->stages.children.empty());
+      }
+      for (const std::string& stage : all_stages) {
+        const bool expected =
+            std::find(ran.begin(), ran.end(), stage) != ran.end();
+        EXPECT_EQ(
+            registry.GetHistogram("pipeline." + stage + "_ns").Count() -
+                before[stage],
+            expected ? 1 : 0)
+            << stage << " threads=" << threads << " collect=" << collect;
+      }
+    }
+  }
+  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
+}
+
+TEST_F(PipelineTest, EverySpanOfAQuickstartRunHasAHistogram) {
+  // The quickstart's workload (train, evaluate on unseen tables, one
+  // executed query) with a sink installed: every span name it emits
+  // shows up in RenderText() as a `<name>_ns` histogram holding at
+  // least that many samples.
+  data::GeneratorConfig gc;
+  gc.num_tables = 6;
+  gc.questions_per_table = 4;
+  gc.seed = 1;
+  const data::Splits splits = data::GenerateWikiSqlSplits(gc);
+  auto sink = std::make_shared<trace::InMemorySink>();
+  trace::SetSink(sink);
+  NlidbPipeline pipeline(config_, provider_);
+  pipeline.Train(splits.train);
+  eval::EvaluatePipeline(pipeline, splits.test);
+  QueryRequest request;
+  request.schema_ref = SchemaRef::Table(splits.test.examples[0].table.get());
+  request.tokens = splits.test.examples[0].tokens;
+  ASSERT_TRUE(pipeline.Query(request).ok());
+  trace::SetSink(nullptr);
+
+  std::map<std::string, int64_t> spans;
+  for (const trace::SpanRecord& r : sink->Records()) ++spans[r.name];
+  ASSERT_GT(spans.count("pipeline.query"), 0u);
+  const std::string text =
+      "\n" + metrics::MetricsRegistry::Global().RenderText();
+  for (const auto& [name, count] : spans) {
+    EXPECT_NE(text.find("\n" + name + "_ns count="), std::string::npos)
+        << name;
+    EXPECT_GE(
+        metrics::MetricsRegistry::Global().GetHistogram(name + "_ns").Count(),
+        count)
+        << name;
+  }
 }
 
 TEST_F(PipelineTest, AnnotateUsesExactEvidenceWithoutTraining) {
