@@ -29,7 +29,6 @@
 
 #include "bench/bench_util.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -77,23 +76,9 @@ int Run(bool smoke) {
   // The one soak override: long runs scale the query count (DESIGN.md
   // §16). The random-delay failpoint schedule is always on.
   attack::SoakOptions soak_options;
-  if (smoke) {
-    soak_options.queries = 2500;
-  } else if (const char* q = std::getenv("NLIDB_ATTACK_QUERIES");
-             q != nullptr && *q != '\0') {
-    // A typo must not silently shorten the soak: reject anything but a
-    // whole positive decimal count.
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(q, &end, 10);
-    if (*end != '\0' || n == 0 || q[0] == '-') {
-      std::fprintf(stderr,
-                   "NLIDB_ATTACK_QUERIES=\"%s\" is not a positive query "
-                   "count\n",
-                   q);
-      return 2;
-    }
-    soak_options.queries = n;
-  }
+  soak_options.queries =
+      smoke ? 2500
+            : EnvCount("NLIDB_ATTACK_QUERIES", soak_options.queries);
   soak_options.random_delay_seed = 99;
   env.splits = data::GenerateWikiSqlSplits(gc);
   env.config = core::ModelConfig::Tiny();

@@ -2,7 +2,7 @@
 // stay flat as the registry grows 10 -> 100 -> 1000 tables, and what
 // does the classifier shortlist buy on wide tables?
 //
-// Three measurements, merged into BENCH_schema.json:
+// Three measurements, written into BENCH_schema.json:
 //   1. Scale sweep: one fixed question set (over the first 10 tables)
 //      run end to end at every registry size. Annotate p50 must not
 //      drift with registry growth (the paper's annotator only ever sees
@@ -10,8 +10,7 @@
 //      stage reports what routing over N tables actually costs.
 //   2. Routing quality: recall@1 / recall@3 of Route() against the gold
 //      table of generated questions, per registry size.
-//   3. Shortlist vs full scan on wide (24-column) tables, plus the
-//      persisted-store cold-start comparison (compute vs Save/Load).
+//   3. Shortlist vs full scan on wide (24-column) tables.
 //
 //   ./build/bench/bench_schema_scale [--smoke]
 //
@@ -22,7 +21,6 @@
 
 #include "bench/bench_util.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -36,13 +34,6 @@
 namespace nlidb {
 namespace bench {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// A wide table the default shortlist_k=16 must prune.
 sql::Table WideTable(int id) {
@@ -145,7 +136,9 @@ int Run(bool smoke) {
     }
   }
 
-  FlatJson json = FlatJson::Load(SchemaJsonPath());
+  // This bench is the file's only writer: start empty so keys it no
+  // longer emits do not linger.
+  FlatJson json;
   json.Set("schema_tables_max", max_tables);
 
   double p50_at_min = 0.0;
@@ -245,38 +238,6 @@ int Run(bool smoke) {
     json.Set("wide_shortlist_annotate_p50_ns", short_p50);
   }
 
-  // --- Cold start: recompute vs Save/Load ----------------------------
-  {
-    const std::string store = "bench_schema_store.tmp.nlsr";
-    const uint64_t t0 = NowNs();
-    schema::SchemaRegistry cold(env.provider);
-    for (int t = 0; t < registered; ++t) {
-      (void)cold.StatsFor(*pool.tables[static_cast<size_t>(t)]);
-    }
-    const uint64_t compute_ns = NowNs() - t0;
-    if (!cold.Save(store).ok()) {
-      std::printf("schema store save failed\n");
-      return 1;
-    }
-    const uint64_t t1 = NowNs();
-    schema::SchemaRegistry warm(env.provider);
-    if (!warm.Load(store).ok()) {
-      std::printf("schema store load failed\n");
-      return 1;
-    }
-    for (int t = 0; t < registered; ++t) {
-      (void)warm.StatsFor(*pool.tables[static_cast<size_t>(t)]);
-    }
-    const uint64_t load_ns = NowNs() - t1;
-    std::remove(store.c_str());
-    std::printf("cold start over %d tables: compute %.1f ms | load %.1f ms\n",
-                registered, compute_ns / 1e6, load_ns / 1e6);
-    if (!smoke) {
-      json.Set("cold_compute_ms", compute_ns / 1e6);
-      json.Set("cold_load_ms", load_ns / 1e6);
-    }
-  }
-
   if (smoke) {
     // Correctness gate instead of timings: shortlist mode reproduces
     // full-scan outputs byte-for-byte on the generated corpus (whose
@@ -323,7 +284,7 @@ int Run(bool smoke) {
     std::printf("cannot write %s\n", SchemaJsonPath());
     return 1;
   }
-  std::printf("merged %s (%zu keys)\n", SchemaJsonPath(), json.size());
+  std::printf("wrote %s (%zu keys)\n", SchemaJsonPath(), json.size());
   return 0;
 }
 

@@ -8,6 +8,9 @@
 // the paper while orderings and trends are the reproduction target.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -31,9 +34,28 @@ struct BenchEnv {
   core::ModelConfig config;
 };
 
+/// The count in environment variable `name`, or `fallback` when it is
+/// unset or empty. A typo must not silently shrink a run: anything but
+/// a whole positive decimal no larger than `max` prints a message and
+/// exits 2.
+inline unsigned long long EnvCount(const char* name,
+                                   unsigned long long fallback,
+                                   unsigned long long max = ULLONG_MAX) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+      errno == ERANGE || n == 0 || n > max) {
+    std::fprintf(stderr, "%s=\"%s\" is not a positive count\n", name, v);
+    std::exit(2);
+  }
+  return n;
+}
+
 inline int EnvTables(int fallback = 60) {
-  const char* v = std::getenv("NLIDB_BENCH_TABLES");
-  return v != nullptr ? std::atoi(v) : fallback;
+  return static_cast<int>(EnvCount("NLIDB_BENCH_TABLES", fallback, INT_MAX));
 }
 
 /// Nearest-rank q-quantile (0 < q <= 1) of `samples`: the smallest

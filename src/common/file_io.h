@@ -17,9 +17,6 @@
 namespace nlidb {
 namespace io {
 
-/// CRC32C (Castagnoli) of `n` bytes, chainable via `crc` for streaming.
-uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0);
-
 /// Buffered atomic file writer: Append accumulates bytes (and a running
 /// CRC32C); Commit writes "<path>.tmp", fsyncs, and renames it over
 /// `path`. Nothing touches `path` before Commit, so a crash or error at

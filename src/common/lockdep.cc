@@ -430,26 +430,6 @@ void UnlockSlow(Mutex* mu) {
   tls_in_hook = false;
 }
 
-void OnTryLockAcquired(Mutex* mu) {
-  if (tls_in_hook) return;
-  tls_in_hook = true;
-  // Unlike LockSlow, the raw lock is already held here (Mutex::TryLock
-  // tries first, then notifies). That is safe only because the metrics
-  // registry never TryLocks its own mutex — the one lock whose
-  // instrument creation re-enters the registry.
-  ClassInstruments instruments;
-  const int cid = ClassIdFor(mu, &instruments);
-  Counters().acquisitions->Increment();
-  // No RecordEdges here: a try_lock never *waits*, so it cannot be the
-  // blocked edge of a deadlock cycle — held-before-try orderings are
-  // deliberately not folded into the graph (they would be false
-  // positives). The acquisition still joins the held set: blocking
-  // locks taken while this one is held do create edges from it.
-  tls_held.locks.push_back(
-      HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
-  tls_in_hook = false;
-}
-
 void ReportStuckWait(const char* mutex_name, int waited_ms) {
   const std::string name = mutex_name != nullptr ? mutex_name : kUnnamed;
   // The caller holds the mutex it waited on, never the registry's, so

@@ -92,14 +92,13 @@ extern std::atomic<int> g_mode;
 /// a `Mutex` without widening the public surface.
 struct MutexAccess;
 
-/// Slow paths behind the Enabled() check in Mutex::Lock/Unlock/TryLock.
+/// Slow paths behind the Enabled() check in Mutex::Lock/Unlock.
 /// They perform the underlying lock operation themselves (so the fast
 /// path stays a single branch) plus held-set, graph and metrics
 /// bookkeeping. Re-entrant calls (metrics registry locks taken while a
 /// hook runs) degrade to the plain operation via a thread-local guard.
 void LockSlow(Mutex* mu);
 void UnlockSlow(Mutex* mu);
-void OnTryLockAcquired(Mutex* mu);
 
 /// Records a stuck-wait report (deduplicated per mutex name) and
 /// increments lockdep.stuck_waits. Called by CondVar's watchdog.

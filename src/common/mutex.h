@@ -63,14 +63,6 @@ class NLIDB_CAPABILITY("mutex") Mutex {
     mu_.unlock();
   }
 
-  bool TryLock() NLIDB_TRY_ACQUIRE(true) {
-    const bool acquired = mu_.try_lock();
-    if (acquired && lockdep::Enabled()) {
-      lockdep::internal::OnTryLockAcquired(this);
-    }
-    return acquired;
-  }
-
   /// BasicLockable aliases for std::condition_variable_any::wait.
   void lock() NLIDB_ACQUIRE() { Lock(); }
   void unlock() NLIDB_RELEASE() { Unlock(); }

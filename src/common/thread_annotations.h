@@ -62,11 +62,6 @@
 #define NLIDB_RELEASE(...) \
   NLIDB_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// Function attempts to acquire the capability; the first argument is
-/// the return value that signals success.
-#define NLIDB_TRY_ACQUIRE(...) \
-  NLIDB_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must NOT hold the listed capabilities (deadlock prevention for
 /// functions that acquire them internally).
 #define NLIDB_LOCKS_EXCLUDED(...) \

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/file_io.h"
 #include "common/logging.h"
@@ -131,7 +132,7 @@ Status SaveVocab(const text::Vocab& vocab, const std::string& path) {
   }
   char header[64];
   std::snprintf(header, sizeof(header), "%scrc=%08x count=%d\n", kVocabMagic,
-                io::Crc32c(payload.data(), payload.size()), count);
+                Crc32c(payload.data(), payload.size()), count);
   return io::WriteFileAtomic(path, std::string(header) + payload,
                              "persistence");
 }
@@ -155,7 +156,7 @@ StatusOr<std::vector<std::string>> LoadVocabTokens(const std::string& path) {
       return Status::ParseError("malformed vocab header: " + path);
     }
     body.remove_prefix(eol + 1);
-    if (io::Crc32c(body.data(), body.size()) != want_crc) {
+    if (Crc32c(body.data(), body.size()) != want_crc) {
       return Status::ParseError("corrupt vocab (CRC mismatch): " + path);
     }
     v2 = true;

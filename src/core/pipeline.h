@@ -171,10 +171,9 @@ class NlidbPipeline {
   const Annotator& annotator() const { return *annotator_; }
 
   /// The schema-resolution subsystem: registered tables, the content-
-  /// keyed column-statistics store (the replacement for the retired
-  /// mutable `stats_cache()` accessor), routing and shortlisting. The
-  /// const accessor is all inference needs; `mutable_registry()` exists
-  /// for setup (registering tables, loading a persisted store).
+  /// keyed column statistics, routing and shortlisting. The const
+  /// accessor is all inference needs; `mutable_registry()` exists for
+  /// setup (registering tables, switching the scan mode).
   const schema::SchemaRegistry& registry() const { return *registry_; }
   schema::SchemaRegistry& mutable_registry() { return *registry_; }
 

@@ -20,8 +20,6 @@ namespace {
 constexpr const char* kDecodeModeNames[] = {"reference", "reference_masked",
                                             "fast_unmasked", "fast"};
 
-constexpr int kVocabBudget = 1536;
-
 /// Deterministic unit-ish vector for structured symbol embeddings.
 std::vector<float> HashedVector(const std::string& key, int dim) {
   Rng rng(Fnv1aHash(key));

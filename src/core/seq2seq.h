@@ -131,6 +131,10 @@ class Seq2SeqTranslator : public TranslatorInterface {
   const ModelConfig& config() const { return config_; }
 
  private:
+  /// Rows of the shared embedding / output projection: the vocabulary
+  /// cap, shared by the reference and fast decoders.
+  static constexpr int kVocabBudget = 1536;
+
   struct EncoderOutput {
     Var states;       // [n, 2h]
     Var memory_proj;  // attention projection of states

@@ -40,8 +40,6 @@ namespace core {
 
 namespace {
 
-constexpr int kVocabBudget = 1536;  // mirrors seq2seq.cc (lint-checked)
-
 /// ops::Sigmoid formula.
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 

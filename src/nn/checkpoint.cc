@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/file_io.h"
 
@@ -70,7 +71,7 @@ Status ParseImage(const std::string& buf, const std::string& path,
     payload_end = buf.size() - sizeof(uint32_t);
     uint32_t stored_crc = 0;
     std::memcpy(&stored_crc, buf.data() + payload_end, sizeof(uint32_t));
-    if (stored_crc != io::Crc32c(buf.data(), payload_end)) {
+    if (stored_crc != Crc32c(buf.data(), payload_end)) {
       return Status::ParseError("corrupt checkpoint (CRC mismatch): " + path);
     }
   }

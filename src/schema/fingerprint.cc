@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "common/file_io.h"
+#include "common/crc32c.h"
 
 namespace nlidb {
 namespace schema {
@@ -13,12 +13,12 @@ namespace {
 /// colliding, and a zero-length field from vanishing.
 uint32_t CrcString(uint32_t crc, const std::string& s) {
   const uint32_t len = static_cast<uint32_t>(s.size());
-  crc = io::Crc32c(&len, sizeof(len), crc);
-  return io::Crc32c(s.data(), s.size(), crc);
+  crc = Crc32c(&len, sizeof(len), crc);
+  return Crc32c(s.data(), s.size(), crc);
 }
 
 uint32_t CrcU32(uint32_t crc, uint32_t v) {
-  return io::Crc32c(&v, sizeof(v), crc);
+  return Crc32c(&v, sizeof(v), crc);
 }
 
 }  // namespace

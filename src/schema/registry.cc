@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 
-#include "common/file_io.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "text/stopwords.h"
@@ -21,7 +19,6 @@ struct SchemaCounters {
   metrics::Counter& registered;
   metrics::Counter& stats_hits;
   metrics::Counter& stats_computed;
-  metrics::Counter& stats_loaded;
   metrics::Counter& route_queries;
   metrics::Counter& route_fallback_scan;
   metrics::Counter& shortlist_queries;
@@ -32,7 +29,6 @@ struct SchemaCounters {
     static SchemaCounters c{reg.GetCounter("schema.registered"),
                             reg.GetCounter("schema.stats_hits"),
                             reg.GetCounter("schema.stats_computed"),
-                            reg.GetCounter("schema.stats_loaded"),
                             reg.GetCounter("schema.route_queries"),
                             reg.GetCounter("schema.route_fallback_scan"),
                             reg.GetCounter("schema.shortlist_queries"),
@@ -91,112 +87,6 @@ std::vector<std::string> IndexTokens(const sql::Table& table, int max_rows) {
   return out;
 }
 
-// ---- Persistence ("NLSR" v1) ------------------------------------------
-//
-// [4B magic "NLSR"][u32 version=1][u32 entry count]
-//   per entry: [u64 fingerprint][u32 ncols]
-//     per column: [u32 name len][name bytes][u8 type][f32 avg_tokens]
-//                 [i32 distinct][f64 min][f64 max][f64 mean]
-//                 [u32 dim][dim × f32 embedding]
-// [u32 CRC32C of everything above]
-//
-// Fixed-width little-endian fields appended via memcpy; the footer CRC
-// (AtomicFileWriter's running CRC) makes truncation and bit rot
-// detectable before any parsing is trusted.
-
-constexpr char kMagic[4] = {'N', 'L', 'S', 'R'};
-constexpr uint32_t kFormatVersion = 1;
-
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const size_t old = out.size();
-  out.resize(old + sizeof(T));
-  std::memcpy(&out[old], &value, sizeof(T));
-}
-
-/// Bounds-checked sequential reader over a loaded byte buffer.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  template <typename T>
-  bool ReadPod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (data_.size() - pos_ < sizeof(T)) return false;
-    std::memcpy(out, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadBytes(std::string* out, size_t n) {
-    if (data_.size() - pos_ < n) return false;
-    out->assign(data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
-void SerializeEntry(std::string& out, uint64_t fingerprint,
-                    const std::vector<sql::ColumnStatistics>& stats) {
-  AppendPod(out, fingerprint);
-  AppendPod(out, static_cast<uint32_t>(stats.size()));
-  for (const sql::ColumnStatistics& col : stats) {
-    AppendPod(out, static_cast<uint32_t>(col.column_name.size()));
-    out.append(col.column_name);
-    AppendPod(out, static_cast<uint8_t>(col.type));
-    AppendPod(out, col.avg_tokens_per_cell);
-    AppendPod(out, static_cast<int32_t>(col.distinct_count));
-    AppendPod(out, col.min_value);
-    AppendPod(out, col.max_value);
-    AppendPod(out, col.mean_value);
-    AppendPod(out, static_cast<uint32_t>(col.embedding.size()));
-    for (float v : col.embedding) AppendPod(out, v);
-  }
-}
-
-bool ParseEntry(Reader& reader, uint64_t* fingerprint,
-                std::vector<sql::ColumnStatistics>* stats) {
-  uint32_t ncols = 0;
-  if (!reader.ReadPod(fingerprint) || !reader.ReadPod(&ncols)) return false;
-  // A column record is at least 38 bytes; reject counts the buffer
-  // cannot possibly hold before resizing anything.
-  if (ncols > reader.remaining() / 38) return false;
-  stats->clear();
-  stats->reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    sql::ColumnStatistics col;
-    uint32_t name_len = 0;
-    if (!reader.ReadPod(&name_len)) return false;
-    if (!reader.ReadBytes(&col.column_name, name_len)) return false;
-    uint8_t type = 0;
-    int32_t distinct = 0;
-    uint32_t dim = 0;
-    if (!reader.ReadPod(&type) || !reader.ReadPod(&col.avg_tokens_per_cell) ||
-        !reader.ReadPod(&distinct) || !reader.ReadPod(&col.min_value) ||
-        !reader.ReadPod(&col.max_value) || !reader.ReadPod(&col.mean_value) ||
-        !reader.ReadPod(&dim)) {
-      return false;
-    }
-    if (type > static_cast<uint8_t>(sql::DataType::kReal)) return false;
-    if (dim > reader.remaining() / sizeof(float)) return false;
-    col.type = static_cast<sql::DataType>(type);
-    col.distinct_count = distinct;
-    col.embedding.resize(dim);
-    for (uint32_t d = 0; d < dim; ++d) {
-      if (!reader.ReadPod(&col.embedding[d])) return false;
-    }
-    stats->push_back(std::move(col));
-  }
-  return true;
-}
-
 }  // namespace
 
 SchemaRegistry::SchemaRegistry(
@@ -244,8 +134,6 @@ const TableStatsEntry& SchemaRegistry::Intern(
 const TableStatsEntry& SchemaRegistry::EntryFor(const sql::Table& table) const {
   SchemaCounters& counters = SchemaCounters::Get();
   const uint64_t fp = TableFingerprint(table);
-  std::vector<sql::ColumnStatistics> warm;
-  bool have_warm = false;
   {
     MutexLock lock(mu_);
     auto it = entries_.find(fp);
@@ -253,23 +141,14 @@ const TableStatsEntry& SchemaRegistry::EntryFor(const sql::Table& table) const {
       counters.stats_hits.Increment();
       return *it->second;
     }
-    auto warm_it = loaded_stats_.find(fp);
-    if (warm_it != loaded_stats_.end() &&
-        static_cast<int>(warm_it->second.size()) == table.num_columns()) {
-      warm = warm_it->second;
-      have_warm = true;
-    }
   }
   // Miss: build the entry outside the lock — statistics are a pure
   // function of (table content, provider), so concurrent misses on
   // different tables proceed in parallel.
+  counters.stats_computed.Increment();
   auto entry = std::make_unique<TableStatsEntry>();
   entry->fingerprint = fp;
-  if (have_warm) {
-    counters.stats_loaded.Increment();
-    entry->stats = std::move(warm);
-  } else {
-    counters.stats_computed.Increment();
+  {
     trace::TraceSpan span("schema.stats_compute");
     entry->stats = sql::ComputeTableStatistics(table, *provider_);
   }
@@ -526,100 +405,6 @@ Status SchemaRegistry::CheckResolvable(const SchemaRef& ref) const {
                                : Status::Ok();
   }
   return Status::Internal("unhandled SchemaRef kind");
-}
-
-Status SchemaRegistry::Save(const std::string& path) const {
-  // Snapshot every known (fingerprint, stats) pair — materialized
-  // entries plus warm loaded ones not touched yet — sorted by
-  // fingerprint for a deterministic file.
-  std::vector<std::pair<uint64_t, std::vector<sql::ColumnStatistics>>> rows;
-  {
-    MutexLock lock(mu_);
-    rows.reserve(entries_.size() + loaded_stats_.size());
-    for (const auto& [fp, entry] : entries_) {
-      rows.emplace_back(fp, entry->stats);
-    }
-    for (const auto& [fp, stats] : loaded_stats_) {
-      if (entries_.count(fp) == 0) rows.emplace_back(fp, stats);
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::string payload;
-  payload.append(kMagic, sizeof(kMagic));
-  AppendPod(payload, kFormatVersion);
-  AppendPod(payload, static_cast<uint32_t>(rows.size()));
-  for (const auto& [fp, stats] : rows) {
-    SerializeEntry(payload, fp, stats);
-  }
-
-  io::AtomicFileWriter writer(path, "schema_registry");
-  NLIDB_RETURN_IF_ERROR(writer.Append(payload));
-  const uint32_t crc = writer.crc();
-  NLIDB_RETURN_IF_ERROR(writer.Append(&crc, sizeof(crc)));
-  return writer.Commit();
-}
-
-Status SchemaRegistry::Load(const std::string& path) {
-  StatusOr<std::string> contents = io::ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  const std::string& data = contents.value();
-
-  // Validate the envelope before trusting a single parsed byte: the
-  // footer CRC covers everything, so truncation, bit rot and torn
-  // writes all fail here and the registry stays untouched.
-  constexpr size_t kHeaderSize = sizeof(kMagic) + 2 * sizeof(uint32_t);
-  if (data.size() < kHeaderSize + sizeof(uint32_t)) {
-    return Status::ParseError("schema store too short: " + path);
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data.data() + data.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t actual_crc =
-      io::Crc32c(data.data(), data.size() - sizeof(uint32_t));
-  if (stored_crc != actual_crc) {
-    return Status::ParseError("schema store checksum mismatch: " + path);
-  }
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::ParseError("schema store bad magic: " + path);
-  }
-
-  const std::string body(data.data(), data.size() - sizeof(uint32_t));
-  Reader reader(body);
-  std::string magic;
-  uint32_t version = 0;
-  uint32_t count = 0;
-  if (!reader.ReadBytes(&magic, sizeof(kMagic)) || !reader.ReadPod(&version) ||
-      !reader.ReadPod(&count)) {
-    return Status::ParseError("schema store truncated header: " + path);
-  }
-  if (version != kFormatVersion) {
-    return Status::ParseError("schema store unsupported version " +
-                              std::to_string(version) + ": " + path);
-  }
-  // Staged parse: everything lands in `parsed` first; the registry is
-  // only mutated after the whole file decodes.
-  std::unordered_map<uint64_t, std::vector<sql::ColumnStatistics>> parsed;
-  parsed.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t fp = 0;
-    std::vector<sql::ColumnStatistics> stats;
-    if (!ParseEntry(reader, &fp, &stats)) {
-      return Status::ParseError("schema store truncated entry " +
-                                std::to_string(i) + ": " + path);
-    }
-    parsed[fp] = std::move(stats);
-  }
-  if (reader.remaining() != 0) {
-    return Status::ParseError("schema store trailing bytes: " + path);
-  }
-
-  MutexLock lock(mu_);
-  for (auto& [fp, stats] : parsed) {
-    loaded_stats_[fp] = std::move(stats);
-  }
-  return Status::Ok();
 }
 
 }  // namespace schema

@@ -6,11 +6,11 @@
 // `SchemaRegistry` is the single owner of schema-resolution state for a
 // pipeline: the set of registered tables, their content-keyed column
 // statistics, the token index behind table routing, and the per-table
-// column embeddings behind classifier shortlisting. It replaces the
-// address-keyed `TableStatsCache` — statistics are keyed by a CRC32C
-// content fingerprint (schema/fingerprint.h), so a table that mutates
-// in place, or a fresh table allocated at a recycled address, can never
-// be served another table's (or its own stale) statistics.
+// column embeddings behind classifier shortlisting. Statistics are
+// computed from the table's own cells and keyed by a CRC32C content
+// fingerprint (schema/fingerprint.h), so a table that mutates in place,
+// or a fresh table allocated at a recycled address, can never be served
+// another table's (or its own stale) statistics.
 //
 // Thread model: all public const methods are safe to call concurrently
 // (serving workers share one registry). Registration is also
@@ -113,7 +113,8 @@ class SchemaRegistry {
   /// fresh statistics instead of stale ones. The reference stays valid
   /// for the registry's lifetime. Works for unregistered (ad-hoc)
   /// tables too — the entry is simply computed and retained on first
-  /// sight.
+  /// sight. Each call advances exactly one of the `schema.stats_hits` /
+  /// `schema.stats_computed` counters.
   const TableStatsEntry& EntryFor(const sql::Table& table) const;
 
   /// Shorthand for EntryFor(table).stats.
@@ -142,19 +143,6 @@ class SchemaRegistry {
   /// similarity. Pure ranking — never consults the classifier.
   std::vector<int> ShortlistColumns(const std::vector<std::string>& tokens,
                                     const sql::Table& table) const;
-
-  /// Persists every known statistics entry (format: "NLSR" v1,
-  /// CRC32C-footed, written atomically). Cold start then becomes
-  /// Load + cheap embedding recompute instead of a full statistics
-  /// pass over every table.
-  Status Save(const std::string& path) const;
-
-  /// Loads a Save()d store into the warm set consulted before
-  /// computing statistics from scratch. Fully validated (magic,
-  /// version, footer CRC32C, staged parse) before any state changes; a
-  /// corrupt or torn file leaves the registry untouched and returns
-  /// the parse error — callers fall back to recomputation.
-  Status Load(const std::string& path);
 
   /// kShortlist from construction; tests and benches flip it to
   /// kFullScan for the equivalence oracle.
@@ -199,11 +187,6 @@ class SchemaRegistry {
   /// later insertions and rehashes.
   mutable std::unordered_map<uint64_t, std::unique_ptr<TableStatsEntry>>
       entries_ NLIDB_GUARDED_BY(mu_);
-  /// Statistics loaded from disk, consulted before recomputing on an
-  /// entries_ miss (embeddings/centroids are rebuilt cheaply from the
-  /// live table; only the expensive cell scan is persisted).
-  std::unordered_map<uint64_t, std::vector<sql::ColumnStatistics>>
-      loaded_stats_ NLIDB_GUARDED_BY(mu_);
 };
 
 }  // namespace schema

@@ -3,9 +3,12 @@
 // machine-readable report through. The load-bearing behaviors: merge
 // semantics (several benches contribute to one file), round-tripping of
 // raw value tokens, tolerance of missing/malformed input, string
-// escaping, and the env-overridable output paths.
+// escaping, and the env-overridable output paths. Also covers
+// bench/bench_util.h's strict reader for the count variables
+// (NLIDB_BENCH_TABLES, NLIDB_ATTACK_QUERIES).
 
 #include "bench/bench_json.h"
+#include "bench/bench_util.h"
 
 #include <gtest/gtest.h>
 
@@ -138,6 +141,25 @@ TEST(BenchJsonPathsTest, EveryBenchPathHonorsItsEnvOverride) {
     EXPECT_STREQ(c.path(), "/tmp/override.json") << c.env;
     ASSERT_EQ(unsetenv(c.env), 0);
   }
+}
+
+TEST(BenchEnvCountTest, AcceptsOnlyWholePositiveDecimals) {
+  constexpr const char* kVar = "NLIDB_BENCH_TABLES";
+  ASSERT_EQ(unsetenv(kVar), 0);
+  EXPECT_EQ(bench::EnvTables(36), 36);
+  ASSERT_EQ(setenv(kVar, "", 1), 0);
+  EXPECT_EQ(bench::EnvTables(36), 36);
+  ASSERT_EQ(setenv(kVar, "12", 1), 0);
+  EXPECT_EQ(bench::EnvTables(36), 12);
+  // A typo must never silently become a count of zero or garbage.
+  for (const char* bad : {"abc", "0", "-3", "+3", " 3", "3x", "2.5",
+                          "3000000000", "99999999999999999999999"}) {
+    ASSERT_EQ(setenv(kVar, bad, 1), 0);
+    EXPECT_EXIT(bench::EnvTables(36), ::testing::ExitedWithCode(2),
+                "is not a positive count")
+        << bad;
+  }
+  ASSERT_EQ(unsetenv(kVar), 0);
 }
 
 }  // namespace

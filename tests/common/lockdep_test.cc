@@ -145,26 +145,6 @@ TEST(LockdepTest, TransitiveCycleDetected) {
       << inversions[0].cycle;
 }
 
-TEST(LockdepTest, TryLockFeedsHeldSetWithoutFalsePositives) {
-  DetectorScope detector;
-  Mutex a{"test.try_a"};
-  Mutex b{"test.try_b"};
-  {
-    ASSERT_TRUE(a.TryLock());
-    MutexLock hold_b(b);
-    a.Unlock();  // nlidb-lint: disable(naked-lock)
-  }
-  {
-    MutexLock hold_b(b);
-    ASSERT_TRUE(a.TryLock());
-    a.Unlock();  // nlidb-lint: disable(naked-lock)
-  }
-  // try_lock acquisitions may not *wait*, so the b-held -> a acquisition
-  // cannot deadlock and must not be reported as an inversion.
-  EXPECT_TRUE(
-      ReportsOfKind(lockdep::Report::Kind::kOrderInversion).empty());
-}
-
 TEST(LockdepTest, CondVarWatchdogReportsStuckWait) {
   DetectorScope detector;
   const int old_timeout = lockdep::WatchdogTimeoutMs();

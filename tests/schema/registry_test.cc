@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/file_io.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "sql/value.h"
@@ -37,25 +35,6 @@ sql::Table CountyTable() {
   EXPECT_TRUE(
       t.AddRow({sql::Value::Text("mayo"), sql::Value::Real(130507)}).ok());
   return t;
-}
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-void ExpectStatsEqual(const std::vector<sql::ColumnStatistics>& a,
-                      const std::vector<sql::ColumnStatistics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t c = 0; c < a.size(); ++c) {
-    EXPECT_EQ(a[c].column_name, b[c].column_name);
-    EXPECT_EQ(a[c].type, b[c].type);
-    EXPECT_EQ(a[c].distinct_count, b[c].distinct_count);
-    EXPECT_EQ(a[c].avg_tokens_per_cell, b[c].avg_tokens_per_cell);
-    EXPECT_EQ(a[c].min_value, b[c].min_value);
-    EXPECT_EQ(a[c].max_value, b[c].max_value);
-    EXPECT_EQ(a[c].mean_value, b[c].mean_value);
-    EXPECT_EQ(a[c].embedding, b[c].embedding);
-  }
 }
 
 TEST(SchemaRegistryTest, StatsAreContentKeyed) {
@@ -177,95 +156,31 @@ TEST(SchemaRegistryTest, ResolveCoversEveryRefKind) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SchemaRegistryTest, PersistenceRoundTrip) {
-  const std::string path = TempPath("schema_store.nlsr");
-  auto provider = Provider();
-  sql::Table films = FilmTable();
-  sql::Table counties = CountyTable();
-  {
-    SchemaRegistry writer(provider);
-    (void)writer.StatsFor(films);
-    (void)writer.StatsFor(counties);
-    ASSERT_TRUE(writer.Save(path).ok());
-  }
-
+TEST(SchemaRegistryTest, EveryEntryForEitherHitsOrComputes) {
+  auto& hits =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_hits");
   auto& computed =
       metrics::MetricsRegistry::Global().GetCounter("schema.stats_computed");
-  auto& loaded =
-      metrics::MetricsRegistry::Global().GetCounter("schema.stats_loaded");
-  SchemaRegistry reader(provider);
-  ASSERT_TRUE(reader.Load(path).ok());
-  const int64_t computed_before = computed.Value();
-  const int64_t loaded_before = loaded.Value();
-  // Cold start is a load, not a recompute: the cell-scan statistics come
-  // from disk bit-for-bit; only the cheap embedding half is rebuilt.
-  SchemaRegistry fresh(provider);
-  ExpectStatsEqual(reader.StatsFor(films), fresh.StatsFor(films));
-  ExpectStatsEqual(reader.StatsFor(counties), fresh.StatsFor(counties));
-  EXPECT_EQ(computed.Value() - computed_before, 2);  // `fresh` only
-  EXPECT_EQ(loaded.Value() - loaded_before, 2);      // `reader` warm hits
-}
-
-TEST(SchemaRegistryTest, SaveCarriesLoadedEntriesForward) {
-  // Load-then-Save must not drop entries whose tables were never touched
-  // this process: a registry acting as a pass-through keeps the store.
-  const std::string path = TempPath("schema_store_fwd.nlsr");
-  const std::string path2 = TempPath("schema_store_fwd2.nlsr");
-  auto provider = Provider();
-  sql::Table films = FilmTable();
-  {
-    SchemaRegistry writer(provider);
-    (void)writer.StatsFor(films);
-    ASSERT_TRUE(writer.Save(path).ok());
-  }
-  {
-    SchemaRegistry relay(provider);
-    ASSERT_TRUE(relay.Load(path).ok());
-    ASSERT_TRUE(relay.Save(path2).ok());
-  }
-  SchemaRegistry reader(provider);
-  ASSERT_TRUE(reader.Load(path2).ok());
-  SchemaRegistry fresh(provider);
-  ExpectStatsEqual(reader.StatsFor(films), fresh.StatsFor(films));
-}
-
-TEST(SchemaRegistryTest, CorruptStoreIsRejectedAndRecomputeStillWorks) {
-  const std::string path = TempPath("schema_store_corrupt.nlsr");
-  auto provider = Provider();
-  sql::Table films = FilmTable();
-  {
-    SchemaRegistry writer(provider);
-    (void)writer.StatsFor(films);
-    ASSERT_TRUE(writer.Save(path).ok());
-  }
-  StatusOr<std::string> contents = io::ReadFileToString(path);
-  ASSERT_TRUE(contents.ok());
-
-  auto write_bytes = [](const std::string& p, const std::string& bytes) {
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  SchemaRegistry registry(Provider());
+  auto expect_call = [&](const char* step, const sql::Table& table,
+                         int64_t hit, int64_t compute) {
+    const int64_t hits_before = hits.Value();
+    const int64_t computed_before = computed.Value();
+    (void)registry.EntryFor(table);
+    EXPECT_EQ(hits.Value() - hits_before, hit) << step;
+    EXPECT_EQ(computed.Value() - computed_before, compute) << step;
   };
-
-  // Bit rot in the payload: the CRC32C footer catches it.
-  std::string flipped = contents.value();
-  flipped[flipped.size() / 2] ^= 0x40;
-  write_bytes(path, flipped);
-  SchemaRegistry bitrot(provider);
-  Status s = bitrot.Load(path);
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
-  EXPECT_NE(s.message().find("checksum"), std::string::npos) << s;
-
-  // Torn write: truncation also fails the footer check.
-  write_bytes(path, contents.value().substr(0, contents.value().size() - 7));
-  EXPECT_EQ(bitrot.Load(path).code(), StatusCode::kParseError);
-
-  // Missing file is a plain I/O error.
-  EXPECT_FALSE(bitrot.Load(TempPath("no_such_store.nlsr")).ok());
-
-  // The failed loads left the registry untouched; statistics still come
-  // from recomputation and match a fresh registry exactly.
-  SchemaRegistry fresh(provider);
-  ExpectStatsEqual(bitrot.StatsFor(films), fresh.StatsFor(films));
+  const std::vector<sql::Value> extra = {sql::Value::Text("silent river"),
+                                         sql::Value::Text("liam murphy")};
+  sql::Table films = FilmTable();
+  expect_call("first sight", films, 0, 1);
+  expect_call("repeat", films, 1, 0);
+  ASSERT_TRUE(films.AddRow(extra).ok());
+  expect_call("after in-place mutation", films, 0, 1);
+  // Identical content under another name shares the entry.
+  sql::Table twin = FilmTable("films_twin");
+  ASSERT_TRUE(twin.AddRow(extra).ok());
+  expect_call("identical twin", twin, 1, 0);
 }
 
 TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
@@ -276,6 +191,12 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
   sql::Table adhoc = CountyTable();
   const std::vector<std::string> question = {"what", "is",   "the",
                                              "population", "of", "mayo"};
+
+  auto& hits =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_hits");
+  auto& computed =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_computed");
+  const int64_t calls_before = hits.Value() + computed.Value();
 
   constexpr int kIters = 64;
   std::vector<const TableStatsEntry*> seen(kIters, nullptr);
@@ -297,6 +218,8 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
     EXPECT_EQ(route_winner[i], 0) << i;
   }
   EXPECT_NE(seen[0], seen[1]);
+  // Every racing EntryFor counted exactly once, as a hit or a compute.
+  EXPECT_EQ(hits.Value() + computed.Value() - calls_before, kIters);
 }
 
 }  // namespace
