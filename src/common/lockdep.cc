@@ -3,7 +3,6 @@
 #include <execinfo.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -15,9 +14,7 @@
 #include <vector>
 
 #include "common/file_io.h"
-#include "common/metrics.h"
 #include "common/mutex.h"
-#include "common/trace.h"
 
 namespace nlidb {
 namespace lockdep {
@@ -67,16 +64,9 @@ std::string SymbolizeStack(const RawStack& s) {
   return out.str();
 }
 
-struct ClassInstruments {
-  metrics::Histogram* held_ns = nullptr;
-  metrics::Histogram* wait_ns = nullptr;
-  metrics::Counter* contended = nullptr;
-};
-
 struct ClassInfo {
   std::string name;
   std::string site;  // "file:line" of the first-registered instance
-  ClassInstruments instruments;
   std::set<int> out;  // recorded orderings: this class held -> edge target
 };
 
@@ -86,14 +76,12 @@ struct EdgeInfo {
   RawStack acquire_stack;
 };
 
-/// Process-global lock-order graph. `mu` is a LEAF lock: nothing that
-/// can take another lock (MetricsRegistry in particular locks its own
-/// Mutex) may be called while it is held — that would be an ABBA inside
-/// the ABBA detector. Class registration is two-phase for this reason.
+/// Process-global lock-order graph. `mu` is a LEAF lock: nothing called
+/// while it is held takes another lock.
 struct Graph {
   std::mutex mu;  // nlidb-lint: disable(mutex-unguarded)
   std::map<std::string, int> class_ids;
-  std::vector<ClassInfo*> classes;
+  std::vector<ClassInfo> classes;
   std::map<std::pair<int, int>, EdgeInfo> edges;
   std::vector<Report> reports;
   std::set<std::pair<int, int>> reported_pairs;  // unordered-pair dedup
@@ -109,46 +97,26 @@ Graph& G() {
 struct HeldLock {
   const Mutex* mu = nullptr;
   int class_id = -1;
-  uint64_t acquired_ns = 0;
-  metrics::Histogram* held_hist = nullptr;
 };
 
-/// Re-entrancy guard: locks taken *by the hooks themselves* (metrics
-/// registry, allocator-internal paths) degrade to the plain operation
-/// instead of recursing into the detector.
-thread_local bool tls_in_hook = false;
+/// Set once the calling thread's held set is destroyed. The main
+/// thread's dies before static destructors that still lock (the global
+/// ThreadPool's), so from then on its locks take the plain path.
+thread_local bool tls_held_destroyed = false;
 
-/// The calling thread's held set. The main thread's dies before static
-/// destructors that still lock (the global ThreadPool's), so teardown
-/// leaves the thread "in a hook" for good: later locks are plain.
 struct HeldSet {
   std::vector<HeldLock> locks;
-  ~HeldSet() { tls_in_hook = true; }
+  ~HeldSet() { tls_held_destroyed = true; }
 };
 thread_local HeldSet tls_held;
 
 std::atomic<int> g_watchdog_ms{30000};
 
-int InitModeFromEnv() {
-  const char* v = std::getenv("NLIDB_DEADLOCK");
-  if (v == nullptr) {
-#ifdef NLIDB_DEADLOCK_DEFAULT_ON
-    return 1;
-#else
-    return 0;
-#endif
-  }
-  const std::string s(v);
-  if (s == "fatal") return 2;
-  if (s == "on" || s == "1" || s == "true") return 1;
-  return 0;
-}
-
 const char* g_report_path = nullptr;
 
 void DumpReportsAtExit() {
   const std::string text = RenderReports();
-  if (text.empty() || g_report_path == nullptr) return;
+  if (text.empty()) return;
   const Status s = io::WriteFileAtomic(g_report_path, text, "lockdep");
   if (!s.ok()) {
     std::fprintf(stderr, "lockdep: failed to write report to %s\n",
@@ -158,10 +126,10 @@ void DumpReportsAtExit() {
 
 struct EnvInit {
   EnvInit() {
-    internal::g_mode.store(InitModeFromEnv(), std::memory_order_relaxed);
-    if (const char* ms = std::getenv("NLIDB_CONDVAR_WATCHDOG_MS")) {
-      g_watchdog_ms.store(std::atoi(ms), std::memory_order_relaxed);
-    }
+    const char* v = std::getenv("NLIDB_DEADLOCK");
+    const std::string mode = v != nullptr ? v : "";
+    internal::g_enabled.store(mode == "on" || mode == "1" || mode == "true",
+                              std::memory_order_relaxed);
     g_report_path = std::getenv("NLIDB_DEADLOCK_REPORT");
     if (g_report_path != nullptr) std::atexit(DumpReportsAtExit);
   }
@@ -176,64 +144,15 @@ std::string SiteOf(const Mutex* mu) {
   return out.str();
 }
 
-/// The detector's own counters, resolved once. Like ClassIdFor's
-/// instrument creation, the first call locks the metrics registry — so
-/// it must only ever run at a point where the calling thread does NOT
-/// hold the mutex being instrumented (LockSlow resolves both *before*
-/// acquiring the raw lock). Otherwise instrumenting the registry's own
-/// `metrics.registry` mutex recurses into the held registry and
-/// self-deadlocks.
-struct GlobalCounters {
-  metrics::Counter* acquisitions;
-  metrics::Counter* inversions;
-  metrics::Counter* stuck_waits;
-};
-GlobalCounters& Counters() {
-  static GlobalCounters c = [] {
-    metrics::MetricsRegistry& reg = metrics::MetricsRegistry::Global();
-    return GlobalCounters{&reg.GetCounter("lockdep.acquisitions"),
-                          &reg.GetCounter("lockdep.inversions"),
-                          &reg.GetCounter("lockdep.stuck_waits")};
-  }();
-  return c;
-}
-
-/// Two-phase class lookup. Phase 1: id lookup under the graph lock.
-/// Phase 2 (first sighting of a name only): create the metrics
-/// instruments OUTSIDE the graph lock — MetricsRegistry locks its own
-/// Mutex, and calling it under `G().mu` would record a false (and in
-/// fatal mode, process-killing) registry<->graph ordering — then
-/// double-checked insert. Callers must not hold the mutex being
-/// classified (see GlobalCounters above); this relies on the registry
-/// never acquiring another instrumented mutex while holding its own.
-int ClassIdFor(Mutex* mu, ClassInstruments* instruments) {
+/// The lock class of `mu`, registered on first sighting of its name.
+int ClassIdFor(const Mutex* mu) {
   const char* n = MutexAccess::Name(mu);
   const std::string name = n != nullptr ? n : kUnnamed;
   Graph& g = G();
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    auto it = g.class_ids.find(name);
-    if (it != g.class_ids.end()) {
-      *instruments = g.classes[it->second]->instruments;
-      return it->second;
-    }
-  }
-  ClassInstruments created;
-  metrics::MetricsRegistry& reg = metrics::MetricsRegistry::Global();
-  created.held_ns = &reg.GetHistogram("mutex." + name + ".held_ns");
-  created.wait_ns = &reg.GetHistogram("mutex." + name + ".wait_ns");
-  created.contended = &reg.GetCounter("mutex." + name + ".contended");
   std::lock_guard<std::mutex> lock(g.mu);
   auto [it, inserted] =
       g.class_ids.try_emplace(name, static_cast<int>(g.classes.size()));
-  if (inserted) {
-    ClassInfo* info = new ClassInfo;
-    info->name = name;
-    info->site = SiteOf(mu);
-    info->instruments = created;
-    g.classes.push_back(info);
-  }
-  *instruments = g.classes[it->second]->instruments;
+  if (inserted) g.classes.push_back(ClassInfo{name, SiteOf(mu), {}});
   return it->second;
 }
 
@@ -254,7 +173,7 @@ bool FindPath(const Graph& g, int to, int from, std::vector<int>* path) {
       std::reverse(path->begin(), path->end());
       return true;
     }
-    for (int next : g.classes[node]->out) {
+    for (int next : g.classes[node].out) {
       if (parent.emplace(next, node).second) stack.push_back(next);
     }
   }
@@ -284,47 +203,33 @@ void EmitInversionReport(Graph& g, int held_id, int new_id,
                          const std::vector<int>& path,
                          const RawStack& prior_stack,
                          const RawStack& current_stack) {
-  // Assembled outside the graph lock (symbolization allocates); the
-  // dedup marker was already planted under the lock.
+  // Symbolized outside the graph lock (it is slow); the dedup marker
+  // was already planted under the lock.
   Report r;
   r.kind = Report::Kind::kOrderInversion;
-  r.first_mutex = g.classes[held_id]->name;
-  r.second_mutex = g.classes[new_id]->name;
   r.first_stack = SymbolizeStack(prior_stack);
   r.second_stack = SymbolizeStack(current_stack);
+  std::lock_guard<std::mutex> lock(g.mu);
+  const ClassInfo& held = g.classes[held_id];
+  const ClassInfo& acquired = g.classes[new_id];
+  r.first_mutex = held.name;
+  r.second_mutex = acquired.name;
   std::ostringstream cycle;
-  cycle << g.classes[held_id]->name;
-  for (int id : path) cycle << " -> " << g.classes[id]->name;
+  cycle << held.name;
+  for (int id : path) cycle << " -> " << g.classes[id].name;
   r.cycle = cycle.str();
   std::ostringstream msg;
   msg << "potential deadlock: acquiring '" << r.second_mutex << "' ("
-      << g.classes[new_id]->site << ") while holding '" << r.first_mutex
-      << "' (" << g.classes[held_id]->site
-      << ") inverts the recorded lock order; cycle: " << r.cycle;
+      << acquired.site << ") while holding '" << r.first_mutex << "' ("
+      << held.site << ") inverts the recorded lock order; cycle: "
+      << r.cycle;
   r.message = msg.str();
-
-  // Counters() is already resolved: the LockSlow that found this cycle
-  // called it before acquiring, so this is an atomic increment — safe
-  // even though we may be holding the registry's own mutex right now.
-  Counters().inversions->Increment();
-
-  bool fatal = internal::g_mode.load(std::memory_order_relaxed) == 2;
-  std::string rendered;
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    g.reports.push_back(r);
-    if (fatal) rendered = RenderReportLocked(g.reports.size(), r);
-  }
-  if (fatal) {
-    std::fprintf(stderr, "%s", rendered.c_str());
-    std::fflush(stderr);
-    DumpReportsAtExit();
-    std::abort();
-  }
+  g.reports.push_back(std::move(r));
 }
 
-/// Folds the acquisition of `new_id` (with `acquired` held-set context)
-/// into the graph; fires a report when a new edge closes a cycle.
+/// Folds the acquisition of `new_id` (with the calling thread's held
+/// set as context) into the graph; fires a report when a new edge
+/// closes a cycle.
 void RecordEdges(int new_id, const RawStack& current_stack) {
   Graph& g = G();
   for (const HeldLock& held : tls_held.locks) {
@@ -336,7 +241,7 @@ void RecordEdges(int new_id, const RawStack& current_stack) {
     RawStack prior_stack;
     {
       std::lock_guard<std::mutex> lock(g.mu);
-      ClassInfo& from = *g.classes[held.class_id];
+      ClassInfo& from = g.classes[held.class_id];
       if (from.out.count(new_id) != 0) continue;  // known ordering
       if (FindPath(g, new_id, held.class_id, &path)) {
         const std::pair<int, int> key =
@@ -366,75 +271,40 @@ void RecordEdges(int new_id, const RawStack& current_stack) {
 
 namespace internal {
 
-std::atomic<int> g_mode{0};
+std::atomic<bool> g_enabled{false};
 
 void LockSlow(Mutex* mu) {
   std::mutex& raw = MutexAccess::Raw(mu);
-  if (tls_in_hook) {
+  if (tls_held_destroyed) {
     raw.lock();
     return;
   }
-  tls_in_hook = true;
-  // All metrics-registry interaction happens BEFORE acquiring `raw`:
-  // when `mu` is the registry's own mutex, creating its instruments (or
-  // first-resolving the global counters) re-enters the registry, and
-  // doing that while already holding `raw` would self-deadlock.
-  ClassInstruments instruments;
-  const int cid = ClassIdFor(mu, &instruments);
-  GlobalCounters& counters = Counters();
-
-  bool contended = false;
-  uint64_t wait_ns = 0;
-  if (!raw.try_lock()) {
-    contended = true;
-    const uint64_t t0 = trace::NowNs();
-    raw.lock();
-    wait_ns = trace::NowNs() - t0;
-  }
-  if (contended) {
-    instruments.contended->Increment();
-    instruments.wait_ns->Record(wait_ns);
-  }
-  counters.acquisitions->Increment();
-
+  const int cid = ClassIdFor(mu);
+  raw.lock();
   if (!tls_held.locks.empty()) {
     // Stack capture only on nested acquisitions: single-lock sections
     // (the overwhelmingly common case) never pay for backtrace().
     RecordEdges(cid, CaptureStack());
   }
-  tls_held.locks.push_back(
-      HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
-  tls_in_hook = false;
+  tls_held.locks.push_back(HeldLock{mu, cid});
 }
 
 void UnlockSlow(Mutex* mu) {
-  std::mutex& raw = MutexAccess::Raw(mu);
-  if (tls_in_hook) {
-    raw.unlock();
-    return;
-  }
-  tls_in_hook = true;
-  std::vector<HeldLock>& held = tls_held.locks;
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    if (it->mu == mu) {
-      if (it->held_hist != nullptr) {
-        it->held_hist->Record(trace::NowNs() - it->acquired_ns);
+  if (!tls_held_destroyed) {
+    std::vector<HeldLock>& held = tls_held.locks;
+    for (auto it = held.rbegin(); it != held.rend(); ++it) {
+      if (it->mu == mu) {
+        held.erase(std::next(it).base());
+        break;
       }
-      held.erase(std::next(it).base());
-      break;
     }
-    // No entry: acquired while the detector was off (or inside a hook);
-    // nothing to unwind.
+    // No entry: acquired while the detector was off; nothing to unwind.
   }
-  raw.unlock();
-  tls_in_hook = false;
+  MutexAccess::Raw(mu).unlock();
 }
 
 void ReportStuckWait(const char* mutex_name, int waited_ms) {
   const std::string name = mutex_name != nullptr ? mutex_name : kUnnamed;
-  // The caller holds the mutex it waited on, never the registry's, so
-  // first-resolving Counters() here cannot recurse into a held lock.
-  Counters().stuck_waits->Increment();
   Graph& g = G();
   RawStack stack = CaptureStack();
   {
@@ -448,7 +318,7 @@ void ReportStuckWait(const char* mutex_name, int waited_ms) {
   std::ostringstream msg;
   msg << "condvar wait on '" << name << "' exceeded " << waited_ms
       << "ms watchdog; possible lost notify or stuck producer "
-         "(informational: idle waits are legitimate, never fatal)";
+         "(informational: idle waits are legitimate)";
   r.message = msg.str();
   std::lock_guard<std::mutex> lock(g.mu);
   g.reports.push_back(std::move(r));
@@ -456,12 +326,8 @@ void ReportStuckWait(const char* mutex_name, int waited_ms) {
 
 }  // namespace internal
 
-bool FatalReports() {
-  return internal::g_mode.load(std::memory_order_relaxed) == 2;
-}
-
 void SetEnabled(bool on) {
-  internal::g_mode.store(on ? 1 : 0, std::memory_order_relaxed);
+  internal::g_enabled.store(on, std::memory_order_relaxed);
   if (!on) tls_held.locks.clear();  // the caller is quiescent by contract
 }
 
@@ -491,7 +357,6 @@ void ResetGraphForTest() {
   Graph& g = G();
   std::lock_guard<std::mutex> lock(g.mu);
   g.class_ids.clear();
-  for (ClassInfo* c : g.classes) delete c;
   g.classes.clear();
   g.edges.clear();
   g.reports.clear();

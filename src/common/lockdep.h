@@ -22,10 +22,10 @@
 //    the configured timeout is reported (once per mutex name) and then
 //    resumes waiting, so a lost-notify hang surfaces in CI logs instead
 //    of as a silent ctest timeout.
-//  - Per-class held-time / wait-time histograms and a contention
-//    counter go into the MetricsRegistry (`mutex.<name>.held_ns`,
-//    `mutex.<name>.wait_ns`, `mutex.<name>.contended`), so serving
-//    dashboards show which lock is hot.
+//
+// The detector only detects and reports: it meters nothing and takes
+// no lock besides its own leaf graph lock, so it depends on no other
+// instrumented subsystem.
 //
 // Cost contract: with the detector off (the default), `Mutex::Lock`
 // pays exactly one relaxed atomic load before the underlying lock —
@@ -34,15 +34,12 @@
 // every bitwise gate (golden traces, serving equivalence) holds with
 // the detector enabled.
 //
-// Activation: NLIDB_DEADLOCK=on|1 (or =fatal to abort the process on
-// the first order inversion — the CI setting, so a cycle fails the
-// job), read once at process start; -DNLIDB_DEADLOCK=ON flips the
-// compiled-in default. `SetEnabled()` toggles programmatically for
-// tests — only at quiescent points (no instrumented lock held), or the
-// held-set bookkeeping goes stale. NLIDB_DEADLOCK_REPORT=<path> dumps
-// `RenderReports()` at exit when any report fired (the CI artifact).
-// NLIDB_CONDVAR_WATCHDOG_MS tunes the watchdog (default 30000; 0
-// disables).
+// Activation: NLIDB_DEADLOCK=on|1|true, read once at process start.
+// `SetEnabled()` toggles programmatically for tests — only at quiescent
+// points (no instrumented lock held), or the held-set bookkeeping goes
+// stale. NLIDB_DEADLOCK_REPORT=<path> dumps `RenderReports()` at exit
+// when any report fired (the CI artifact; CI fails the job when it
+// holds a lock-order inversion).
 //
 // Known blind spots (standard for name-keyed lockdep): edges between
 // two instances of the SAME class are not recorded (a per-instance
@@ -84,9 +81,9 @@ struct Report {
 
 namespace internal {
 
-/// 0 = off, 1 = on, 2 = fatal (abort on the first order inversion).
-/// Relaxed loads only; written at process start / by SetEnabled.
-extern std::atomic<int> g_mode;
+/// Detector on/off. Relaxed loads only; written at process start / by
+/// SetEnabled.
+extern std::atomic<bool> g_enabled;
 
 /// Grants lockdep.cc access to the wrapped std::mutex and identity of
 /// a `Mutex` without widening the public surface.
@@ -94,14 +91,14 @@ struct MutexAccess;
 
 /// Slow paths behind the Enabled() check in Mutex::Lock/Unlock.
 /// They perform the underlying lock operation themselves (so the fast
-/// path stays a single branch) plus held-set, graph and metrics
-/// bookkeeping. Re-entrant calls (metrics registry locks taken while a
-/// hook runs) degrade to the plain operation via a thread-local guard.
+/// path stays a single branch) plus held-set and graph bookkeeping.
+/// Locks taken after the calling thread's held set was destroyed
+/// (static destructors at exit) degrade to the plain operation.
 void LockSlow(Mutex* mu);
 void UnlockSlow(Mutex* mu);
 
-/// Records a stuck-wait report (deduplicated per mutex name) and
-/// increments lockdep.stuck_waits. Called by CondVar's watchdog.
+/// Records a stuck-wait report (deduplicated per mutex name). Called
+/// by CondVar's watchdog.
 void ReportStuckWait(const char* mutex_name, int waited_ms);
 
 }  // namespace internal
@@ -109,13 +106,8 @@ void ReportStuckWait(const char* mutex_name, int waited_ms);
 /// True when the detector is active. One relaxed atomic load — this is
 /// the entire disabled-path cost inside Mutex::Lock.
 inline bool Enabled() {
-  return internal::g_mode.load(std::memory_order_relaxed) != 0;
+  return internal::g_enabled.load(std::memory_order_relaxed);
 }
-
-/// True in fatal mode: an order inversion aborts the process after
-/// printing the report (stuck waits never abort — an idle worker
-/// legitimately waits forever).
-bool FatalReports();
 
 /// Programmatic toggle for tests. Call only while the calling thread
 /// holds no instrumented lock; flipping mid-acquisition leaves stale
@@ -123,7 +115,7 @@ bool FatalReports();
 void SetEnabled(bool on);
 
 /// Watchdog timeout for CondVar waits, in milliseconds; <= 0 disables
-/// the watchdog. Defaults to NLIDB_CONDVAR_WATCHDOG_MS or 30000.
+/// the watchdog. Defaults to 30000; tests shorten it.
 int WatchdogTimeoutMs();
 void SetWatchdogTimeoutMs(int ms);
 
@@ -135,9 +127,9 @@ std::vector<Report> Reports();
 /// true for the process lifetime.
 void ClearReports();
 
-/// Also forgets the lock-order graph and class registry (the metrics
-/// instruments stay registered). For tests that seed deliberate
-/// inversions and must not poison later no-false-positive assertions.
+/// Also forgets the lock-order graph and class registry. For tests
+/// that seed deliberate inversions and must not poison later
+/// no-false-positive assertions.
 void ResetGraphForTest();
 
 /// All reports rendered as a human-readable block (the

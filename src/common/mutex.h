@@ -25,11 +25,11 @@ namespace nlidb {
 ///   Mutex mu_{"serving.queue"};
 ///
 /// — and under NLIDB_DEADLOCK=on every acquisition feeds the global
-/// lock-order graph (ABBA detection) and per-name contention metrics.
-/// When the detector is off, each operation pays exactly one relaxed
-/// atomic load over the plain std::mutex call. Name every long-lived
-/// mutex; unnamed ones collapse into one shared "<unnamed>" lock class,
-/// which weakens cycle detection and pools their metrics.
+/// lock-order graph (ABBA detection). When the detector is off, each
+/// operation pays exactly one relaxed atomic load over the plain
+/// std::mutex call. Name every long-lived mutex; unnamed ones collapse
+/// into one shared "<unnamed>" lock class, which weakens cycle
+/// detection.
 ///
 /// The std-style lowercase lock()/unlock() aliases make Mutex satisfy
 /// BasicLockable, so `CondVar` (std::condition_variable_any underneath)

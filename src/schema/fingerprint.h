@@ -1,7 +1,6 @@
 #ifndef NLIDB_SCHEMA_FINGERPRINT_H_
 #define NLIDB_SCHEMA_FINGERPRINT_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sql/table.h"
@@ -9,26 +8,15 @@
 namespace nlidb {
 namespace schema {
 
-/// Fingerprinting knobs. `max_cells` bounds the cell scan for very large
-/// tables: beyond it, cells are stride-sampled (first and last rows are
-/// always covered). The default covers every cell of any table this
-/// system realistically holds, which is what makes fingerprint-keyed
-/// statistics safe against in-place mutation (a changed cell changes the
-/// fingerprint, so stale stats can never be served — the content-keyed
-/// fix for the old address-keyed TableStatsCache collision hack).
-struct FingerprintOptions {
-  size_t max_cells = size_t{1} << 20;
-};
-
 /// Content fingerprint of a table: CRC32C over the schema (column names
-/// and types) in the high 32 bits, CRC32C over the cell contents (row
-/// and column framed, length-prefixed) in the low 32 bits. Deterministic
+/// and types) in the high 32 bits, CRC32C over every cell (row and
+/// column framed, length-prefixed) in the low 32 bits. Deterministic
 /// across processes and runs; independent of the table's address and
 /// name, so two tables with identical content share a fingerprint (and
 /// may share precomputed statistics — statistics are a pure function of
-/// content).
-uint64_t TableFingerprint(const sql::Table& table,
-                          const FingerprintOptions& options = {});
+/// content). Every cell is hashed, so a changed cell anywhere changes
+/// the fingerprint and stale statistics are never served.
+uint64_t TableFingerprint(const sql::Table& table);
 
 /// Schema-only CRC32C (the high word of TableFingerprint).
 uint32_t SchemaFingerprint(const sql::Schema& schema);

@@ -1,8 +1,8 @@
 // Lock-discipline analyzer tests (src/common/lockdep.{h,cc}): seeded
 // ABBA inversion detection from a single benign execution, CondVar
-// stuck-wait watchdog, per-name mutex metrics, and the disabled-path
-// contract. Each test toggles the detector explicitly and resets the
-// graph so seeded inversions never poison later assertions.
+// stuck-wait watchdog, and the disabled-path contract. Each test
+// toggles the detector explicitly and resets the graph so seeded
+// inversions never poison later assertions.
 
 #include "common/lockdep.h"
 
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_pool.h"
 
@@ -54,7 +53,6 @@ TEST(LockdepTest, DisabledUnlessEnvironmentOptsIn) {
     // The shipped default: detector off, Mutex::Lock pays one relaxed
     // atomic load. (CI legs that export NLIDB_DEADLOCK=on skip this.)
     EXPECT_FALSE(lockdep::Enabled());
-    EXPECT_FALSE(lockdep::FatalReports());
   }
 }
 
@@ -216,22 +214,6 @@ TEST(LockdepTest, IdleWaitIsWatchdogExempt) {
   });
   lockdep::SetWatchdogTimeoutMs(old_timeout);
   EXPECT_TRUE(ReportsOfKind(lockdep::Report::Kind::kStuckWait).empty());
-}
-
-TEST(LockdepTest, NamedMutexMetricsRecorded) {
-  DetectorScope detector;
-  Mutex mu{"test.metrics_probe"};
-  for (int i = 0; i < 5; ++i) {
-    MutexLock hold(mu);
-  }
-  auto& held =
-      metrics::MetricsRegistry::Global().GetHistogram(
-          "mutex.test.metrics_probe.held_ns");
-  EXPECT_GE(held.Count(), 5);
-  EXPECT_GE(metrics::MetricsRegistry::Global()
-                .GetCounter("lockdep.acquisitions")
-                .Value(),
-            5);
 }
 
 TEST(LockdepTest, ClearReportsKeepsLearnedOrder) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/lockdep.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "sql/value.h"
@@ -220,6 +221,21 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
   EXPECT_NE(seen[0], seen[1]);
   // Every racing EntryFor counted exactly once, as a hit or a compute.
   EXPECT_EQ(hits.Value() + computed.Value() - calls_before, kIters);
+}
+
+// Runs last: under the schema_registry_lockdep ctest entry
+// (NLIDB_DEADLOCK=on) every test above fed the lock-order graph —
+// schema.registry, text.embedding_cache, pool.queue, metrics.registry —
+// and none of it may have produced an order-inversion report.
+TEST(SchemaRegistryLockDiscipline, NoInversionReportsAcrossSuite) {
+  if (!lockdep::Enabled()) {
+    GTEST_SKIP() << "lock-discipline analyzer disabled";
+  }
+  for (const lockdep::Report& r : lockdep::Reports()) {
+    EXPECT_NE(r.kind, lockdep::Report::Kind::kOrderInversion)
+        << r.message << "\n" << r.cycle << "\n" << r.first_stack << "\n"
+        << r.second_stack;
+  }
 }
 
 }  // namespace
