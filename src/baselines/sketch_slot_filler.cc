@@ -77,11 +77,11 @@ StatusOr<sql::SelectQuery> SketchSlotFiller::Translate(
 
   // $COND_COL/$OP/$COND_VAL: type-aware value detection; each value span
   // goes to its highest-scoring column — no structural resolution.
-  const auto& stats = registry_.StatsFor(table);
+  const schema::TableStatsEntry& entry = registry_.EntryFor(table);
   std::vector<core::ValueDetector::Detection> detections =
-      core::ExactCellValueMatches(tokens, table);
+      core::ExactCellValueMatches(tokens, table, entry.cells);
   StatusOr<std::vector<core::ValueDetector::Detection>> detected =
-      value_detector_->Detect(tokens, stats);
+      value_detector_->Detect(tokens, entry.stats);
   if (detected.ok()) {
     for (auto& det : *detected) {
       bool covered = false;

@@ -1,6 +1,7 @@
 #include "common/lockdep.h"
 
 #include <execinfo.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -114,13 +115,17 @@ std::atomic<int> g_watchdog_ms{30000};
 
 const char* g_report_path = nullptr;
 
+/// Each process writes `<path>.<pid>`, so processes sharing one
+/// NLIDB_DEADLOCK_REPORT (ctest -j) never overwrite each other's reports.
 void DumpReportsAtExit() {
   const std::string text = RenderReports();
   if (text.empty()) return;
-  const Status s = io::WriteFileAtomic(g_report_path, text, "lockdep");
+  const std::string path =
+      std::string(g_report_path) + "." + std::to_string(getpid());
+  const Status s = io::WriteFileAtomic(path, text, "lockdep");
   if (!s.ok()) {
     std::fprintf(stderr, "lockdep: failed to write report to %s\n",
-                 g_report_path);
+                 path.c_str());
   }
 }
 

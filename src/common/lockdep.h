@@ -37,9 +37,10 @@
 // Activation: NLIDB_DEADLOCK=on|1|true, read once at process start.
 // `SetEnabled()` toggles programmatically for tests — only at quiescent
 // points (no instrumented lock held), or the held-set bookkeeping goes
-// stale. NLIDB_DEADLOCK_REPORT=<path> dumps `RenderReports()` at exit
-// when any report fired (the CI artifact; CI fails the job when it
-// holds a lock-order inversion).
+// stale. NLIDB_DEADLOCK_REPORT=<path> makes each process that fired a
+// report dump `RenderReports()` at exit to `<path>.<pid>` (the CI
+// artifacts; CI fails the job when any of them holds a lock-order
+// inversion).
 //
 // Known blind spots (standard for name-keyed lockdep): edges between
 // two instances of the SAME class are not recorded (a per-instance

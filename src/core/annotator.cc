@@ -27,32 +27,47 @@ constexpr float kLengthBonus = 0.02f;
 /// Sec. III: "some mentions ... can be detected exactly as they appear in
 /// the questions". Counterfactual values still need the learned detector.
 std::vector<ValueDetector::Detection> ExactCellValueMatches(
-    const std::vector<std::string>& tokens, const sql::Table& table) {
-  std::vector<ValueDetector::Detection> out;
+    const std::vector<std::string>& tokens, const sql::Table& table,
+    const sql::CellIndex& index) {
+  struct Hit {
+    int col, row, begin, length;
+  };
+  std::vector<Hit> hits;
   const int n = static_cast<int>(tokens.size());
-  for (int c = 0; c < table.num_columns(); ++c) {
-    std::vector<std::string> seen;
-    for (int r = 0; r < table.num_rows(); ++r) {
-      const std::string display = ToLower(table.Cell(r, c).ToString());
-      bool dup = false;
-      for (const auto& s : seen) dup = dup || s == display;
-      if (dup) continue;
-      seen.push_back(display);
-      const std::vector<std::string> cell_tokens = text::Tokenize(display);
-      const int m = static_cast<int>(cell_tokens.size());
-      if (m == 0 || m > 5) continue;
-      for (int i = 0; i + m <= n; ++i) {
-        bool match = true;
-        for (int j = 0; j < m && match; ++j) {
-          match = tokens[i + j] == cell_tokens[j];
+  for (int i = 0; i < n; ++i) {
+    uint32_t hash = sql::CellIndex::kHashSeed;
+    for (int m = 1; m <= sql::CellIndex::kMaxTokens && i + m <= n; ++m) {
+      hash = sql::CellIndex::HashToken(hash, tokens[i + m - 1]);
+      for (const sql::CellIndex::Entry& e : index.Find(hash)) {
+        // A hash hit is only a candidate: the cell itself must tokenize
+        // to exactly this n-gram.
+        const int r = index.row(e);
+        const int c = index.column(e);
+        if (r >= table.num_rows() || c >= table.num_columns()) continue;
+        const std::vector<std::string> cell_tokens =
+            text::Tokenize(table.Cell(r, c).ToString());
+        if (cell_tokens.size() == static_cast<size_t>(m) &&
+            std::equal(cell_tokens.begin(), cell_tokens.end(),
+                       tokens.begin() + i)) {
+          hits.push_back({c, r, i, m});
         }
-        if (!match) continue;
-        ValueDetector::Detection det;
-        det.span = text::Span{i, i + m};
-        det.column_scores.push_back({c, 1.0f});
-        out.push_back(std::move(det));
       }
     }
+  }
+  // Column, then the display's first row, then question position: the
+  // order of a column-by-column, row-by-row scan of the table.
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    if (a.col != b.col) return a.col < b.col;
+    if (a.row != b.row) return a.row < b.row;
+    return a.begin < b.begin;
+  });
+  std::vector<ValueDetector::Detection> out;
+  out.reserve(hits.size());
+  for (const Hit& hit : hits) {
+    ValueDetector::Detection det;
+    det.span = text::Span{hit.begin, hit.begin + hit.length};
+    det.column_scores.push_back({hit.col, 1.0f});
+    out.push_back(std::move(det));
   }
   // Keep only maximal spans: an exact match strictly inside a longer one
   // ("17" inside "july 17") is subsumed.
@@ -88,6 +103,11 @@ std::vector<ValueDetector::Detection> ExactCellValueMatches(
     if (!found) merged.push_back(std::move(det));
   }
   return merged;
+}
+
+std::vector<ValueDetector::Detection> ExactCellValueMatches(
+    const std::vector<std::string>& tokens, const sql::Table& table) {
+  return ExactCellValueMatches(tokens, table, sql::CellIndex::Build(table));
 }
 
 namespace {
@@ -335,12 +355,13 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
 
 StatusOr<Annotation> Annotator::Annotate(
     const std::vector<std::string>& tokens, const sql::Table& table,
-    const std::vector<sql::ColumnStatistics>& stats,
-    const NlMetadata* metadata, const CancelContext* ctx,
-    AnnotateDebug* debug, const std::vector<int>* column_shortlist) const {
+    const schema::TableStatsEntry& entry, const NlMetadata* metadata,
+    const CancelContext* ctx, AnnotateDebug* debug,
+    const std::vector<int>* column_shortlist) const {
   if (tokens.empty()) {
     return Status::InvalidArgument("empty question");
   }
+  const std::vector<sql::ColumnStatistics>& stats = entry.stats;
   if (static_cast<int>(stats.size()) != table.num_columns()) {
     return Status::InvalidArgument(
         "column statistics do not match the table schema (" +
@@ -370,7 +391,7 @@ StatusOr<Annotation> Annotator::Annotate(
   std::vector<bool> claimed(tokens.size(), false);
   {
     trace::TraceSpan stage("annotator.exact_values");
-    values = ExactCellValueMatches(tokens, table);
+    values = ExactCellValueMatches(tokens, table, entry.cells);
     for (const auto& det : values) Claim(claimed, det.span);
     exact_matches.Increment(static_cast<int64_t>(values.size()));
   }

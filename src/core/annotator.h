@@ -11,7 +11,8 @@
 #include "core/column_mention_classifier.h"
 #include "core/mention_resolver.h"
 #include "core/value_detector.h"
-#include "sql/statistics.h"
+#include "schema/registry.h"
+#include "sql/cell_index.h"
 
 namespace nlidb {
 namespace core {
@@ -26,9 +27,20 @@ struct NlMetadata {
 };
 
 /// Context-free value detection: table cells whose display text occurs
-/// verbatim (token-wise) in the question, reported as detections with
-/// score 1.0. Sub-spans of longer matches are subsumed; a string present
-/// in several columns yields one detection listing all of them.
+/// verbatim (token-wise, 1..CellIndex::kMaxTokens tokens) in the
+/// question, reported as detections with score 1.0. Each question n-gram
+/// is looked up in `index` (the table's CellIndex, built once per table
+/// content) and every hash hit is checked against the cell itself, so
+/// the cost grows with the question, not the table. Detections come out
+/// in column, then first-row, then position order. Sub-spans of longer
+/// matches are subsumed; a string present in several columns yields one
+/// detection listing all of them.
+std::vector<ValueDetector::Detection> ExactCellValueMatches(
+    const std::vector<std::string>& tokens, const sql::Table& table,
+    const sql::CellIndex& index);
+
+/// The same, with `table`'s index built for this one call (ad-hoc use;
+/// the pipeline passes the schema registry's index).
 std::vector<ValueDetector::Detection> ExactCellValueMatches(
     const std::vector<std::string>& tokens, const sql::Table& table);
 
@@ -54,10 +66,11 @@ class Annotator {
     bool linear_resolution_fallback = false;
   };
 
-  /// Annotates a tokenized question against a table. `stats` must be the
-  /// statistics of the same table's columns; an empty question or a
-  /// stats/schema size mismatch is an InvalidArgument error rather than
-  /// a silently-empty annotation. `ctx` (optional) is polled at stage
+  /// Annotates a tokenized question against a table. `entry` must be the
+  /// schema registry's entry for the same table content (its column
+  /// statistics and cell index); an empty question or a stats/schema
+  /// size mismatch is an InvalidArgument error rather than a
+  /// silently-empty annotation. `ctx` (optional) is polled at stage
   /// boundaries and inside the value-detector scan and classifier
   /// fan-out; expiry surfaces as DeadlineExceeded.
   ///
@@ -71,7 +84,7 @@ class Annotator {
   /// higher-confidence evidence tiers.
   StatusOr<Annotation> Annotate(
       const std::vector<std::string>& tokens, const sql::Table& table,
-      const std::vector<sql::ColumnStatistics>& stats,
+      const schema::TableStatsEntry& entry,
       const NlMetadata* metadata = nullptr,
       const CancelContext* ctx = nullptr,
       AnnotateDebug* debug = nullptr,

@@ -85,7 +85,7 @@ StatusOr<Annotation> NlidbPipeline::AnnotateAgainst(
       table.num_columns() > registry_->options().shortlist_k;
   std::vector<int> shortlist;
   if (shortlisted) shortlist = registry_->ShortlistColumns(tokens, table);
-  return annotator_->Annotate(tokens, table, entry.stats, metadata_, ctx,
+  return annotator_->Annotate(tokens, table, entry, metadata_, ctx,
                               debug, shortlisted ? &shortlist : nullptr);
 }
 

@@ -41,7 +41,16 @@ uint64_t TableFingerprint(const sql::Table& table) {
   for (int r = 0; r < rows; ++r) {
     cell_crc = CrcU32(cell_crc, static_cast<uint32_t>(r));
     for (int c = 0; c < cols; ++c) {
-      cell_crc = CrcString(cell_crc, table.Cell(r, c).ToString());
+      // The typed value, not its display: Text("3") and Real(3) differ,
+      // and so do reals that print alike under %g.
+      const sql::Value& cell = table.Cell(r, c);
+      cell_crc = CrcU32(cell_crc, static_cast<uint32_t>(cell.type()));
+      if (cell.is_text()) {
+        cell_crc = CrcString(cell_crc, cell.text());
+      } else {
+        const double number = cell.number();
+        cell_crc = Crc32c(&number, sizeof(number), cell_crc);
+      }
     }
   }
   return (static_cast<uint64_t>(schema_crc) << 32) |

@@ -9,8 +9,9 @@ namespace nlidb {
 namespace schema {
 
 /// Content fingerprint of a table: CRC32C over the schema (column names
-/// and types) in the high 32 bits, CRC32C over every cell (row and
-/// column framed, length-prefixed) in the low 32 bits. Deterministic
+/// and types) in the high 32 bits, CRC32C over every cell's typed value
+/// (a type tag, then the length-prefixed text or the double's 8 bytes;
+/// rows framed) in the low 32 bits. Deterministic
 /// across processes and runs; independent of the table's address and
 /// name, so two tables with identical content share a fingerprint (and
 /// may share precomputed statistics — statistics are a pure function of

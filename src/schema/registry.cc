@@ -150,7 +150,8 @@ const TableStatsEntry& SchemaRegistry::EntryFor(const sql::Table& table) const {
   entry->fingerprint = fp;
   {
     trace::TraceSpan span("schema.stats_compute");
-    entry->stats = sql::ComputeTableStatistics(table, *provider_);
+    entry->stats =
+        sql::ComputeTableStatistics(table, *provider_, &entry->cells);
   }
   FillDerived(table, *entry);
   return Intern(std::move(entry));

@@ -32,6 +32,7 @@
 #include "common/thread_annotations.h"
 #include "schema/fingerprint.h"
 #include "schema/schema_ref.h"
+#include "sql/cell_index.h"
 #include "sql/statistics.h"
 #include "sql/table.h"
 #include "text/embedding_provider.h"
@@ -58,13 +59,15 @@ struct SchemaRegistryOptions {
 };
 
 /// Everything the registry precomputes for one table content
-/// fingerprint. `stats` is the paper's per-column s_c metadata;
-/// `name_embeddings` are phrase vectors of each column's display name
-/// (shortlist scoring); `centroid` is the mean column embedding
-/// (routing tiebreak).
+/// fingerprint. `stats` is the paper's per-column s_c metadata; `cells`
+/// is the exact-value index the annotator looks question n-grams up in,
+/// built in the same pass over the cells; `name_embeddings` are phrase
+/// vectors of each column's display name (shortlist scoring);
+/// `centroid` is the mean column embedding (routing tiebreak).
 struct TableStatsEntry {
   uint64_t fingerprint = 0;
   std::vector<sql::ColumnStatistics> stats;
+  sql::CellIndex cells;
   std::vector<std::vector<float>> name_embeddings;
   std::vector<float> centroid;
 };

@@ -10,7 +10,8 @@ namespace nlidb {
 namespace sql {
 
 ColumnStatistics ComputeColumnStatistics(
-    const Table& table, int col, const text::EmbeddingProvider& provider) {
+    const Table& table, int col, const text::EmbeddingProvider& provider,
+    CellIndex* cells) {
   ColumnStatistics stats;
   const ColumnDef& def = table.schema().column(col);
   stats.column_name = def.name;
@@ -26,8 +27,9 @@ ColumnStatistics ComputeColumnStatistics(
   for (int r = 0; r < rows; ++r) {
     const Value& cell = table.Cell(r, col);
     const std::string display = cell.ToString();
-    distinct.insert(ToLower(display));
+    const bool first_seen = distinct.insert(ToLower(display)).second;
     const std::vector<std::string> words = text::Tokenize(display);
+    if (cells != nullptr && first_seen) cells->Add(r, col, words);
     total_tokens += static_cast<int>(words.size());
     const std::vector<float> cell_vec = provider.PhraseVector(words);
     for (int j = 0; j < provider.dim(); ++j) stats.embedding[j] += cell_vec[j];
@@ -58,12 +60,15 @@ ColumnStatistics ComputeColumnStatistics(
 }
 
 std::vector<ColumnStatistics> ComputeTableStatistics(
-    const Table& table, const text::EmbeddingProvider& provider) {
+    const Table& table, const text::EmbeddingProvider& provider,
+    CellIndex* cells) {
+  if (cells != nullptr) *cells = CellIndex(table.num_columns());
   std::vector<ColumnStatistics> out;
   out.reserve(table.num_columns());
   for (int c = 0; c < table.num_columns(); ++c) {
-    out.push_back(ComputeColumnStatistics(table, c, provider));
+    out.push_back(ComputeColumnStatistics(table, c, provider, cells));
   }
+  if (cells != nullptr) cells->Seal();
   return out;
 }
 

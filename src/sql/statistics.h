@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "sql/cell_index.h"
 #include "sql/table.h"
 #include "text/embedding_provider.h"
 
@@ -30,13 +31,18 @@ struct ColumnStatistics {
 };
 
 /// Computes statistics for column `col` of `table` using `provider` for
-/// word embeddings. Empty columns produce a zero embedding.
+/// word embeddings. Empty columns produce a zero embedding. When `cells`
+/// is non-null, each distinct cell of the column is also added to it,
+/// from the tokens the statistics already computed (the caller seals it).
 ColumnStatistics ComputeColumnStatistics(
-    const Table& table, int col, const text::EmbeddingProvider& provider);
+    const Table& table, int col, const text::EmbeddingProvider& provider,
+    CellIndex* cells = nullptr);
 
-/// Statistics for every column of `table`.
+/// Statistics for every column of `table`. When `cells` is non-null it
+/// receives the table's sealed exact-value index, built in the same pass.
 std::vector<ColumnStatistics> ComputeTableStatistics(
-    const Table& table, const text::EmbeddingProvider& provider);
+    const Table& table, const text::EmbeddingProvider& provider,
+    CellIndex* cells = nullptr);
 
 }  // namespace sql
 }  // namespace nlidb

@@ -121,10 +121,11 @@ TEST_F(AnnotatorTest, ExactCellMatchSubsumesSubSpans) {
 TEST_F(AnnotatorTest, AnnotateWithoutModelsUsesExactEvidence) {
   sql::Table t = FilmTable();
   Annotator ann = MatchOnlyAnnotator();
-  auto stats = sql::ComputeTableStatistics(t, provider_);
+  schema::TableStatsEntry entry;
+  entry.stats = sql::ComputeTableStatistics(t, provider_, &entry.cells);
   const auto tokens =
       text::Tokenize("what is the film name directed by jerzy antczak ?");
-  StatusOr<Annotation> a = ann.Annotate(tokens, t, stats);
+  StatusOr<Annotation> a = ann.Annotate(tokens, t, entry);
   ASSERT_TRUE(a.ok()) << a.status();
   // film_name matched context-free; "jerzy antczak" matched exactly.
   const int film_pair = a->PairForColumn(0);

@@ -6,7 +6,9 @@
 //      are bitwise equal to the *Reference loops;
 //   2. PredictBatch is bitwise equal to per-column Predict;
 //   3. parallel Annotate equals serial Annotate structurally;
-//   4. executor results are stable under row shuffling.
+//   4. executor results are stable under row shuffling;
+//   5. exact cell-value matching through the cell index equals the
+//      per-question scan of every cell it replaced.
 //
 // Every case derives from a fixed seed, so a failure reproduces exactly.
 // Release runs >= 200 cases; sanitizer builds scale the counts down
@@ -18,14 +20,17 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/annotator.h"
 #include "core/seq2seq.h"
 #include "data/generator.h"
+#include "sql/cell_index.h"
 #include "sql/executor.h"
 #include "sql/statistics.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
+#include "text/tokenizer.h"
 #include "testing/trace.h"
 
 namespace nlidb {
@@ -49,6 +54,85 @@ Tensor RandomTensor(Rng& rng, int rows, int cols, float zero_probability) {
     p[i] = rng.NextBool(zero_probability) ? 0.0f : rng.NextGaussian();
   }
   return t;
+}
+
+/// The exact-value matcher as it was before the cell index: every cell
+/// of every column lower-cased, de-duplicated by a linear scan over the
+/// column's earlier displays and re-tokenized, on every question. Kept
+/// here only as the oracle for core::ExactCellValueMatches.
+std::vector<core::ValueDetector::Detection> ExactCellValueScan(
+    const std::vector<std::string>& tokens, const sql::Table& table) {
+  std::vector<core::ValueDetector::Detection> out;
+  const int n = static_cast<int>(tokens.size());
+  for (int c = 0; c < table.num_columns(); ++c) {
+    std::vector<std::string> seen;
+    for (int r = 0; r < table.num_rows(); ++r) {
+      const std::string display = ToLower(table.Cell(r, c).ToString());
+      bool dup = false;
+      for (const auto& s : seen) dup = dup || s == display;
+      if (dup) continue;
+      seen.push_back(display);
+      const std::vector<std::string> cell_tokens = text::Tokenize(display);
+      const int m = static_cast<int>(cell_tokens.size());
+      if (m == 0 || m > 5) continue;
+      for (int i = 0; i + m <= n; ++i) {
+        bool match = true;
+        for (int j = 0; j < m && match; ++j) {
+          match = tokens[i + j] == cell_tokens[j];
+        }
+        if (!match) continue;
+        core::ValueDetector::Detection det;
+        det.span = text::Span{i, i + m};
+        det.column_scores.push_back({c, 1.0f});
+        out.push_back(std::move(det));
+      }
+    }
+  }
+  std::vector<core::ValueDetector::Detection> maximal;
+  for (auto& det : out) {
+    bool subsumed = false;
+    for (const auto& other : out) {
+      if (other.span.length() > det.span.length() &&
+          other.span.begin <= det.span.begin &&
+          other.span.end >= det.span.end) {
+        subsumed = true;
+        break;
+      }
+    }
+    if (!subsumed) maximal.push_back(std::move(det));
+  }
+  std::vector<core::ValueDetector::Detection> merged;
+  for (auto& det : maximal) {
+    bool found = false;
+    for (auto& m : merged) {
+      if (m.span == det.span) {
+        bool has = false;
+        for (auto& cs : m.column_scores) {
+          has = has || cs.first == det.column_scores[0].first;
+        }
+        if (!has) m.column_scores.push_back(det.column_scores[0]);
+        found = true;
+        break;
+      }
+    }
+    if (!found) merged.push_back(std::move(det));
+  }
+  return merged;
+}
+
+/// Spans, column lists (with scores) and order of a detection list.
+std::string DetectionsToString(
+    const std::vector<core::ValueDetector::Detection>& detections) {
+  std::string out;
+  for (const auto& det : detections) {
+    out += "[" + std::to_string(det.span.begin) + "," +
+           std::to_string(det.span.end) + ")";
+    for (const auto& [col, score] : det.column_scores) {
+      out += " c" + std::to_string(col) + "=" + testing::FloatBits(score);
+    }
+    out += "; ";
+  }
+  return out;
 }
 
 class DifferentialFuzzTest : public ::testing::Test {
@@ -183,14 +267,16 @@ TEST_F(ClassifierFuzz, ParallelAnnotateMatchesSerialAnnotate) {
   int cases = 0;
   for (int i = 0; i < limit; ++i) {
     const data::Example& ex = corpus_->examples[i];
-    const auto stats = sql::ComputeTableStatistics(*ex.table, *provider_);
+    schema::TableStatsEntry entry;
+    entry.stats =
+        sql::ComputeTableStatistics(*ex.table, *provider_, &entry.cells);
 
     ThreadPool::SetGlobalParallelism(1);
     const StatusOr<core::Annotation> serial =
-        annotator.Annotate(ex.tokens, *ex.table, stats);
+        annotator.Annotate(ex.tokens, *ex.table, entry);
     ThreadPool::SetGlobalParallelism(8);
     const StatusOr<core::Annotation> parallel =
-        annotator.Annotate(ex.tokens, *ex.table, stats);
+        annotator.Annotate(ex.tokens, *ex.table, entry);
 
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(parallel.ok()) << parallel.status();
@@ -287,6 +373,139 @@ TEST_F(DifferentialFuzzTest, DecoderFastPathMatchesReferenceBitwise) {
 #if !defined(NLIDB_SANITIZER_BUILD)
   EXPECT_GE(cases, 100);
 #endif
+}
+
+TEST_F(DifferentialFuzzTest, ExactValueIndexMatchesScan) {
+  // Generated tables at the benchmark's two sizes; each question gets
+  // one to three cell displays (or a prefix of one) spliced in, so
+  // multi-token values, sub-spans and values shared across columns all
+  // occur. Both index paths are checked: the one built next to the
+  // column statistics (the registry's) and CellIndex::Build (the
+  // two-argument overload's).
+  text::EmbeddingProvider provider(16);
+  Rng rng(4242);
+  int cases = 0;
+  int nonempty = 0;
+  for (const int rows : {12, 2000}) {
+    data::GeneratorConfig gc;
+    gc.num_tables = rows == 12 ? 12 : 2;
+    gc.rows_per_table = rows;
+    gc.questions_per_table = rows == 12 ? 4 : 12 / kScale;
+    gc.seed = 515 + rows;
+    data::WikiSqlGenerator gen(gc, data::TrainDomains());
+    const data::Dataset ds = gen.Generate();
+    for (const auto& table : ds.tables) {
+      sql::CellIndex with_stats;
+      (void)sql::ComputeTableStatistics(*table, provider, &with_stats);
+      const sql::CellIndex built = sql::CellIndex::Build(*table);
+      EXPECT_EQ(with_stats.size(), built.size()) << table->name();
+      for (const data::Example& ex : ds.examples) {
+        if (ex.table != table) continue;
+        std::vector<std::string> tokens = ex.tokens;
+        const int splices = rng.NextInt(1, 3);
+        for (int k = 0; k < splices; ++k) {
+          const int r = rng.NextInt(0, table->num_rows() - 1);
+          const int c = rng.NextInt(0, table->num_columns() - 1);
+          std::vector<std::string> cell =
+              text::Tokenize(table->Cell(r, c).ToString());
+          if (cell.size() > 1 && rng.NextBool(0.3f)) {
+            cell.resize(static_cast<size_t>(
+                rng.NextInt(1, static_cast<int>(cell.size()) - 1)));
+          }
+          const int at = rng.NextInt(0, static_cast<int>(tokens.size()));
+          tokens.insert(tokens.begin() + at, cell.begin(), cell.end());
+        }
+        const std::string want =
+            DetectionsToString(ExactCellValueScan(tokens, *table));
+        const std::string where =
+            table->name() + ": " + text::Detokenize(tokens);
+        EXPECT_EQ(DetectionsToString(core::ExactCellValueMatches(
+                      tokens, *table, with_stats)),
+                  want)
+            << where;
+        EXPECT_EQ(DetectionsToString(
+                      core::ExactCellValueMatches(tokens, *table, built)),
+                  want)
+            << where;
+        nonempty += want.empty() ? 0 : 1;
+        ++cases;
+      }
+    }
+  }
+  RecordProperty("cases", cases);
+  EXPECT_GE(cases, 60 / kScale);
+  EXPECT_GE(nonempty, cases / 2);
+}
+
+TEST_F(DifferentialFuzzTest, ExactValueIndexMatchesScanOnCraftedTables) {
+  struct Case {
+    std::string what;
+    std::vector<sql::ColumnDef> columns;
+    std::vector<std::vector<sql::Value>> rows;
+    std::string question;
+    std::string want;
+  };
+  using sql::Value;
+  constexpr auto kText = sql::DataType::kText;
+  constexpr auto kReal = sql::DataType::kReal;
+  const std::string one = testing::FloatBits(1.0f);
+  const std::vector<Case> cases = {
+      {"two displays with the same tokens in one column",
+       {{"pair", kText}},
+       {{Value::Text("x, y")}, {Value::Text("x ,y")}, {Value::Text("z")}},
+       "rows with x , y and z",
+       "[2,5) c0=" + one + "; [6,7) c0=" + one + "; "},
+      {"one value in two columns",
+       {{"home", kText}, {"away", kText}},
+       {{Value::Text("boston"), Value::Text("denver")},
+        {Value::Text("utah"), Value::Text("boston")}},
+       "games with boston at home",
+       "[2,3) c0=" + one + " c1=" + one + "; "},
+      {"17 inside july 17",
+       {{"date", kText}, {"laps", kReal}},
+       {{Value::Text("july 17"), Value::Real(17)}},
+       "races on july 17 with 17 laps",
+       "[2,4) c0=" + one + "; [5,6) c1=" + one + "; "},
+      {"cells of 0 tokens and of 6 or more",
+       {{"note", kText}},
+       {{Value::Text("")},
+        {Value::Text("  ")},
+        {Value::Text("a b c d e f")},
+        {Value::Text("a b c d e")}},
+       "notes a b c d e f",
+       "[1,6) c0=" + one + "; "},
+  };
+  for (const Case& c : cases) {
+    sql::Table table("crafted", sql::Schema(c.columns));
+    for (const auto& row : c.rows) {
+      ASSERT_TRUE(table.AddRow(row).ok()) << c.what;
+    }
+    const std::vector<std::string> tokens = text::Tokenize(c.question);
+    EXPECT_EQ(DetectionsToString(ExactCellValueScan(tokens, table)), c.want)
+        << c.what;
+    EXPECT_EQ(DetectionsToString(core::ExactCellValueMatches(tokens, table)),
+              c.want)
+        << c.what;
+  }
+
+  // A planted collision: an entry carrying the hash of "silent river"
+  // but pointing at the cell "ocean". The lookup finds it; checking the
+  // cell rejects it, as it would a genuine 32-bit hash collision.
+  sql::Table table("crafted", sql::Schema({{"name", kText}}));
+  ASSERT_TRUE(table.AddRow({Value::Text("ocean")}).ok());
+  sql::CellIndex index = sql::CellIndex::Build(table);
+  index.Add(0, 0, {"silent", "river"});
+  index.Seal();
+  const std::vector<std::string> tokens = {"the", "silent", "river", "ocean"};
+  uint32_t hash = sql::CellIndex::kHashSeed;
+  hash = sql::CellIndex::HashToken(hash, "silent");
+  hash = sql::CellIndex::HashToken(hash, "river");
+  ASSERT_EQ(index.Find(hash).size(), 1u);
+  EXPECT_EQ(DetectionsToString(
+                core::ExactCellValueMatches(tokens, table, index)),
+            "[3,4) c0=" + one + "; ");
+  EXPECT_EQ(DetectionsToString(ExactCellValueScan(tokens, table)),
+            "[3,4) c0=" + one + "; ");
 }
 
 TEST_F(DifferentialFuzzTest, ExecutorStableUnderRowShuffling) {

@@ -156,7 +156,8 @@ class AnnotatorFuzz : public ::testing::Test {
     config_.word_dim = provider_.dim();
     EXPECT_TRUE(
         table_.AddRow({sql::Value::Text("hello"), sql::Value::Real(3)}).ok());
-    stats_ = sql::ComputeTableStatistics(table_, provider_);
+    entry_.stats =
+        sql::ComputeTableStatistics(table_, provider_, &entry_.cells);
   }
 
   void Annotate(const std::string& question) {
@@ -164,7 +165,7 @@ class AnnotatorFuzz : public ::testing::Test {
     auto tokens = text::Tokenize(question);
     if (tokens.empty()) return;
     StatusOr<core::Annotation> annotated =
-        annotator.Annotate(tokens, table_, stats_);
+        annotator.Annotate(tokens, table_, entry_);
     ASSERT_TRUE(annotated.ok()) << annotated.status();
     const core::Annotation& a = *annotated;
     for (const auto& p : a.pairs) {
@@ -176,7 +177,7 @@ class AnnotatorFuzz : public ::testing::Test {
   text::EmbeddingProvider provider_;
   core::ModelConfig config_;
   sql::Table table_;
-  std::vector<sql::ColumnStatistics> stats_;
+  schema::TableStatsEntry entry_;
 };
 
 TEST_F(AnnotatorFuzz, SurvivesAdversarialQuestions) {

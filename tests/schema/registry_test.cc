@@ -9,6 +9,7 @@
 #include "common/lockdep.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "core/annotator.h"
 #include "sql/value.h"
 
 namespace nlidb {
@@ -67,6 +68,47 @@ TEST(SchemaRegistryTest, MutatedTableGetsFreshStats) {
   // The pre-mutation entry is retained, not overwritten: references
   // handed out earlier stay valid and correct for the old content.
   EXPECT_EQ(before.stats[1].distinct_count, 1);
+}
+
+TEST(SchemaRegistryTest, RealCellChangeBelowDisplayPrecisionGetsFreshStats) {
+  // 1.0000001 and 1.0000002 both display as "1" (FormatNumber keeps six
+  // significant digits), so a fingerprint over display strings would
+  // serve the old entry with a stale max/mean. It hashes the double.
+  auto readings = [](double reading) {
+    sql::Table t("readings", sql::Schema({{"sensor", sql::DataType::kText},
+                                          {"reading", sql::DataType::kReal}}));
+    EXPECT_TRUE(
+        t.AddRow({sql::Value::Text("alpha"), sql::Value::Real(reading)}).ok());
+    return t;
+  };
+  SchemaRegistry registry(Provider());
+  sql::Table t = readings(1.0000001);
+  const TableStatsEntry& before = registry.EntryFor(t);
+  t = readings(1.0000002);  // same object, one real cell changed
+  const TableStatsEntry& after = registry.EntryFor(t);
+  EXPECT_NE(&after, &before);
+  EXPECT_EQ(after.stats[1].max_value, 1.0000002);
+  EXPECT_EQ(after.stats[1].mean_value, 1.0000002);
+  EXPECT_EQ(before.stats[1].max_value, 1.0000001);
+}
+
+TEST(SchemaRegistryTest, CellIndexIsContentKeyed) {
+  SchemaRegistry registry(Provider());
+  sql::Table t = FilmTable();
+  const TableStatsEntry& before = registry.EntryFor(t);
+  ASSERT_TRUE(t.AddRow({sql::Value::Text("silent river"),
+                        sql::Value::Text("liam murphy")})
+                  .ok());
+  const std::vector<std::string> tokens = {"who", "directed", "silent",
+                                           "river", "?"};
+  const auto fresh =
+      core::ExactCellValueMatches(tokens, t, registry.EntryFor(t).cells);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0].span, (text::Span{2, 4}));
+  ASSERT_EQ(fresh[0].column_scores.size(), 1u);
+  EXPECT_EQ(fresh[0].column_scores[0].first, 0);
+  // The pre-mutation entry indexes the old content only.
+  EXPECT_TRUE(core::ExactCellValueMatches(tokens, t, before.cells).empty());
 }
 
 TEST(SchemaRegistryTest, EntriesCarryDerivedEmbeddings) {

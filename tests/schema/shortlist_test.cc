@@ -131,7 +131,7 @@ TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {
   options.shortlist_k = 8;
   SchemaRegistry registry(provider_, options);
   sql::Table wide = WideTable();
-  const auto& stats = registry.StatsFor(wide);
+  const TableStatsEntry& entry = registry.EntryFor(wide);
 
   std::vector<std::vector<std::string>> displays;
   for (int c = 0; c < wide.num_columns(); ++c) {
@@ -146,7 +146,7 @@ TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {
   };
   int pruned_questions = 0;
   for (const auto& tokens : questions) {
-    auto full = pipeline.annotator().Annotate(tokens, wide, stats);
+    auto full = pipeline.annotator().Annotate(tokens, wide, entry);
     ASSERT_TRUE(full.ok()) << full.status();
     // The accept set the contract quantifies over: columns the
     // classifier scores at or above its 0.5 threshold (the same
@@ -167,7 +167,7 @@ TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {
       ++pruned_questions;
     }
     auto pruned = pipeline.annotator().Annotate(
-        tokens, wide, stats, /*metadata=*/nullptr, /*ctx=*/nullptr,
+        tokens, wide, entry, /*metadata=*/nullptr, /*ctx=*/nullptr,
         /*debug=*/nullptr, &shortlist);
     ASSERT_TRUE(pruned.ok()) << pruned.status();
     EXPECT_EQ(testing::AnnotationToString(*full),
