@@ -4,8 +4,8 @@
 //
 // Reports, and merges into BENCH_decoder.json:
 //   - translate-stage p50/p99 per query at 1 and 8 pool threads, for
-//     the reference and fast decoders (the acceptance metric: fast p50
-//     at 1 thread vs the BENCH_observability.json baseline);
+//     the reference and fast decoders (decode latency inside the whole
+//     pipeline is `perfbench/run.py --trace 1`'s `core.decode_*`);
 //   - per-step decode cost and steps/sec at beam widths 1 and 4, from
 //     the seq2seq.decode_steps counter delta around timed decodes;
 //   - GEMM dispatch tier counters (gemm.dispatch.{base,avx2}) so a
@@ -95,8 +95,7 @@ int Run(bool smoke) {
   FlatJson json = FlatJson::Load(DecoderJsonPath());
 
   // --- end-to-end translate-stage latency, reference vs fast ---------
-  // Same corpus sweep as bench_stage_breakdown, so the reference
-  // numbers line up with BENCH_observability.json's stage_translate_*.
+  // One pass over the held-out corpus per decode mode.
   std::vector<CorpusRun> smoke_runs;
   for (const core::DecodeMode mode :
        {core::DecodeMode::kReference, core::DecodeMode::kFastUnmasked,

@@ -126,12 +126,6 @@ inline const char* SubstrateJsonPath() {
   return v != nullptr ? v : "BENCH_substrate.json";
 }
 
-/// Output path for bench_stage_breakdown's per-stage latency report.
-inline const char* ObservabilityJsonPath() {
-  const char* v = std::getenv("NLIDB_BENCH_OBS_JSON");
-  return v != nullptr ? v : "BENCH_observability.json";
-}
-
 /// Output path for bench_decoder's fast-path vs reference report.
 inline const char* DecoderJsonPath() {
   const char* v = std::getenv("NLIDB_BENCH_DECODER_JSON");

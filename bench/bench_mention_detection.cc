@@ -6,10 +6,9 @@
 // Also reports span-level column mention precision/recall of the
 // annotator itself.
 
-// In addition to the accuracy table, the binary measures the annotation
-// substrate: end-to-end Annotate latency as the schema widens, and the
-// batched column-mention pass against a serial per-column emulation of
-// the pre-substrate annotator. Results merge into BENCH_substrate.json.
+// In addition to the accuracy table, the binary measures end-to-end
+// Annotate latency as the schema widens. Results merge into
+// BENCH_substrate.json.
 
 #include "bench/bench_util.h"
 
@@ -20,7 +19,6 @@
 #include "bench/bench_json.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "core/adversarial.h"
 #include "text/tokenizer.h"
 
 namespace nlidb {
@@ -86,13 +84,8 @@ sql::Table MakeWideTable(int width) {
   return table;
 }
 
-// Annotate latency vs schema width, plus the batched column-mention pass
-// against a serial per-column emulation of the pre-substrate annotator
-// (Predict each column, ComputeInfluence on accepted ones, one at a
-// time). Both run on the current tiled kernels, so the speedup isolates
-// batching + the pool fan-out, conservatively: the seed additionally ran
-// naive GEMM loops.
-void SubstrateLatencySection(core::NlidbPipeline& pipeline, BenchEnv& env) {
+// Annotate latency vs schema width.
+void SubstrateLatencySection(core::NlidbPipeline& pipeline) {
   std::printf("\n--- annotation substrate latency (threads=%d) ---\n",
               ThreadPool::Global().parallelism());
   bench::FlatJson json = bench::FlatJson::Load(bench::SubstrateJsonPath());
@@ -119,54 +112,6 @@ void SubstrateLatencySection(core::NlidbPipeline& pipeline, BenchEnv& env) {
     json.Set("annotate_ns_cols" + std::to_string(width), ns);
   }
 
-  // Mention-pass comparison at the widest schema.
-  const sql::Table table = MakeWideTable(20);
-  std::vector<std::vector<std::string>> displays;
-  for (const auto& c : table.schema().columns()) {
-    displays.push_back(c.DisplayTokens());
-  }
-  const core::ColumnMentionClassifier& clf = pipeline.classifier();
-  const core::AdversarialLocator locator(env.config);
-  constexpr float kThreshold = 0.5f;  // annotator's kClassifierThreshold
-
-  const double serial_ns = TimeNs([&] {
-    for (const auto& q : questions) {
-      for (const auto& d : displays) {
-        const float p = clf.Predict(q, d).value();
-        if (p >= kThreshold) {
-          auto profile = locator.ComputeInfluence(clf, q, d).value();
-          (void)profile;
-        }
-      }
-    }
-  }) / questions.size();
-
-  const double batched_ns = TimeNs([&] {
-    for (const auto& q : questions) {
-      const std::vector<float> probs = clf.PredictBatch(q, displays).value();
-      std::vector<int> accepted;
-      for (int c = 0; c < static_cast<int>(probs.size()); ++c) {
-        if (probs[c] >= kThreshold) accepted.push_back(c);
-      }
-      std::vector<core::InfluenceProfile> profiles(accepted.size());
-      ThreadPool::Global().ParallelFor(
-          0, static_cast<int>(accepted.size()), [&](int jb, int je) {
-            for (int j = jb; j < je; ++j) {
-              profiles[j] =
-                  locator.ComputeInfluence(clf, q, displays[accepted[j]])
-                      .value();
-            }
-          });
-    }
-  }) / questions.size();
-
-  const double speedup = serial_ns / batched_ns;
-  std::printf("mention pass, 20 columns: serial %10.0f ns | batched %10.0f "
-              "ns | %.2fx\n",
-              serial_ns, batched_ns, speedup);
-  json.Set("mention_pass_serial_ns_cols20", serial_ns);
-  json.Set("mention_pass_batched_ns_cols20", batched_ns);
-  json.Set("annotate_speedup_cols20", speedup);
   json.Save(bench::SubstrateJsonPath());
   std::printf("merged %s (%zu keys)\n", bench::SubstrateJsonPath(),
               json.size());
@@ -214,7 +159,7 @@ int Run() {
       "\npaper: ours 91.8%% vs TypeSQL 87.9%% on $COND_COL/$COND_VAL.\n"
       "Reproduction target: ours above the sketch baseline.\n");
 
-  SubstrateLatencySection(*pipeline, env);
+  SubstrateLatencySection(*pipeline);
   return 0;
 }
 

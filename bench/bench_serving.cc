@@ -76,8 +76,8 @@ int Run(bool smoke) {
   // Tiny, with 24-dim embeddings and greedy decode: this bench stresses
   // the scheduler at the high-QPS serving point, so per-query model cost
   // is kept small enough that throughput reflects harness behavior, not
-  // model FLOPs (model latency has its own benches: bench_decoder,
-  // bench_stage_breakdown).
+  // model FLOPs (model latency is measured by bench_decoder and per layer
+  // by `perfbench/run.py --trace 1`).
   env.provider = std::make_shared<text::EmbeddingProvider>(24);
   data::RegisterDomainClusters(*env.provider);
   data::GeneratorConfig gc;

@@ -43,7 +43,7 @@ int Run() {
   for (const Case& c : cases) {
     const auto tokens = text::Tokenize(c.question);
     const auto column = SplitWhitespace(c.column);
-    const float p = classifier.Predict(tokens, column).value();
+    const float p = classifier.PredictBatch(tokens, {column}).value()[0];
     std::string term = "-";
     if (p > 0.5f) {
       const text::Span span =

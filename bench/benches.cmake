@@ -19,7 +19,6 @@ nlidb_bench(bench_fig5_gradients bench_fig5_gradients.cc)
 nlidb_bench(bench_fig7_gradients bench_fig7_gradients.cc)
 nlidb_bench(bench_mention_detection bench_mention_detection.cc)
 nlidb_bench(bench_ablation_resolution bench_ablation_resolution.cc)
-nlidb_bench(bench_stage_breakdown bench_stage_breakdown.cc)
 nlidb_bench(bench_decoder bench_decoder.cc)
 nlidb_bench(bench_serving bench_serving.cc)
 nlidb_bench(bench_schema_scale bench_schema_scale.cc)

@@ -265,8 +265,8 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   AdversarialLocator locator(config_);
 
   // Phase 1 (batched): score every unmatched column in one classifier
-  // graph. Bitwise identical per column to Predict, so the acceptance
-  // decisions are exactly those of the sequential pass.
+  // graph. Each row is bitwise equal to that column scored alone, so the
+  // acceptance decisions are exactly those of a per-column pass.
   std::vector<int> pending;
   std::vector<std::vector<std::string>> displays;
   for (int c = 0; c < schema.num_columns(); ++c) {
@@ -286,9 +286,9 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   // Phase 2 (parallel): influence profiles for the accepted columns.
   // ComputeInfluence depends only on (question, column) — not on the
   // claimed mask — so the per-column passes fan out across the thread
-  // pool into index-addressed slots. The seed code also ran a second full
-  // Forward here (inside ComputeInfluence) for accepted columns; that is
-  // now the only forward they need, since scoring was batched above.
+  // pool into index-addressed slots. Each builds the one-column graph
+  // (question encoding included) again to differentiate it; scoring
+  // above kept no graph to reuse.
   std::vector<int> accepted;
   for (size_t j = 0; j < pending.size(); ++j) {
     if (probs[j] >= kClassifierThreshold) accepted.push_back(static_cast<int>(j));

@@ -75,127 +75,47 @@ StatusOr<Var> ColumnMentionClassifier::Embed(
 }
 
 StatusOr<ColumnMentionClassifier::ForwardResult>
-ColumnMentionClassifier::Forward(const std::vector<std::string>& question,
-                                 const std::vector<std::string>& column) const {
-  ForwardResult result;
-  StatusOr<Var> q_emb_or = Embed(question, &result.question_word_embeddings,
-                                 &result.question_char_embeddings);
-  if (!q_emb_or.ok()) return q_emb_or.status();
-  Var q_emb = *q_emb_or;
-  Var c_word_lookup;
-  StatusOr<Var> c_emb_or = Embed(column, &c_word_lookup, nullptr);
-  if (!c_emb_or.ok()) return c_emb_or.status();
-  Var c_emb = *c_emb_or;
-
-  // BiDAF-style similarity matrix between column and question word
-  // embeddings (the classifier is "a bidirectional attention flow" in the
-  // paper; the similarity matrix is its core signal). Embeddings start
-  // unit-norm, so dots approximate cosines.
-  Var sim = ops::MatMul(c_word_lookup,
-                        ops::Transpose(result.question_word_embeddings));
-  Var sim_max = ops::RowMax(sim);    // [m,1]
-  Var sim_mean = ops::RowMean(sim);  // [m,1]
-
-  Var sq = question_lstm_->Forward(q_emb);  // [n, h]
-  Var sc = column_lstm_->Forward(c_emb);    // [m, h]
-
-  // Attention bi-LSTM over column steps. The query contribution at step t
-  // is W2 s_t^c + W3 d_{t-1} + b (paper's e_t equation).
-  Var memory_proj = attention_->ProjectMemory(sq);
-  const int m = sc->value.rows();
-  const int capped = std::min(m, config_.max_column_words);
-
-  auto run_direction = [&](bool forward) {
-    std::vector<Var> outs(capped);
-    nn::LstmCell& cell = forward ? *fwd_cell_ : *bwd_cell_;
-    nn::LstmCell::State state = cell.InitialState();
-    for (int step = 0; step < capped; ++step) {
-      const int t = forward ? step : capped - 1 - step;
-      Var st = ops::PickRow(sc, t);
-      Var query = ops::Add(query_state_proj_->Forward(st),
-                           query_hidden_proj_->Forward(state.h));
-      Var energies = attention_->Energies(memory_proj, query);
-      Var weights = attention_->Weights(energies);
-      Var context = attention_->Context(weights, sq);
-      Var zt = ops::ConcatCols({st, context});
-      state = cell.Step(zt, state);
-      outs[t] = state.h;
-    }
-    return outs;
-  };
-  std::vector<Var> fw = run_direction(true);
-  std::vector<Var> bw = run_direction(false);
-
-  std::vector<Var> slots;
-  slots.reserve(config_.max_column_words);
-  const int h = config_.classifier_hidden;
-  Var zero_slot = MakeVar(Tensor::Zeros({1, 2 * h + 2}));
-  for (int t = 0; t < config_.max_column_words; ++t) {
-    if (t < capped) {
-      slots.push_back(ops::ConcatCols({fw[t], bw[t],
-                                       ops::PickRow(sim_max, t),
-                                       ops::PickRow(sim_mean, t)}));
-    } else {
-      slots.push_back(zero_slot);  // zero-padding (paper Sec. IV-B iii)
-    }
-  }
-  Var features = ops::ConcatCols(slots);  // [1, 2h * max_column_words]
-  result.logit = head_->Forward(features);
-  return result;
-}
-
-StatusOr<float> ColumnMentionClassifier::Predict(
-    const std::vector<std::string>& question,
-    const std::vector<std::string>& column) const {
-  StatusOr<ForwardResult> r = Forward(question, column);
-  if (!r.ok()) return r.status();
-  const float x = r->logit->value.vec()[0];
-  return 1.0f / (1.0f + std::exp(-x));
-}
-
-StatusOr<std::vector<float>> ColumnMentionClassifier::PredictBatch(
+ColumnMentionClassifier::Build(
     const std::vector<std::string>& question,
     const std::vector<std::vector<std::string>>& columns) const {
   const int batch = static_cast<int>(columns.size());
-  if (batch == 0) return std::vector<float>{};
-  // Shared question encoding, computed once instead of once per column.
-  Var q_word;
-  StatusOr<Var> q_emb_or = Embed(question, &q_word, nullptr);
+  ForwardResult result;
+  // Shared question encoding, computed once for every column.
+  StatusOr<Var> q_emb_or = Embed(question, &result.question_word_embeddings,
+                                 &result.question_char_embeddings);
   if (!q_emb_or.ok()) return q_emb_or.status();
-  Var q_emb = *q_emb_or;
-  Var q_word_t = ops::Transpose(q_word);
-  Var sq = question_lstm_->Forward(q_emb);
+  Var q_word_t = ops::Transpose(result.question_word_embeddings);
+  Var sq = question_lstm_->Forward(*q_emb_or);  // [n, h]
+  // The query contribution at step t is W2 s_t^c + W3 d_{t-1} + b (paper's
+  // e_t equation); the memory side W1 s^q is projected once.
   Var memory_proj = attention_->ProjectMemory(sq);
   const int h = config_.classifier_hidden;
 
-  // Per-column encodings and BiDAF similarity features (cheap: a column
-  // is a handful of words).
-  std::vector<Var> sc(batch);
-  std::vector<Var> sim_max(batch);
-  std::vector<Var> sim_mean(batch);
+  // Per-column encodings and BiDAF-style similarity features (the
+  // paper's "bidirectional attention flow"). Embeddings start unit-norm,
+  // so the dots approximate cosines.
+  std::vector<Var> sc(batch), sim_max(batch), sim_mean(batch);
   std::vector<int> capped(batch);
   for (int c = 0; c < batch; ++c) {
     Var c_word;
     StatusOr<Var> c_emb_or = Embed(columns[c], &c_word, nullptr);
     if (!c_emb_or.ok()) return c_emb_or.status();
-    Var c_emb = *c_emb_or;
     Var sim = ops::MatMul(c_word, q_word_t);
-    sim_max[c] = ops::RowMax(sim);
-    sim_mean[c] = ops::RowMean(sim);
-    sc[c] = column_lstm_->Forward(c_emb);
+    sim_max[c] = ops::RowMax(sim);    // [m,1]
+    sim_mean[c] = ops::RowMean(sim);  // [m,1]
+    sc[c] = column_lstm_->Forward(*c_emb_or);  // [m, h]
     capped[c] = std::min(sc[c]->value.rows(), config_.max_column_words);
   }
 
-  // Columns of equal capped length walk the attention bi-LSTM in
-  // lockstep: each group member is one row of the shared state matrix,
-  // so the per-step projections, context GEMM, and LSTM cell all run
+  // Attention bi-LSTM over column steps. Columns of equal capped length
+  // walk it in lockstep: each group member is one row of the shared state
+  // matrix, so the per-step projections, context GEMM and LSTM cell run
   // once per group instead of once per column. Rows evolve independently
-  // through every op involved, which keeps each row bitwise equal to the
-  // serial Forward of that column.
+  // through every op involved, which keeps each column's result bitwise
+  // equal to building it alone.
   std::vector<std::vector<int>> groups(config_.max_column_words + 1);
   for (int c = 0; c < batch; ++c) groups[capped[c]].push_back(c);
-  std::vector<std::vector<Var>> fw(batch);
-  std::vector<std::vector<Var>> bw(batch);
+  std::vector<std::vector<Var>> fw(batch), bw(batch);
   for (int c = 0; c < batch; ++c) {
     fw[c].resize(capped[c]);
     bw[c].resize(capped[c]);
@@ -244,15 +164,30 @@ StatusOr<std::vector<float>> ColumnMentionClassifier::PredictBatch(
                                          ops::PickRow(sim_max[c], t),
                                          ops::PickRow(sim_mean[c], t)}));
       } else {
-        slots.push_back(zero_slot);
+        slots.push_back(zero_slot);  // zero-padding (paper Sec. IV-B iii)
       }
     }
     feature_rows[c] = ops::ConcatCols(slots);
   }
-  Var logits = head_->Forward(ops::ConcatRows(feature_rows));  // [batch, 1]
-  std::vector<float> probs(batch);
-  for (int c = 0; c < batch; ++c) {
-    probs[c] = 1.0f / (1.0f + std::exp(-logits->value(c, 0)));
+  result.logit = head_->Forward(ops::ConcatRows(feature_rows));  // [batch, 1]
+  return result;
+}
+
+StatusOr<ColumnMentionClassifier::ForwardResult>
+ColumnMentionClassifier::Forward(const std::vector<std::string>& question,
+                                 const std::vector<std::string>& column) const {
+  return Build(question, {column});
+}
+
+StatusOr<std::vector<float>> ColumnMentionClassifier::PredictBatch(
+    const std::vector<std::string>& question,
+    const std::vector<std::vector<std::string>>& columns) const {
+  if (columns.empty()) return std::vector<float>{};
+  StatusOr<ForwardResult> r = Build(question, columns);
+  if (!r.ok()) return r.status();
+  std::vector<float> probs(columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    probs[c] = 1.0f / (1.0f + std::exp(-r->logit->value(static_cast<int>(c), 0)));
   }
   return probs;
 }

@@ -30,8 +30,15 @@ namespace core {
 ///       zero-padded to `max_column_words`, concatenated and fed to an
 ///       MLP that emits one logit.
 ///
-/// `Forward` exposes the embedding-lookup graph nodes so the adversarial
-/// locator can read dL/dE_word(w) and dL/dE_char(w) after Backward.
+/// The network is defined once, by a private builder that scores a batch
+/// of columns against one question: the question is encoded once,
+/// columns of equal capped length walk the attention bi-LSTM as rows of
+/// one state matrix, and every feature row goes through the head as one
+/// GEMM. A single column runs through the same ops as a batch of one.
+/// `Forward` is that one-column graph, exposing the embedding-lookup
+/// nodes so training and the adversarial locator can read dL/dE_word(w)
+/// and dL/dE_char(w) after Backward; `PredictBatch` is the batched graph
+/// plus a sigmoid per row.
 class ColumnMentionClassifier : public nn::Module {
  public:
   ColumnMentionClassifier(const ModelConfig& config,
@@ -44,7 +51,7 @@ class ColumnMentionClassifier : public nn::Module {
   void AddVocabulary(const std::vector<std::string>& words);
 
   struct ForwardResult {
-    Var logit;                       // [1,1]
+    Var logit;                       // [batch, 1]; [1,1] from Forward
     Var question_word_embeddings;    // [n, word_dim] lookup node
     std::vector<Var> question_char_embeddings;  // per token: [1, char_out]
   };
@@ -56,18 +63,10 @@ class ColumnMentionClassifier : public nn::Module {
   StatusOr<ForwardResult> Forward(const std::vector<std::string>& question,
                                   const std::vector<std::string>& column) const;
 
-  /// P(column mentioned in question) = sigmoid(logit).
-  StatusOr<float> Predict(const std::vector<std::string>& question,
-                          const std::vector<std::string>& column) const;
-
-  /// Scores every column against the question in one batched graph,
-  /// returning probabilities in column order, bitwise identical to
-  /// calling Predict per column. The question encoding (embeddings,
-  /// question LSTM, attention memory projection) — the dominant cost of
-  /// Predict — is computed once and shared; columns of equal capped
-  /// length walk the attention bi-LSTM in lockstep as rows of one state
-  /// matrix; and all feature rows go through the head MLP as a single
-  /// GEMM (DESIGN.md "Performance architecture").
+  /// P(column mentioned in question) = sigmoid(logit) for every column,
+  /// in column order, from one batched graph. Each row is bitwise equal
+  /// to sigmoid(Forward(question, column).logit) (DESIGN.md "Performance
+  /// architecture").
   StatusOr<std::vector<float>> PredictBatch(
       const std::vector<std::string>& question,
       const std::vector<std::vector<std::string>>& columns) const;
@@ -81,6 +80,11 @@ class ColumnMentionClassifier : public nn::Module {
   StatusOr<Var> Embed(const std::vector<std::string>& words,
                       Var* word_lookup,
                       std::vector<Var>* char_outputs) const;
+  /// The one graph builder behind Forward and PredictBatch; `columns`
+  /// must be non-empty.
+  StatusOr<ForwardResult> Build(
+      const std::vector<std::string>& question,
+      const std::vector<std::vector<std::string>>& columns) const;
 
   ModelConfig config_;
   const text::EmbeddingProvider* provider_;

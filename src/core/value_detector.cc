@@ -42,8 +42,13 @@ StatusOr<Var> ValueDetector::ForwardFromVectors(
 StatusOr<float> ValueDetector::Score(
     const std::vector<std::string>& span_tokens,
     const sql::ColumnStatistics& stats) const {
-  const std::vector<float> span_emb = provider_->PhraseVector(span_tokens);
-  StatusOr<Var> logit = ForwardFromVectors(span_emb, stats.embedding);
+  return ScoreEmbedding(provider_->PhraseVector(span_tokens), stats);
+}
+
+StatusOr<float> ValueDetector::ScoreEmbedding(
+    const std::vector<float>& span_embedding,
+    const sql::ColumnStatistics& stats) const {
+  StatusOr<Var> logit = ForwardFromVectors(span_embedding, stats.embedding);
   if (!logit.ok()) return logit.status();
   return 1.0f / (1.0f + std::exp(-(*logit)->value.vec()[0]));
 }
@@ -75,11 +80,15 @@ StatusOr<std::vector<ValueDetector::Detection>> ValueDetector::Detect(
     for (const auto& t : span_tokens) all_numeric = all_numeric && LooksNumeric(t);
     Detection det;
     det.span = span;
+    // Embedded once per span, on its first type-compatible column: each
+    // embedding takes the provider's lock once per word.
+    std::vector<float> span_emb;
     for (size_t c = 0; c < table_stats.size(); ++c) {
       // Type compatibility: a real column only takes all-numeric spans
       // ("june 23" can never be a laps value).
       if (table_stats[c].type == sql::DataType::kReal && !all_numeric) continue;
-      StatusOr<float> score = Score(span_tokens, table_stats[c]);
+      if (span_emb.empty()) span_emb = provider_->PhraseVector(span_tokens);
+      StatusOr<float> score = ScoreEmbedding(span_emb, table_stats[c]);
       if (!score.ok()) return score.status();
       if (*score > 0.5f) {
         det.column_scores.push_back({static_cast<int>(c), *score});

@@ -66,6 +66,11 @@ class ValueDetector : public nn::Module {
   const text::EmbeddingProvider& provider() const { return *provider_; }
 
  private:
+  // Score for an already embedded span (the provider's PhraseVector of
+  // its tokens), so Detect embeds a span once for all its columns.
+  StatusOr<float> ScoreEmbedding(const std::vector<float>& span_embedding,
+                                 const sql::ColumnStatistics& stats) const;
+
   ModelConfig config_;
   const text::EmbeddingProvider* provider_;
   std::unique_ptr<nn::Mlp> mlp_;

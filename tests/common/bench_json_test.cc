@@ -127,8 +127,6 @@ TEST(BenchJsonPathsTest, EveryBenchPathHonorsItsEnvOverride) {
   const Case cases[] = {
       {"NLIDB_BENCH_JSON", &bench::SubstrateJsonPath,
        "BENCH_substrate.json"},
-      {"NLIDB_BENCH_OBS_JSON", &bench::ObservabilityJsonPath,
-       "BENCH_observability.json"},
       {"NLIDB_BENCH_DECODER_JSON", &bench::DecoderJsonPath,
        "BENCH_decoder.json"},
       {"NLIDB_BENCH_SERVING_JSON", &bench::ServingJsonPath,

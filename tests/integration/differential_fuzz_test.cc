@@ -4,7 +4,8 @@
 //
 //   1. tiled GEMM kernels (both ISA tiers, serial and row-partitioned)
 //      are bitwise equal to the *Reference loops;
-//   2. PredictBatch is bitwise equal to per-column Predict;
+//   2. every PredictBatch row is bitwise equal to that column scored
+//      alone and to the sigmoid of its one-column Forward;
 //   3. parallel Annotate equals serial Annotate structurally;
 //   4. executor results are stable under row shuffling;
 //   5. exact cell-value matching through the cell index equals the
@@ -234,7 +235,7 @@ core::ModelConfig* ClassifierFuzz::config_ = nullptr;
 core::ColumnMentionClassifier* ClassifierFuzz::classifier_ = nullptr;
 data::Dataset* ClassifierFuzz::corpus_ = nullptr;
 
-TEST_F(ClassifierFuzz, PredictBatchMatchesPredictBitwise) {
+TEST_F(ClassifierFuzz, PredictBatchRowsMatchSingleColumnBitwise) {
   const int limit =
       std::min<int>(16 / kScale + 4, corpus_->examples.size());
   int cases = 0;
@@ -250,8 +251,13 @@ TEST_F(ClassifierFuzz, PredictBatchMatchesPredictBitwise) {
     ASSERT_EQ(batch.size(), columns.size());
     for (size_t c = 0; c < columns.size(); ++c) {
       const float single =
-          classifier_->Predict(ex.tokens, columns[c]).value();
+          classifier_->PredictBatch(ex.tokens, {columns[c]}).value()[0];
+      const float x =
+          classifier_->Forward(ex.tokens, columns[c]).value().logit->value(0, 0);
+      const float forward = 1.0f / (1.0f + std::exp(-x));
       EXPECT_EQ(testing::FloatBits(batch[c]), testing::FloatBits(single))
+          << "example " << i << " column " << c << " (" << ex.question << ")";
+      EXPECT_EQ(testing::FloatBits(batch[c]), testing::FloatBits(forward))
           << "example " << i << " column " << c << " (" << ex.question << ")";
       ++cases;
     }
