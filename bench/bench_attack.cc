@@ -6,7 +6,7 @@
 // matrix, then run one hardening turn and report the before/after
 // accuracy-under-attack curve.
 //
-// Reports, and merges into BENCH_attack.json:
+// Reports, and writes to BENCH_attack.json:
 //   - the soak counter decomposition (must balance exactly) plus
 //     lockdep findings (must be zero when the detector is on);
 //   - the per-mutator x per-stage failure matrix and accuracy under
@@ -20,8 +20,8 @@
 // hardening turn with a low sample floor) but keeps every gate: CI's
 // fault leg runs it under NLIDB_DEADLOCK=on with the random-delay
 // schedule and uploads the JSON artifact. The committed
-// BENCH_attack.json comes from a full local run; the full soak scales
-// to millions of queries via NLIDB_ATTACK_QUERIES.
+// BENCH_attack.json comes from a full run of the `bench_json` target;
+// the full soak scales to millions of queries via NLIDB_ATTACK_QUERIES.
 //
 // Exit status: nonzero when the counter decomposition is imbalanced or
 // the run produced lockdep reports (the robustness gates); accuracy
@@ -38,7 +38,6 @@
 #include "attack/mutator.h"
 #include "attack/soak.h"
 #include "attack/triage.h"
-#include "bench/bench_json.h"
 #include "common/lockdep.h"
 #include "common/thread_pool.h"
 
@@ -101,7 +100,8 @@ int Run(bool smoke) {
       attack::RunSoak(*pipeline, soak_corpus, soak_options);
   std::printf("%s", soak.ToString().c_str());
 
-  FlatJson json = FlatJson::Load(AttackJsonPath());
+  FlatJson json;
+  SetMachineKeys(json);
   json.Set("attack_soak_queries",
            static_cast<long long>(soak_options.queries));
   json.Set("attack_soak_submitted", static_cast<long long>(soak.submitted));
@@ -208,7 +208,7 @@ int Run(bool smoke) {
     std::printf("cannot write %s\n", AttackJsonPath());
     return 1;
   }
-  std::printf("merged %s (%zu keys)\n", AttackJsonPath(), json.size());
+  std::printf("wrote %s (%zu keys)\n", AttackJsonPath(), json.size());
 
   // Hard gates: accounting and lock discipline, never accuracy.
   if (!soak.counters_balanced) {

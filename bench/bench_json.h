@@ -2,17 +2,15 @@
 #define NLIDB_BENCH_BENCH_JSON_H_
 
 // Minimal flat-object JSON store for machine-readable bench output.
-// Several bench binaries contribute to one BENCH_substrate.json, so the
-// store reads the existing file (if any), merges the new keys, and
-// rewrites the whole object with sorted keys. Values are numbers or
-// strings; no nesting — consumers are dashboards/diff scripts, not a
-// general JSON reader.
+// Each BENCH_*.json file has exactly one writer binary, which builds the
+// whole object in memory and rewrites the file with sorted keys, so a
+// key the writer no longer sets does not survive a rerun. Values are
+// numbers or strings; no nesting — consumers are dashboards/diff
+// scripts, not a general JSON reader.
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 #include <string>
 
 namespace nlidb {
@@ -20,21 +18,6 @@ namespace bench {
 
 class FlatJson {
  public:
-  /// Loads a flat JSON object; missing or malformed files yield an empty
-  /// store (the bench then just rewrites it from scratch).
-  static FlatJson Load(const std::string& path) {
-    FlatJson out;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return out;
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    out.Parse(text);
-    return out;
-  }
-
   void Set(const std::string& key, double value) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", value);
@@ -76,66 +59,15 @@ class FlatJson {
   size_t size() const { return entries_.size(); }
 
  private:
-  // Tolerant scan for `"key": value` pairs; values are kept as their raw
-  // token text (quoted strings keep the quotes) so a merge round-trips.
-  void Parse(const std::string& text) {
-    size_t pos = 0;
-    while ((pos = text.find('"', pos)) != std::string::npos) {
-      const size_t key_end = text.find('"', pos + 1);
-      if (key_end == std::string::npos) return;
-      const std::string key = text.substr(pos + 1, key_end - pos - 1);
-      size_t p = key_end + 1;
-      while (p < text.size() && std::isspace(static_cast<unsigned char>(text[p]))) ++p;
-      if (p >= text.size() || text[p] != ':') {
-        pos = key_end + 1;
-        continue;
-      }
-      ++p;
-      while (p < text.size() && std::isspace(static_cast<unsigned char>(text[p]))) ++p;
-      if (p >= text.size()) return;
-      std::string raw;
-      if (text[p] == '"') {
-        const size_t start = p;
-        ++p;
-        while (p < text.size() && text[p] != '"') {
-          if (text[p] == '\\' && p + 1 < text.size()) ++p;
-          ++p;
-        }
-        if (p < text.size()) ++p;  // closing quote
-        raw = text.substr(start, p - start);
-      } else {
-        const size_t start = p;
-        while (p < text.size() && text[p] != ',' && text[p] != '}' &&
-               !std::isspace(static_cast<unsigned char>(text[p]))) {
-          ++p;
-        }
-        raw = text.substr(start, p - start);
-      }
-      if (!raw.empty()) entries_[key] = raw;
-      pos = p;
-    }
-  }
-
   std::map<std::string, std::string> entries_;
 };
 
-/// Shared output path; benches run from the build tree, the driver picks
-/// the file up from the working directory.
+/// Output path for bench_micro_substrate's GEMM and tanh report. Every
+/// path is relative to the working directory; the `bench_json` CMake
+/// target runs the writers from the source root.
 inline const char* SubstrateJsonPath() {
   const char* v = std::getenv("NLIDB_BENCH_JSON");
   return v != nullptr ? v : "BENCH_substrate.json";
-}
-
-/// Output path for bench_decoder's fast-path vs reference report.
-inline const char* DecoderJsonPath() {
-  const char* v = std::getenv("NLIDB_BENCH_DECODER_JSON");
-  return v != nullptr ? v : "BENCH_decoder.json";
-}
-
-/// Output path for bench_serving's multi-tenant load report.
-inline const char* ServingJsonPath() {
-  const char* v = std::getenv("NLIDB_BENCH_SERVING_JSON");
-  return v != nullptr ? v : "BENCH_serving.json";
 }
 
 /// Output path for bench_schema_scale's registry scaling report.

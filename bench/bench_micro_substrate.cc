@@ -6,7 +6,7 @@
 // Before the google-benchmark suite runs, main() times the tiled GEMM
 // kernels against the seed-equivalent reference loops (gemm_reference.cc,
 // compiled with the seed's flags) and the tanh row kernels of both tiers
-// against a libm std::tanh loop, and appends the results to
+// against a libm std::tanh loop, and writes the results to
 // BENCH_substrate.json (override the path with NLIDB_BENCH_JSON).
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,7 @@
 #include <cmath>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/annotation.h"
 #include "data/generator.h"
@@ -297,8 +297,8 @@ void RunSubstrateTanhReport(bench::FlatJson& json) {
 
 int main(int argc, char** argv) {
   {
-    nlidb::bench::FlatJson json =
-        nlidb::bench::FlatJson::Load(nlidb::bench::SubstrateJsonPath());
+    nlidb::bench::FlatJson json;
+    nlidb::bench::SetMachineKeys(json);
     json.Set("threads", nlidb::ThreadPool::Global().parallelism());
     nlidb::RunSubstrateGemmReport(json);
     nlidb::RunSubstrateTanhReport(json);

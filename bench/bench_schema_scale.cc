@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "schema/registry.h"
 #include "sql/value.h"
 
@@ -136,9 +135,8 @@ int Run(bool smoke) {
     }
   }
 
-  // This bench is the file's only writer: start empty so keys it no
-  // longer emits do not linger.
   FlatJson json;
+  SetMachineKeys(json);
   json.Set("schema_tables_max", max_tables);
 
   double p50_at_min = 0.0;

@@ -19,9 +19,13 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "bench/bench_json.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
 #include "eval/metrics.h"
+#include "tensor/gemm_kernels.h"
 
 namespace nlidb {
 namespace bench {
@@ -68,6 +72,16 @@ inline uint64_t PercentileNs(std::vector<uint64_t> samples, double q) {
   // The epsilon keeps q·n from rounding up past a whole rank.
   const double rank = std::clamp(std::ceil(q * n - 1e-9), 1.0, n);
   return samples[static_cast<size_t>(rank) - 1];
+}
+
+/// Stamps the machine keys that every BENCH_*.json file carries: the
+/// CPU count and the GEMM kernel tier in use. Files regenerated together
+/// agree on them, so a file left over from another machine shows up.
+inline void SetMachineKeys(FlatJson& json) {
+  json.Set("machine_nproc",
+           static_cast<long long>(sysconf(_SC_NPROCESSORS_ONLN)));
+  json.SetString("machine_gemm_tier",
+                 gemm::ActiveTier() == gemm::Tier::kAvx2 ? "avx2" : "base");
 }
 
 inline BenchEnv MakeEnv(uint64_t seed = 1) {

@@ -84,7 +84,9 @@ StatusOr<Annotation> NlidbPipeline::AnnotateAgainst(
       registry_->mode() == schema::ScanMode::kShortlist &&
       table.num_columns() > registry_->options().shortlist_k;
   std::vector<int> shortlist;
-  if (shortlisted) shortlist = registry_->ShortlistColumns(tokens, table);
+  if (shortlisted) {
+    shortlist = registry_->ShortlistColumns(tokens, table, entry);
+  }
   return annotator_->Annotate(tokens, table, entry, metadata_, ctx,
                               debug, shortlisted ? &shortlist : nullptr);
 }

@@ -263,7 +263,8 @@ std::vector<RouteCandidate> SchemaRegistry::Route(
 }
 
 std::vector<int> SchemaRegistry::ShortlistColumns(
-    const std::vector<std::string>& tokens, const sql::Table& table) const {
+    const std::vector<std::string>& tokens, const sql::Table& table,
+    const TableStatsEntry& entry) const {
   SchemaCounters& counters = SchemaCounters::Get();
   counters.shortlist_queries.Increment();
   const int ncols = table.num_columns();
@@ -271,7 +272,6 @@ std::vector<int> SchemaRegistry::ShortlistColumns(
   for (int c = 0; c < ncols; ++c) all[static_cast<size_t>(c)] = c;
   if (ncols <= options_.shortlist_k) return all;
 
-  const TableStatsEntry& entry = EntryFor(table);
   const std::vector<std::string> content = ContentTokens(tokens);
   std::vector<const std::vector<float>*> token_vecs;
   token_vecs.reserve(content.size());

@@ -143,9 +143,12 @@ class SchemaRegistry {
   /// Candidate columns of `table` for `tokens`, ascending column
   /// indices. Returns all columns when the table is at or under
   /// shortlist_k wide; otherwise the top-K by blended name/content
-  /// similarity. Pure ranking — never consults the classifier.
+  /// similarity against `entry`, the caller's EntryFor(table), so the
+  /// shortlist and the statistics come from one fingerprint. Pure
+  /// ranking — never consults the classifier.
   std::vector<int> ShortlistColumns(const std::vector<std::string>& tokens,
-                                    const sql::Table& table) const;
+                                    const sql::Table& table,
+                                    const TableStatsEntry& entry) const;
 
   /// kShortlist from construction; tests and benches flip it to
   /// kFullScan for the equivalence oracle.

@@ -100,7 +100,7 @@ OpenLoopReport RunOpenLoop(
     }
     core::QueryRequest request = requests[index];
     const float tier = rng.NextFloat();
-    if (service_ns != 0 && tier >= kFracNoDeadline) {
+    if (tier >= kFracNoDeadline) {
       request.deadline = Deadline::AfterNanos(
           tier < kFracNoDeadline + kFracGenerous ? 400 * service_ns
                                                  : service_ns / 4);

@@ -1,8 +1,8 @@
 #ifndef NLIDB_SERVING_OPEN_LOOP_H_
 #define NLIDB_SERVING_OPEN_LOOP_H_
 
-// The open-loop load driver over the ServingEngine (DESIGN.md §13),
-// shared by bench_serving and the adversarial soak (attack/soak.h): one
+// The open-loop load driver over the ServingEngine (DESIGN.md §13) that
+// the adversarial soak (attack/soak.h) replays its traffic through: one
 // generator thread, an absolute-time Poisson schedule, deadline tiers
 // 35% none / 50% generous (400x service) / 15% infeasibly tight
 // (service/4), and a bounded in-flight window. Callers pin
@@ -49,7 +49,7 @@ uint64_t CalibrateServiceNs(const core::NlidbPipeline& pipeline,
 
 /// Submits `count` requests, cycling through `requests`, to a fresh
 /// engine at Poisson rate `offered_qps` drawn from `seed`. `service_ns`
-/// scales the deadline tiers; 0 sends no deadlines. `on_result(i, r)`
+/// (at least 1) scales the deadline tiers. `on_result(i, r)`
 /// runs on the generator thread for every request, `i` indexing
 /// `requests`. Resets the global metrics registry at entry.
 OpenLoopReport RunOpenLoop(

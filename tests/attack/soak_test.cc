@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/lockdep.h"
 #include "common/thread_pool.h"
@@ -54,51 +55,58 @@ TEST_F(SoakTest, SoakBalancesCountersAndTriagesEveryQuery) {
       engine.MutateCorpus(splits_->train, AllMutators(), /*salt=*/0);
   ASSERT_FALSE(corpus.empty());
 
-  SoakOptions options;
-  options.queries = kQueries;
-  options.workers = 4;
-  options.queue_capacity = 64;
-  options.seed = 19;
-  options.random_delay_seed = 11;
+  // 4 workers is the soak's default; 1 and 8 keep the open-loop
+  // driver's counter balance covered at both ends of the pool size.
+  for (int workers : {1, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    SoakOptions options;
+    options.queries = kQueries;
+    options.workers = workers;
+    options.queue_capacity = 64;
+    options.seed = 19;
+    options.random_delay_seed = 11;
 
-  // The engine's worker pool is the concurrency under test; the shared
-  // compute pool must not multiply it.
-  ThreadPool::SetGlobalParallelism(1);
-  const SoakReport report = RunSoak(*pipeline_, corpus, options);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
+    // The engine's worker pool is the concurrency under test; the shared
+    // compute pool must not multiply it.
+    ThreadPool::SetGlobalParallelism(1);
+    const SoakReport report = RunSoak(*pipeline_, corpus, options);
+    ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 
-  // Open-loop accounting: every planned arrival was submitted, and the
-  // serving decomposition identities hold exactly.
-  EXPECT_EQ(report.submitted, static_cast<int64_t>(kQueries));
-  EXPECT_TRUE(report.counters_balanced) << report.ToString();
-  EXPECT_EQ(report.submitted, report.admitted + report.rejected_queue_full +
-                                  report.rejected_shutdown);
-  EXPECT_EQ(report.admitted,
-            report.completed + report.shed + report.cancelled);
-  EXPECT_GT(report.completed, 0) << report.ToString();
+    // Open-loop accounting: every planned arrival was submitted, and the
+    // serving decomposition identities hold exactly.
+    EXPECT_EQ(report.submitted, static_cast<int64_t>(kQueries));
+    EXPECT_TRUE(report.counters_balanced) << report.ToString();
+    EXPECT_EQ(report.submitted, report.admitted + report.rejected_queue_full +
+                                    report.rejected_shutdown);
+    EXPECT_EQ(report.admitted,
+              report.completed + report.shed + report.cancelled);
+    EXPECT_GT(report.completed, 0) << report.ToString();
 
-  // Every submitted query was triaged into exactly one matrix cell; the
-  // clean row stays empty (this run replays only mutants).
-  uint64_t triaged = 0;
-  for (int r = 0; r < kNumMutators; ++r) triaged += report.matrix.RowTotal(r);
-  EXPECT_EQ(triaged, kQueries);
-  EXPECT_EQ(report.matrix.RowTotal(AttackMatrix::kCleanRow), 0u);
+    // Every submitted query was triaged into exactly one matrix cell; the
+    // clean row stays empty (this run replays only mutants).
+    uint64_t triaged = 0;
+    for (int r = 0; r < kNumMutators; ++r) {
+      triaged += report.matrix.RowTotal(r);
+    }
+    EXPECT_EQ(triaged, kQueries);
+    EXPECT_EQ(report.matrix.RowTotal(AttackMatrix::kCleanRow), 0u);
 
-  // The calibration pilot ran and the pacing plan was real.
-  EXPECT_GT(report.service_ns, 0u);
-  EXPECT_GT(report.offered_qps, 0.0);
-  EXPECT_GT(report.wall_s, 0.0);
+    // The calibration pilot ran and the pacing plan was real.
+    EXPECT_GT(report.service_ns, 0u);
+    EXPECT_GT(report.offered_qps, 0.0);
+    EXPECT_GT(report.wall_s, 0.0);
 
-  // The random-delay schedule perturbed at least one failpoint site
-  // over thousands of site hits (p=1/8 per hit).
-  EXPECT_GT(report.failpoints_fired, 0) << report.ToString();
+    // The random-delay schedule perturbed at least one failpoint site
+    // over thousands of site hits (p=1/8 per hit).
+    EXPECT_GT(report.failpoints_fired, 0) << report.ToString();
 
-  // Under the lockdep ctest variant the run must be inversion-free;
-  // without the detector the report says so explicitly.
-  if (lockdep::Enabled()) {
-    EXPECT_EQ(report.lockdep_reports, 0) << lockdep::RenderReports();
-  } else {
-    EXPECT_EQ(report.lockdep_reports, -1);
+    // Under the lockdep ctest variant the run must be inversion-free;
+    // without the detector the report says so explicitly.
+    if (lockdep::Enabled()) {
+      EXPECT_EQ(report.lockdep_reports, 0) << lockdep::RenderReports();
+    } else {
+      EXPECT_EQ(report.lockdep_reports, -1);
+    }
   }
 }
 

@@ -1,10 +1,9 @@
-// Unit coverage for bench/bench_json.h, the flat JSON store every bench
-// binary (substrate, observability, decoder, serving) writes its
-// machine-readable report through. The load-bearing behaviors: merge
-// semantics (several benches contribute to one file), round-tripping of
-// raw value tokens, tolerance of missing/malformed input, string
-// escaping, and the env-overridable output paths. Also covers
-// bench/bench_util.h's strict reader for the count variables
+// Unit coverage for bench/bench_json.h, the flat JSON store every
+// BENCH_*.json writer saves its machine-readable report through. The
+// load-bearing behaviors: a save rewrites the whole file (each file has
+// one writer, so no key outlives the run that set it), string escaping,
+// compact number formatting, and the env-overridable output paths. Also
+// covers bench/bench_util.h's strict reader for the count variables
 // (NLIDB_BENCH_TABLES, NLIDB_ATTACK_QUERIES).
 
 #include "bench/bench_json.h"
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -32,62 +30,20 @@ std::string ReadAll(const std::string& path) {
   return out.str();
 }
 
-TEST(FlatJsonTest, MissingFileLoadsEmpty) {
-  bench::FlatJson json =
-      bench::FlatJson::Load(TempPath("does_not_exist.json"));
-  EXPECT_EQ(json.size(), 0u);
-}
-
-TEST(FlatJsonTest, SaveThenLoadRoundTripsExactly) {
-  const std::string path = TempPath("roundtrip.json");
-  bench::FlatJson json;
-  json.Set("qps", 533.735);
-  json.Set("clients", 1600);
-  json.Set("wall_ns", 123456789LL);
-  json.SetString("mode", "batch");
-  ASSERT_TRUE(json.Save(path));
-
-  const std::string first = ReadAll(path);
-  bench::FlatJson reloaded = bench::FlatJson::Load(path);
-  EXPECT_EQ(reloaded.size(), 4u);
-  ASSERT_TRUE(reloaded.Save(path));
-  // Raw value tokens are preserved verbatim, so a load/save cycle is
-  // byte-identical — the property the multi-bench merge relies on.
-  EXPECT_EQ(ReadAll(path), first);
-}
-
-TEST(FlatJsonTest, LoadMergeSetPreservesOtherBenchesKeys) {
-  const std::string path = TempPath("merge.json");
+TEST(FlatJsonTest, SaveOverAnExistingFileKeepsNoOldKey) {
+  const std::string path = TempPath("overwrite.json");
   {
-    bench::FlatJson first;
-    first.Set("decoder_qps", 100.0);
-    ASSERT_TRUE(first.Save(path));
+    bench::FlatJson old;
+    old.Set("retired_key", 1);
+    old.Set("shared_key", 2);
+    ASSERT_TRUE(old.Save(path));
   }
-  {
-    // A second bench contributes to the same file: existing keys
-    // survive, same-named keys are overwritten.
-    bench::FlatJson second = bench::FlatJson::Load(path);
-    second.Set("serving_qps", 500.0);
-    second.Set("decoder_qps", 250.0);
-    ASSERT_TRUE(second.Save(path));
-  }
-  const std::string text = ReadAll(path);
-  EXPECT_NE(text.find("\"decoder_qps\": 250"), std::string::npos);
-  EXPECT_NE(text.find("\"serving_qps\": 500"), std::string::npos);
-  EXPECT_EQ(bench::FlatJson::Load(path).size(), 2u);
-}
-
-TEST(FlatJsonTest, MalformedInputYieldsWhatCanBeScavenged) {
-  const std::string path = TempPath("malformed.json");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "{ \"ok_key\": 1, garbage without structure \"dangling";
-  }
-  // Tolerant scan: the well-formed pair parses, the trailing junk does
-  // not abort the load.
-  bench::FlatJson json = bench::FlatJson::Load(path);
-  EXPECT_GE(json.size(), 1u);
-  EXPECT_TRUE(json.Save(path));
+  bench::FlatJson fresh;
+  fresh.Set("shared_key", 3);
+  fresh.SetString("new_key", "x");
+  ASSERT_TRUE(fresh.Save(path));
+  EXPECT_EQ(ReadAll(path),
+            "{\n  \"new_key\": \"x\",\n  \"shared_key\": 3\n}\n");
 }
 
 TEST(FlatJsonTest, StringValuesEscapeQuotesAndBackslashes) {
@@ -95,14 +51,8 @@ TEST(FlatJsonTest, StringValuesEscapeQuotesAndBackslashes) {
   bench::FlatJson json;
   json.SetString("label", "a \"quoted\" \\ thing");
   ASSERT_TRUE(json.Save(path));
-  const std::string text = ReadAll(path);
-  EXPECT_NE(text.find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(text.find("\\\\"), std::string::npos);
-  // And the escaped form survives a reload unmangled.
-  bench::FlatJson reloaded = bench::FlatJson::Load(path);
-  ASSERT_EQ(reloaded.size(), 1u);
-  ASSERT_TRUE(reloaded.Save(path));
-  EXPECT_EQ(ReadAll(path), text);
+  EXPECT_EQ(ReadAll(path),
+            "{\n  \"label\": \"a \\\"quoted\\\" \\\\ thing\"\n}\n");
 }
 
 TEST(FlatJsonTest, NumberFormattingUsesCompactPrecision) {
@@ -127,10 +77,10 @@ TEST(BenchJsonPathsTest, EveryBenchPathHonorsItsEnvOverride) {
   const Case cases[] = {
       {"NLIDB_BENCH_JSON", &bench::SubstrateJsonPath,
        "BENCH_substrate.json"},
-      {"NLIDB_BENCH_DECODER_JSON", &bench::DecoderJsonPath,
-       "BENCH_decoder.json"},
-      {"NLIDB_BENCH_SERVING_JSON", &bench::ServingJsonPath,
-       "BENCH_serving.json"},
+      {"NLIDB_BENCH_SCHEMA_JSON", &bench::SchemaJsonPath,
+       "BENCH_schema.json"},
+      {"NLIDB_BENCH_ATTACK_JSON", &bench::AttackJsonPath,
+       "BENCH_attack.json"},
   };
   for (const Case& c : cases) {
     ASSERT_EQ(unsetenv(c.env), 0);

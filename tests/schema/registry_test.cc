@@ -251,7 +251,7 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
       seen[i] = &registry.EntryFor(t);
       auto ranked = registry.Route(question, 3);
       route_winner[i] = ranked.empty() ? -1 : ranked.front().id;
-      EXPECT_EQ(registry.ShortlistColumns(question, t).size(), 2u);
+      EXPECT_EQ(registry.ShortlistColumns(question, t, *seen[i]).size(), 2u);
     }
   });
   // Racing first-touch computes converge on one resident entry per

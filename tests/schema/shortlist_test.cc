@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
@@ -52,8 +53,8 @@ TEST(ShortlistTest, NarrowTablesAreNeverPruned) {
   sql::Table t("counties", schema);
   ASSERT_TRUE(
       t.AddRow({sql::Value::Text("mayo"), sql::Value::Real(130507)}).ok());
-  const std::vector<int> shortlist =
-      registry.ShortlistColumns({"unrelated", "words"}, t);
+  const std::vector<int> shortlist = registry.ShortlistColumns(
+      {"unrelated", "words"}, t, registry.EntryFor(t));
   EXPECT_EQ(shortlist, (std::vector<int>{0, 1}));
 }
 
@@ -64,7 +65,8 @@ TEST(ShortlistTest, ExplicitNameMentionSurvivesPruning) {
   sql::Table wide = WideTable();
   const std::vector<std::string> tokens = {"what", "is",     "the", "capital",
                                            "of",   "france", "?"};
-  const std::vector<int> shortlist = registry.ShortlistColumns(tokens, wide);
+  const std::vector<int> shortlist =
+      registry.ShortlistColumns(tokens, wide, registry.EntryFor(wide));
   ASSERT_EQ(shortlist.size(), 8u);
   EXPECT_TRUE(std::is_sorted(shortlist.begin(), shortlist.end()));
   // "capital" is column 19; a literally mentioned column must make the
@@ -153,7 +155,8 @@ TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {
     // PredictBatch decision the annotator's classifier pass makes).
     auto probs = pipeline.classifier().PredictBatch(tokens, displays);
     ASSERT_TRUE(probs.ok()) << probs.status();
-    std::vector<int> shortlist = registry.ShortlistColumns(tokens, wide);
+    std::vector<int> shortlist =
+        registry.ShortlistColumns(tokens, wide, entry);
     ASSERT_EQ(shortlist.size(), 8u);
     for (int c = 0; c < wide.num_columns(); ++c) {
       if ((*probs)[static_cast<size_t>(c)] >= 0.5f &&
@@ -176,6 +179,18 @@ TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {
   // Pruning actually happened — the equality assertions above were not
   // all full scans in disguise.
   EXPECT_GE(pruned_questions, 1);
+
+  // A shortlisted Annotate fingerprints the table once: the shortlist
+  // ranks against the entry the pipeline already resolved.
+  ASSERT_EQ(pipeline.registry().mode(), ScanMode::kShortlist);
+  ASSERT_GT(wide.num_columns(), pipeline.registry().options().shortlist_k);
+  metrics::Counter& hits =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_hits");
+  metrics::Counter& computed =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_computed");
+  const int64_t before = hits.Value() + computed.Value();
+  ASSERT_TRUE(pipeline.Annotate(questions.front(), wide).ok());
+  EXPECT_EQ(hits.Value() + computed.Value() - before, 1);
 }
 
 }  // namespace
