@@ -15,9 +15,11 @@
 //   ./build/bench/bench_schema_scale [--smoke]
 //
 // --smoke shrinks the sweep to {10, 50} tables and asserts the
-// correctness gate instead of recording timings: shortlist-mode
+// correctness gates instead of recording timings: shortlist-mode
 // annotations must be byte-identical to full-scan on the generated
-// corpus. CI runs it in the Release legs.
+// corpus, and routed queries over registered tables must compute no
+// statistics (their entries are bound at Register). CI runs it in the
+// Release legs.
 
 #include "bench/bench_util.h"
 
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "schema/registry.h"
 #include "sql/value.h"
 
@@ -93,7 +96,7 @@ StageSamples RunRouted(const core::NlidbPipeline& pipeline,
 }
 
 int Run(bool smoke) {
-  PrintHeader("Schema registry at scale (content-keyed stats + routing)");
+  PrintHeader("Schema registry at scale (registered snapshots + routing)");
 
   BenchEnv env;
   env.provider = std::make_shared<text::EmbeddingProvider>();
@@ -142,6 +145,9 @@ int Run(bool smoke) {
   double p50_at_min = 0.0;
   double p50_at_max = 0.0;
   int registered = 0;
+  metrics::Counter& stats_computed =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_computed");
+  int64_t routed_computes = 0;
   for (int size : sizes) {
     for (; registered < size; ++registered) {
       StatusOr<schema::TableId> id = pipeline->mutable_registry().Register(
@@ -162,10 +168,12 @@ int Run(bool smoke) {
       if (in_registry) recall_set.push_back(&ex);
       if (recall_set.size() >= 400) break;
     }
+    const int64_t computed_before = stats_computed.Value();
     const StageSamples recall = RunRouted(*pipeline, recall_set);
 
     // Per-question cost on the fixed probe set.
     const StageSamples probe_run = RunRouted(*pipeline, probe);
+    routed_computes += stats_computed.Value() - computed_before;
     const double annotate_p50 = PercentileNs(probe_run.annotate_ns, 0.5);
     const double resolve_p50 = PercentileNs(probe_run.resolve_ns, 0.5);
     if (size == sizes.front()) p50_at_min = annotate_p50;
@@ -267,13 +275,15 @@ int Run(bool smoke) {
     // The strict <=1.25 flatness gate belongs to the full run (committed
     // BENCH_schema.json); smoke uses a loose bound that still catches an
     // accidental O(registry) term without flaking on a noisy CI box.
-    if (checked == 0 || flat_ratio > 2.0) {
-      std::printf("SMOKE FAIL: checked=%d flat_ratio=%.3f\n", checked,
-                  flat_ratio);
+    if (checked == 0 || flat_ratio > 2.0 || routed_computes != 0) {
+      std::printf("SMOKE FAIL: checked=%d flat_ratio=%.3f "
+                  "routed stats computes=%lld\n",
+                  checked, flat_ratio,
+                  static_cast<long long>(routed_computes));
       return 1;
     }
     std::printf("smoke OK: %d questions shortlist == full scan, "
-                "flat ratio %.3f\n",
+                "flat ratio %.3f, 0 stats computes on routed runs\n",
                 checked, flat_ratio);
     return 0;
   }

@@ -49,8 +49,9 @@ class SketchSlotFiller {
   std::shared_ptr<text::EmbeddingProvider> provider_;
   std::unique_ptr<core::ValueDetector> value_detector_;
   std::unique_ptr<core::Annotator> matcher_;  // context-free matching only
-  /// Content-keyed statistics via the same const lookup API the main
-  /// pipeline uses (no more baseline-private mutable stats cache).
+  /// Statistics via the same const lookup API the main pipeline uses.
+  /// Nothing is registered here, so every table it is handed is ad hoc
+  /// and its entry content-keyed.
   schema::SchemaRegistry registry_;
 };
 

@@ -173,7 +173,7 @@ float TrainValueDetector(ValueDetector& detector, const data::Dataset& dataset,
   std::vector<Pair> pairs;
   Rng rng(config.seed + 12);
   for (const data::Example& ex : dataset.examples) {
-    const auto& stats = registry.StatsFor(*ex.table);
+    const auto& stats = registry.EntryFor(*ex.table).stats;
     for (const data::MentionInfo& m : ex.where_mentions) {
       if (m.value_span.empty()) continue;
       std::vector<std::string> span_tokens(

@@ -47,9 +47,10 @@ float TrainColumnMentionClassifier(ColumnMentionClassifier& classifier,
 /// Trains the value detector on (span, column-stats) pairs: gold value
 /// spans against their column (positive, oversampled) and against other
 /// columns / random non-value spans (negative). Column statistics come
-/// from `registry`'s content-keyed store (the same const lookup the
-/// inference path uses), so training a second model over the same corpus
-/// reuses the computed statistics instead of recomputing them.
+/// from `registry.EntryFor` (the same const lookup the inference path
+/// uses): bound at `Register` for a registered table, content-keyed for
+/// any other, so training a second model over the same corpus reuses the
+/// computed statistics instead of recomputing them.
 float TrainValueDetector(ValueDetector& detector, const data::Dataset& dataset,
                          const schema::SchemaRegistry& registry,
                          const ModelConfig& config, int* num_pairs = nullptr);

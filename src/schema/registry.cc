@@ -131,8 +131,26 @@ const TableStatsEntry& SchemaRegistry::Intern(
   return *it->second;
 }
 
+TableId SchemaRegistry::RegisteredId(const sql::Table& table) const {
+  auto it = name_to_id_.find(table.name());
+  if (it == name_to_id_.end() ||
+      tables_[static_cast<size_t>(it->second)].table.get() != &table) {
+    return kInvalidTableId;
+  }
+  return it->second;
+}
+
 const TableStatsEntry& SchemaRegistry::EntryFor(const sql::Table& table) const {
   SchemaCounters& counters = SchemaCounters::Get();
+  {
+    // A registered table is read as it was at Register.
+    MutexLock lock(mu_);
+    const TableId id = RegisteredId(table);
+    if (id != kInvalidTableId) {
+      counters.stats_hits.Increment();
+      return *tables_[static_cast<size_t>(id)].entry;
+    }
+  }
   const uint64_t fp = TableFingerprint(table);
   {
     MutexLock lock(mu_);
@@ -157,20 +175,14 @@ const TableStatsEntry& SchemaRegistry::EntryFor(const sql::Table& table) const {
   return Intern(std::move(entry));
 }
 
-const std::vector<sql::ColumnStatistics>& SchemaRegistry::StatsFor(
-    const sql::Table& table) const {
-  return EntryFor(table).stats;
-}
-
 StatusOr<TableId> SchemaRegistry::Register(
     std::shared_ptr<const sql::Table> table) {
   if (table == nullptr) {
     return Status::InvalidArgument("cannot register a null table");
   }
-  // Warm the content-keyed store and grab the centroid before taking
-  // mu_ (EntryFor locks internally).
+  // Compute the entry to bind before taking mu_ (EntryFor locks
+  // internally).
   const TableStatsEntry& entry = EntryFor(*table);
-  std::vector<float> centroid = entry.centroid;
   std::vector<std::string> index_tokens =
       IndexTokens(*table, kMaxIndexRows);
 
@@ -181,8 +193,7 @@ StatusOr<TableId> SchemaRegistry::Register(
   }
   const TableId id = static_cast<TableId>(tables_.size());
   name_to_id_.emplace(table->name(), id);
-  tables_.push_back(std::move(table));
-  centroids_.push_back(std::move(centroid));
+  tables_.push_back({std::move(table), &entry, entry.centroid});
   for (const std::string& token : index_tokens) {
     postings_[token].push_back(id);
   }
@@ -199,7 +210,7 @@ TableId SchemaRegistry::Find(const std::string& name) const {
 const sql::Table* SchemaRegistry::table(TableId id) const {
   MutexLock lock(mu_);
   if (id < 0 || id >= static_cast<TableId>(tables_.size())) return nullptr;
-  return tables_[static_cast<size_t>(id)].get();
+  return tables_[static_cast<size_t>(id)].table.get();
 }
 
 int SchemaRegistry::num_tables() const {
@@ -243,13 +254,13 @@ std::vector<RouteCandidate> SchemaRegistry::Route(
   const float norm = 1.0f + static_cast<float>(content.size());
   for (size_t i = 0; i < n; ++i) {
     ranked[i].id = static_cast<TableId>(i);
-    ranked[i].name = tables_[i]->name();
+    ranked[i].name = tables_[i].table->name();
     // Lexical evidence dominates when present; the centroid cosine
     // breaks ties and carries the no-lexical-hit fallback (a full
     // centroid scan still ranks every table).
     ranked[i].score = lexical[i] / norm +
                       text::EmbeddingProvider::Cosine(question_vec,
-                                                      centroids_[i]);
+                                                      tables_[i].centroid);
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const RouteCandidate& a, const RouteCandidate& b) {
@@ -332,11 +343,7 @@ StatusOr<Resolution> SchemaRegistry::Resolve(
       resolution.table = ref.table();
       // Report the handle when this exact table is also registered.
       MutexLock lock(mu_);
-      auto it = name_to_id_.find(ref.table()->name());
-      if (it != name_to_id_.end() &&
-          tables_[static_cast<size_t>(it->second)].get() == ref.table()) {
-        resolution.id = it->second;
-      }
+      resolution.id = RegisteredId(*ref.table());
       return resolution;
     }
     case SchemaRef::Kind::kName: {
@@ -347,19 +354,17 @@ StatusOr<Resolution> SchemaRegistry::Resolve(
                                 "'");
       }
       resolution.id = it->second;
-      resolution.table = tables_[static_cast<size_t>(it->second)].get();
+      resolution.table = tables_[static_cast<size_t>(it->second)].table.get();
       return resolution;
     }
-    case SchemaRef::Kind::kId: {
-      MutexLock lock(mu_);
-      if (ref.id() < 0 || ref.id() >= static_cast<TableId>(tables_.size())) {
+    case SchemaRef::Kind::kId:
+      resolution.id = ref.id();
+      resolution.table = table(ref.id());
+      if (resolution.table == nullptr) {
         return Status::NotFound("no registered table with id " +
                                 std::to_string(ref.id()));
       }
-      resolution.id = ref.id();
-      resolution.table = tables_[static_cast<size_t>(ref.id())].get();
       return resolution;
-    }
     case SchemaRef::Kind::kRoute: {
       if (tokens.empty()) {
         return Status::InvalidArgument(
@@ -371,10 +376,7 @@ StatusOr<Resolution> SchemaRegistry::Resolve(
             "cannot route: no tables registered");
       }
       resolution.id = resolution.candidates.front().id;
-      {
-        MutexLock lock(mu_);
-        resolution.table = tables_[static_cast<size_t>(resolution.id)].get();
-      }
+      resolution.table = table(resolution.id);
       return resolution;
     }
   }
@@ -382,30 +384,11 @@ StatusOr<Resolution> SchemaRegistry::Resolve(
 }
 
 Status SchemaRegistry::CheckResolvable(const SchemaRef& ref) const {
-  switch (ref.kind()) {
-    case SchemaRef::Kind::kUnset:
-      return Status::InvalidArgument(
-          "QueryRequest has no schema reference: set schema_ref");
-    case SchemaRef::Kind::kTable:
-      return ref.table() == nullptr
-                 ? Status::InvalidArgument("SchemaRef::Table is null")
-                 : Status::Ok();
-    case SchemaRef::Kind::kName:
-      return Find(ref.name()) == kInvalidTableId
-                 ? Status::NotFound("no registered table named '" +
-                                    ref.name() + "'")
-                 : Status::Ok();
-    case SchemaRef::Kind::kId:
-      return table(ref.id()) == nullptr
-                 ? Status::NotFound("no registered table with id " +
-                                    std::to_string(ref.id()))
-                 : Status::Ok();
-    case SchemaRef::Kind::kRoute:
-      return num_tables() == 0 ? Status::FailedPrecondition(
-                                     "cannot route: no tables registered")
-                               : Status::Ok();
-  }
-  return Status::Internal("unhandled SchemaRef kind");
+  // Every kind but kRoute resolves in constant time without the question.
+  if (ref.kind() != SchemaRef::Kind::kRoute) return Resolve(ref, {}).status();
+  return num_tables() == 0 ? Status::FailedPrecondition(
+                                 "cannot route: no tables registered")
+                           : Status::Ok();
 }
 
 }  // namespace schema

@@ -4,19 +4,24 @@
 // Schema registry (DESIGN.md §15 "Schema-scale architecture").
 //
 // `SchemaRegistry` is the single owner of schema-resolution state for a
-// pipeline: the set of registered tables, their content-keyed column
-// statistics, the token index behind table routing, and the per-table
-// column embeddings behind classifier shortlisting. Statistics are
-// computed from the table's own cells and keyed by a CRC32C content
-// fingerprint (schema/fingerprint.h), so a table that mutates in place,
-// or a fresh table allocated at a recycled address, can never be served
+// pipeline: the set of registered tables, their column statistics and
+// cell indexes, the token index behind table routing, and the per-table
+// column embeddings behind classifier shortlisting.
+//
+// Registered tables are snapshots: a registered table's statistics,
+// cell index and routing data are bound at `Register`, so to change a
+// table, register it under a new name. Ad-hoc tables (a
+// `SchemaRef::Table` to a table that is not registered) are content-
+// keyed instead: their entry is keyed by a CRC32C content fingerprint
+// (schema/fingerprint.h), so an ad-hoc table that mutates in place, or
+// a fresh one allocated at a recycled address, can never be served
 // another table's (or its own stale) statistics.
 //
 // Thread model: all public const methods are safe to call concurrently
 // (serving workers share one registry). Registration is also
 // thread-safe but is expected at setup time. Statistics are computed
-// outside the lock on a miss (they are a pure function of table content
-// and the embedding provider), so cache misses of different tables do
+// outside the lock on an ad-hoc miss (they are a pure function of table
+// content and the embedding provider), so misses of different tables do
 // not serialize; returned entry references stay valid for the registry
 // lifetime because entries are heap-allocated and never erased.
 
@@ -97,8 +102,9 @@ class SchemaRegistry {
   SchemaRegistry(const SchemaRegistry&) = delete;
   SchemaRegistry& operator=(const SchemaRegistry&) = delete;
 
-  /// Registers `table` under its name, precomputes its statistics entry
-  /// and indexes it for routing. Duplicate names are
+  /// Registers `table` under its name, computes its statistics entry
+  /// and indexes it for routing, all from its content now: later
+  /// mutations of `*table` are not seen. Duplicate names are
   /// FailedPrecondition; a null table is InvalidArgument. Thread-safe.
   StatusOr<TableId> Register(std::shared_ptr<const sql::Table> table);
 
@@ -111,27 +117,24 @@ class SchemaRegistry {
 
   int num_tables() const;
 
-  /// The precomputed entry for `table`'s current content. Content-keyed:
-  /// the table is fingerprinted on every call, so a mutated table gets
-  /// fresh statistics instead of stale ones. The reference stays valid
-  /// for the registry's lifetime. Works for unregistered (ad-hoc)
-  /// tables too — the entry is simply computed and retained on first
-  /// sight. Each call advances exactly one of the `schema.stats_hits` /
+  /// The entry for `table`. For a registered table (this exact object,
+  /// under its registered name) it is the entry bound at `Register`,
+  /// whatever the table holds now. Any other table is content-keyed: it
+  /// is fingerprinted on every call, so a mutated ad-hoc table gets
+  /// fresh statistics, and its entry is computed and retained on first
+  /// sight. The reference stays valid for the registry's lifetime. Each
+  /// call advances exactly one of the `schema.stats_hits` /
   /// `schema.stats_computed` counters.
   const TableStatsEntry& EntryFor(const sql::Table& table) const;
-
-  /// Shorthand for EntryFor(table).stats.
-  const std::vector<sql::ColumnStatistics>& StatsFor(
-      const sql::Table& table) const;
 
   /// Resolves `ref` to a concrete table. `tokens` (the tokenized
   /// question) is only consulted for `SchemaRef::Route()` refs.
   StatusOr<Resolution> Resolve(const SchemaRef& ref,
                                const std::vector<std::string>& tokens) const;
 
-  /// Admission-time resolvability check (serving): validates that `ref`
-  /// can resolve without doing the work — named/id refs must be
-  /// registered, routed refs need a non-empty registry.
+  /// Admission-time resolvability check (serving): `Resolve`'s status
+  /// for every kind but routed refs, which only need a non-empty
+  /// registry (routing itself waits for the question).
   Status CheckResolvable(const SchemaRef& ref) const;
 
   /// Ranks registered tables against a tokenized question: inverted-
@@ -171,6 +174,20 @@ class SchemaRegistry {
   /// returns the resident entry either way.
   const TableStatsEntry& Intern(std::unique_ptr<TableStatsEntry> entry) const;
 
+  /// Id of `table` when this exact object is registered under its name;
+  /// kInvalidTableId otherwise (a matching name alone never counts).
+  TableId RegisteredId(const sql::Table& table) const
+      NLIDB_EXCLUSIVE_LOCKS_REQUIRED(mu_);
+
+  /// One registered table and what `Register` bound for it.
+  struct Registered {
+    std::shared_ptr<const sql::Table> table;
+    const TableStatsEntry* entry = nullptr;
+    /// Copy of entry->centroid: Route scans every table, and reading it
+    /// through `entry` costs a cold pointer chase per table.
+    std::vector<float> centroid;
+  };
+
   const std::shared_ptr<const text::EmbeddingProvider> provider_;
   const SchemaRegistryOptions options_;
   /// ScanMode, relaxed: a mode flip mid-flight only changes which
@@ -179,18 +196,16 @@ class SchemaRegistry {
 
   mutable Mutex mu_{"schema.registry"};
   /// Registered tables by id; ids are dense and never reused.
-  std::vector<std::shared_ptr<const sql::Table>> tables_ NLIDB_GUARDED_BY(mu_);
+  std::vector<Registered> tables_ NLIDB_GUARDED_BY(mu_);
   std::unordered_map<std::string, TableId> name_to_id_ NLIDB_GUARDED_BY(mu_);
   /// Routing inverted index: token -> ids of tables whose name, column
   /// names, or sampled cells contain it (each id at most once).
   std::unordered_map<std::string, std::vector<TableId>> postings_
       NLIDB_GUARDED_BY(mu_);
-  /// Per-table centroid, parallel to tables_ (copied out of the stats
-  /// entry at registration so routing never re-fingerprints).
-  std::vector<std::vector<float>> centroids_ NLIDB_GUARDED_BY(mu_);
-  /// Content-keyed statistics store. Entries are heap-allocated and
-  /// never erased, so references returned by EntryFor stay valid across
-  /// later insertions and rehashes.
+  /// Statistics store keyed by content fingerprint. Entries are heap-
+  /// allocated and never erased, so references returned by EntryFor (and
+  /// the entries `tables_` binds) stay valid across later insertions and
+  /// rehashes.
   mutable std::unordered_map<uint64_t, std::unique_ptr<TableStatsEntry>>
       entries_ NLIDB_GUARDED_BY(mu_);
 };

@@ -19,7 +19,11 @@ inline constexpr TableId kInvalidTableId = -1;
 /// architecture"). Exactly one of four shapes:
 ///
 ///   SchemaRef::Table(&t)   ad-hoc table the caller owns; statistics are
-///                          served content-keyed from the registry store
+///                          content-keyed, unless `t` is itself a
+///                          registered table, whose statistics, cell
+///                          index and routing data are bound at
+///                          Register (to change a table, register it
+///                          under a new name)
 ///   SchemaRef::Name("x")   registered table, resolved by name
 ///   SchemaRef::Id(id)      registered table, resolved by handle
 ///   SchemaRef::Route()     no table at all: the registry's router picks

@@ -276,13 +276,13 @@ TEST_F(PipelineTest, AnnotateRejectsEmptyTokens) {
 TEST_F(PipelineTest, RegistryStatsSharedAcrossCalls) {
   NlidbPipeline pipeline(config_, provider_);
   sql::Table table = FilmTable();
-  const auto& s1 = pipeline.registry().StatsFor(table);
-  const auto& s2 = pipeline.registry().StatsFor(table);
+  const auto& s1 = pipeline.registry().EntryFor(table).stats;
+  const auto& s2 = pipeline.registry().EntryFor(table).stats;
   EXPECT_EQ(&s1, &s2);
   // Content-keyed, not address-keyed: an identical copy elsewhere in
   // memory shares the same entry.
   sql::Table copy = FilmTable();
-  EXPECT_EQ(&pipeline.registry().StatsFor(copy), &s1);
+  EXPECT_EQ(&pipeline.registry().EntryFor(copy).stats, &s1);
 }
 
 TEST_F(PipelineTest, QueryResolvesRegisteredTableByName) {

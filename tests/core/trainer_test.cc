@@ -50,8 +50,8 @@ TEST(RegistryStatsTest, CachesByContent) {
   sql::Schema schema({{"x", sql::DataType::kText}});
   sql::Table t("t", schema);
   ASSERT_TRUE(t.AddRow({sql::Value::Text("hello")}).ok());
-  const auto& s1 = registry.StatsFor(t);
-  const auto& s2 = registry.StatsFor(t);
+  const auto& s1 = registry.EntryFor(t).stats;
+  const auto& s2 = registry.EntryFor(t).stats;
   EXPECT_EQ(&s1, &s2);
 }
 

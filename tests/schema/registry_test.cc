@@ -151,52 +151,104 @@ TEST(SchemaRegistryTest, ResolveCoversEveryRefKind) {
   SchemaRegistry registry(Provider());
   auto films = std::make_shared<sql::Table>(FilmTable());
   const std::vector<std::string> tokens = {"which", "film", "?"};
+  // Admission agrees with Resolve on every ref built below.
+  auto resolve = [&](const SchemaRef& ref,
+                     const std::vector<std::string>& question) {
+    StatusOr<Resolution> resolved = registry.Resolve(ref, question);
+    if (!question.empty()) {
+      EXPECT_EQ(registry.CheckResolvable(ref).code(),
+                resolved.status().code());
+    }
+    return resolved;
+  };
 
   // Empty registry: routed refs cannot resolve, named refs are absent.
-  EXPECT_EQ(registry.Resolve(SchemaRef::Route(), tokens).status().code(),
+  EXPECT_EQ(resolve(SchemaRef::Route(), tokens).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(registry.CheckResolvable(SchemaRef::Route()).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(registry.Resolve(SchemaRef(), tokens).status().code(),
+  EXPECT_EQ(resolve(SchemaRef(), tokens).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Resolve(SchemaRef::Table(nullptr), tokens)
-                .status()
-                .code(),
+  EXPECT_EQ(resolve(SchemaRef::Table(nullptr), tokens).status().code(),
             StatusCode::kInvalidArgument);
 
   const TableId id = registry.Register(films).value();
 
   // Ad-hoc table ref: resolves to the pointer; picks up the handle
   // because this exact table happens to be registered.
-  auto by_table = registry.Resolve(SchemaRef::Table(films.get()), tokens);
+  auto by_table = resolve(SchemaRef::Table(films.get()), tokens);
   ASSERT_TRUE(by_table.ok());
   EXPECT_EQ(by_table->table, films.get());
   EXPECT_EQ(by_table->id, id);
   // An unregistered ad-hoc table resolves with no handle.
   sql::Table adhoc = CountyTable();
-  auto by_adhoc = registry.Resolve(SchemaRef::Table(&adhoc), tokens);
+  auto by_adhoc = resolve(SchemaRef::Table(&adhoc), tokens);
   ASSERT_TRUE(by_adhoc.ok());
   EXPECT_EQ(by_adhoc->id, kInvalidTableId);
 
-  auto by_name = registry.Resolve(SchemaRef::Name("films"), tokens);
+  auto by_name = resolve(SchemaRef::Name("films"), tokens);
   ASSERT_TRUE(by_name.ok());
   EXPECT_EQ(by_name->table, films.get());
-  EXPECT_EQ(registry.Resolve(SchemaRef::Name("nope"), tokens).status().code(),
+  EXPECT_EQ(resolve(SchemaRef::Name("nope"), tokens).status().code(),
             StatusCode::kNotFound);
 
-  auto by_id = registry.Resolve(SchemaRef::Id(id), tokens);
+  auto by_id = resolve(SchemaRef::Id(id), tokens);
   ASSERT_TRUE(by_id.ok());
   EXPECT_EQ(by_id->table, films.get());
-  EXPECT_EQ(registry.Resolve(SchemaRef::Id(7), tokens).status().code(),
+  EXPECT_EQ(resolve(SchemaRef::Id(7), tokens).status().code(),
             StatusCode::kNotFound);
 
-  auto routed = registry.Resolve(SchemaRef::Route(), tokens);
+  auto routed = resolve(SchemaRef::Route(), tokens);
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed->table, films.get());
   ASSERT_FALSE(routed->candidates.empty());
   EXPECT_EQ(routed->candidates.front().id, id);
-  EXPECT_EQ(registry.Resolve(SchemaRef::Route(), {}).status().code(),
+  // Admission does not see the question, so it cannot reject an empty
+  // one; only Resolve does.
+  EXPECT_EQ(resolve(SchemaRef::Route(), {}).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_TRUE(registry.CheckResolvable(SchemaRef::Route()).ok());
+}
+
+TEST(SchemaRegistryTest, RegisteredTableIsReadAsRegistered) {
+  auto& hits =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_hits");
+  auto& computed =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_computed");
+  SchemaRegistry registry(Provider());
+  auto films = std::make_shared<sql::Table>(FilmTable());
+  const int64_t computed_before_register = computed.Value();
+  ASSERT_TRUE(registry.Register(films).ok());
+  EXPECT_EQ(computed.Value() - computed_before_register, 1);
+  // (a) Reading the registered object returns the entry Register
+  // bound, counted as one hit and no compute.
+  const int64_t hits_before_read = hits.Value();
+  const int64_t computed_before_read = computed.Value();
+  const TableStatsEntry* bound = &registry.EntryFor(*films);
+  EXPECT_EQ(hits.Value() - hits_before_read, 1);
+  EXPECT_EQ(computed.Value() - computed_before_read, 0);
+  sql::Table as_registered = FilmTable("films_as_registered");
+  EXPECT_EQ(&registry.EntryFor(as_registered), bound);
+  EXPECT_EQ(bound->stats[1].distinct_count, 1);
+
+  // (b) Mutating the registered object through the caller's handle
+  // changes nothing the registry serves for it.
+  ASSERT_TRUE(films->AddRow({sql::Value::Text("silent river"),
+                             sql::Value::Text("liam murphy")})
+                  .ok());
+  const int64_t computed_after_mutation = computed.Value();
+  EXPECT_EQ(&registry.EntryFor(*films), bound);
+  EXPECT_EQ(computed.Value() - computed_after_mutation, 0);
+  EXPECT_EQ(bound->stats[1].distinct_count, 1);
+
+  // (c) Another table named "films" at another address, with other
+  // content, is ad hoc: content-keyed, never the bound entry.
+  sql::Table impostor = FilmTable();
+  ASSERT_TRUE(impostor.AddRow({sql::Value::Text("north wind"),
+                               sql::Value::Text("ana silva")})
+                  .ok());
+  const TableStatsEntry& adhoc = registry.EntryFor(impostor);
+  EXPECT_NE(&adhoc, bound);
+  EXPECT_EQ(adhoc.fingerprint, TableFingerprint(impostor));
+  EXPECT_EQ(adhoc.stats[1].distinct_count, 2);
 }
 
 TEST(SchemaRegistryTest, EveryEntryForEitherHitsOrComputes) {
