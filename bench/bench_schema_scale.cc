@@ -15,11 +15,11 @@
 //   ./build/bench/bench_schema_scale [--smoke]
 //
 // --smoke shrinks the sweep to {10, 50} tables and asserts the
-// correctness gates instead of recording timings: shortlist-mode
-// annotations must be byte-identical to full-scan on the generated
-// corpus, and routed queries over registered tables must compute no
-// statistics (their entries are bound at Register). CI runs it in the
-// Release legs.
+// correctness gates instead of recording timings: the pipeline's
+// queries must be byte-identical to the annotator's full scan on the
+// generated corpus, and routed queries over registered tables must
+// compute no statistics (their entries are bound at Register). CI runs
+// it in the Release legs.
 
 #include "bench/bench_util.h"
 
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "schema/registry.h"
 #include "sql/value.h"
 
@@ -213,29 +214,30 @@ int Run(bool smoke) {
       {"what", "is", "the", "population", "of", "mayo", "county", "?"},
       {"how", "tall", "is", "the", "mountain", "?"},
   };
-  auto run_mode = [&](schema::ScanMode mode) {
-    pipeline->mutable_registry().set_mode(mode);
+  // Wall-clock p50 of one annotate path over every wide question. Full
+  // scan is the annotator called with no shortlist; the shortlist path
+  // is the pipeline's own, which prunes these tables.
+  auto time_wide = [&](const auto& annotate) {
     std::vector<uint64_t> samples;
     for (const sql::Table& t : wide) {
       for (const auto& tokens : wide_questions) {
-        core::QueryRequest request;
-        request.schema_ref = core::SchemaRef::Table(&t);
-        request.tokens = tokens;
-        request.execute = false;
-        StatusOr<core::QueryResult> result = pipeline->Query(request);
-        if (!result.ok()) continue;
-        if (const core::StageTiming* s = result->stages.Child("annotate")) {
-          samples.push_back(s->wall_ns);
+        const uint64_t start = trace::NowNs();
+        if (annotate(tokens, t).ok()) {
+          samples.push_back(trace::NowNs() - start);
         }
       }
     }
-    return samples;
+    return PercentileNs(std::move(samples), 0.5);
   };
-  const double full_p50 = PercentileNs(run_mode(schema::ScanMode::kFullScan),
-                                       0.5);
-  const double short_p50 =
-      PercentileNs(run_mode(schema::ScanMode::kShortlist), 0.5);
-  pipeline->mutable_registry().set_mode(schema::ScanMode::kShortlist);
+  const double full_p50 = time_wide(
+      [&](const std::vector<std::string>& tokens, const sql::Table& t) {
+        return pipeline->annotator().Annotate(
+            tokens, t, pipeline->registry().EntryFor(t));
+      });
+  const double short_p50 = time_wide(
+      [&](const std::vector<std::string>& tokens, const sql::Table& t) {
+        return pipeline->Annotate(tokens, t);
+      });
   std::printf(
       "wide-table annotate p50: full scan %9.0f ns | shortlist %9.0f ns\n",
       full_p50, short_p50);
@@ -245,27 +247,34 @@ int Run(bool smoke) {
   }
 
   if (smoke) {
-    // Correctness gate instead of timings: shortlist mode reproduces
-    // full-scan outputs byte-for-byte on the generated corpus (whose
-    // tables sit under shortlist_k, so pruning must be a no-op).
+    // Correctness gate instead of timings: Query's annotated question,
+    // SQL and score equal those of the annotator called with no
+    // shortlist, fed through the same build_qa and translate steps, on
+    // the generated corpus (whose tables sit under shortlist_k, so the
+    // pipeline must not prune them).
     int checked = 0;
     for (const data::Example& ex : env.splits.test.examples) {
       core::QueryRequest request;
       request.schema_ref = core::SchemaRef::Table(ex.table.get());
       request.tokens = ex.tokens;
-      pipeline->mutable_registry().set_mode(schema::ScanMode::kFullScan);
-      StatusOr<core::QueryResult> full = pipeline->Query(request);
-      pipeline->mutable_registry().set_mode(schema::ScanMode::kShortlist);
-      StatusOr<core::QueryResult> shortlisted = pipeline->Query(request);
-      if (full.ok() != shortlisted.ok()) {
-        std::printf("SMOKE FAIL: mode changed status for: %s\n",
+      StatusOr<core::QueryResult> result = pipeline->Query(request);
+      StatusOr<core::Annotation> full = pipeline->annotator().Annotate(
+          ex.tokens, *ex.table, pipeline->registry().EntryFor(*ex.table));
+      if (result.ok() != full.ok()) {
+        std::printf("SMOKE FAIL: shortlist changed status for: %s\n",
                     ex.question.c_str());
         return 1;
       }
       if (!full.ok()) continue;
-      if (full->annotated_question != shortlisted->annotated_question ||
-          full->annotated_sql != shortlisted->annotated_sql ||
-          full->translate_score != shortlisted->translate_score) {
+      const std::vector<std::string> full_question =
+          core::BuildAnnotatedQuestion(ex.tokens, *full, ex.table->schema(),
+                                       pipeline->annotation_options());
+      StatusOr<core::Seq2SeqTranslator::Decoded> full_sql =
+          pipeline->translator().Decode(full_question);
+      if (!full_sql.ok() ||
+          result->annotated_question != full_question ||
+          result->annotated_sql != full_sql->tokens ||
+          result->translate_score != full_sql->score) {
         std::printf("SMOKE FAIL: shortlist != full scan for: %s\n",
                     ex.question.c_str());
         return 1;

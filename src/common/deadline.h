@@ -4,7 +4,7 @@
 // Deadline / cancellation plumbing for the query path (DESIGN.md
 // "Fault-tolerance architecture"). A CancelContext rides along a
 // request and is polled at stage boundaries and inside the expensive
-// inner loops (beam-search decode steps, annotator fan-outs, value-span
+// inner loops (beam-search decode steps, influence probes, value-span
 // scoring); an expired context surfaces as StatusCode::kDeadlineExceeded
 // instead of an unbounded computation.
 

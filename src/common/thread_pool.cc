@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 
@@ -8,7 +7,6 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/trace.h"
 
 namespace nlidb {
 
@@ -71,10 +69,6 @@ void ThreadPool::RunJob(const Job& job) {
   tls_in_pool_worker = true;
   std::exception_ptr error;
   try {
-    // Spans the body opens parent under the span that was current on the
-    // enqueuing thread, keeping the per-request trace tree connected
-    // across the fan-out.
-    trace::ScopedParent trace_parent(job.trace_parent);
     (*job.body)(job.begin, job.end);
   } catch (...) {
     error = std::current_exception();
@@ -111,7 +105,6 @@ void ThreadPool::ParallelFor(int begin, int end,
 
   parallel_fors.Increment();
   jobs_enqueued.Increment(chunks - 1);
-  const int trace_parent = trace::CurrentSpanId();
   LoopState loop;
   {
     // The loop state is not shared until the jobs are enqueued below,
@@ -130,7 +123,7 @@ void ThreadPool::ParallelFor(int begin, int end,
                                  static_cast<long long>(len) * c / chunks);
       const int ce = begin + static_cast<int>(
                                  static_cast<long long>(len) * (c + 1) / chunks);
-      queue_.push_back(Job{&body, cb, ce, c, &loop, trace_parent});
+      queue_.push_back(Job{&body, cb, ce, c, &loop});
     }
     queue_depth_peak.Update(static_cast<int64_t>(queue_.size()));
   }
@@ -138,7 +131,7 @@ void ThreadPool::ParallelFor(int begin, int end,
 
   const int ce0 =
       begin + static_cast<int>(static_cast<long long>(len) / chunks);
-  RunJob(Job{&body, begin, ce0, 0, &loop, trace_parent});
+  RunJob(Job{&body, begin, ce0, 0, &loop});
 
   MutexLock lock(loop.mu);
   while (loop.remaining != 0) loop.done_cv.Wait(loop.mu);
@@ -148,26 +141,6 @@ void ThreadPool::ParallelFor(int begin, int end,
     if (e) std::rethrow_exception(e);
   }
 }
-
-Status ThreadPool::ParallelFor(int begin, int end,
-                               const std::function<void(int, int)>& body,
-                               const CancelContext& ctx) {
-  std::atomic<bool> skipped{false};
-  const std::function<void(int, int)> guarded = [&](int b, int e) {
-    if (ctx.Expired()) {
-      skipped.store(true, std::memory_order_relaxed);
-      return;
-    }
-    body(b, e);
-  };
-  ParallelFor(begin, end, guarded);
-  if (skipped.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded("deadline exceeded in ParallelFor");
-  }
-  return Status::Ok();
-}
-
-bool ThreadPool::InWorker() { return tls_in_pool_worker; }
 
 int ThreadPool::DefaultParallelism() {
   if (const char* env = std::getenv("NLIDB_NUM_THREADS")) {

@@ -7,9 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace nlidb {
@@ -26,8 +24,7 @@ namespace nlidb {
 ///    with no synchronization.
 ///  - Nested ParallelFor calls from inside a worker run inline on the
 ///    worker (never re-enqueue), which makes nesting safe by construction:
-///    a kernel-level ParallelFor inside an annotator-level fan-out cannot
-///    deadlock the pool.
+///    a ParallelFor issued from inside a body cannot deadlock the pool.
 ///  - Exceptions thrown by the body are captured and the first one (by
 ///    chunk index) is rethrown on the calling thread after all chunks
 ///    finish, so the pool is always left in a reusable state.
@@ -53,19 +50,6 @@ class ThreadPool {
   void ParallelFor(int begin, int end,
                    const std::function<void(int, int)>& body);
 
-  /// Cancellation-aware variant: a chunk whose turn comes after `ctx`
-  /// expired is skipped instead of run, and the call returns
-  /// DeadlineExceeded when any chunk was skipped (Ok otherwise).
-  /// Chunk bodies already in flight are never interrupted — bodies
-  /// needing finer granularity poll `ctx` themselves.
-  Status ParallelFor(int begin, int end,
-                     const std::function<void(int, int)>& body,
-                     const CancelContext& ctx);
-
-  /// True when the calling thread is one of this process's pool workers
-  /// (any pool). Used to force nested parallel sections inline.
-  static bool InWorker();
-
   /// The process-wide pool. Lazily constructed with
   /// `DefaultParallelism()` threads on first use.
   static ThreadPool& Global();
@@ -89,9 +73,6 @@ class ThreadPool {
     int begin, end;
     int chunk;
     LoopState* loop;
-    // Trace span open on the enqueuing thread, re-installed around the
-    // body so worker-side spans join the enqueuing request's tree.
-    int trace_parent;
   };
 
   void WorkerLoop() NLIDB_LOCKS_EXCLUDED(mu_);

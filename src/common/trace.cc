@@ -45,8 +45,8 @@ SinkState& GlobalSinkState() {
 }
 
 // The span currently open on this thread; 0 = root. TraceSpan pushes
-// itself here, ScopedParent re-installs an enqueuing span's id on pool
-// workers.
+// itself here, ScopedParent re-installs a submitter's span id on
+// serving workers.
 thread_local int tls_current_parent = 0;
 
 void FlushEnvSinkAtExit() { SetSink(nullptr); }

@@ -24,7 +24,7 @@ uint64_t NowNs();
 ///
 /// Spans form a tree per request: `parent_id` is the span that was
 /// current on the emitting thread (or installed via `ScopedParent` for
-/// pool workers) when the span was opened, and 0 means root. Ids are
+/// serving workers) when the span was opened, and 0 means root. Ids are
 /// process-unique and monotonically increasing, so sorting by id
 /// recovers creation order.
 struct SpanRecord {
@@ -66,13 +66,13 @@ std::shared_ptr<TraceSink> CurrentSink();
 void InitFromEnv();
 
 /// The id of the span currently open on this thread (0 if none).
-/// Captured before a ThreadPool fan-out and re-installed on workers via
-/// `ScopedParent` so worker spans parent under the enqueuing span.
+/// Captured when a request is queued and re-installed on the serving
+/// worker via `ScopedParent` so worker spans parent under the submitter.
 int CurrentSpanId();
 
 /// RAII: makes `parent_id` the current parent on this thread for the
-/// scope's lifetime. Used by ThreadPool::RunJob to stitch worker spans
-/// into the enqueuing request's tree.
+/// scope's lifetime. The serving engine uses it to stitch a worker's
+/// spans into the submitting request's tree.
 class ScopedParent {
  public:
   explicit ScopedParent(int parent_id);

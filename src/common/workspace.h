@@ -18,8 +18,8 @@ namespace nlidb {
 ///
 /// Thread-compatible, not thread-safe: a Workspace is owned by exactly
 /// one thread and carries no lock — `ThreadLocal()` hands each thread
-/// its own arena (pool workers each get their own, so kernel fan-outs
-/// never contend). That single-owner contract is what PR 2's TSan runs
+/// its own arena (pool workers each get their own, so partitioned
+/// kernels never contend). That single-owner contract is what PR 2's TSan runs
 /// verify dynamically; statically it is encoded by this class having no
 /// Mutex (the mutex-unguarded lint rule fires on any lock added here
 /// without NLIDB_GUARDED_BY state) and by every cross-thread entry point

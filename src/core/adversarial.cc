@@ -32,9 +32,9 @@ StatusOr<InfluenceProfile> AdversarialLocator::ComputeInfluence(
     // Influence probing only reads gradients at the embedding *lookup*
     // nodes, never at the weights. The scope makes Backward skip every
     // write into parameter leaves, which (a) drops the useless dW GEMMs
-    // and (b) removes the only shared-state writes, so the annotator can
-    // fan ComputeInfluence calls for different columns across the thread
-    // pool (the lookup nodes and all intermediates are per-graph).
+    // and (b) removes the only shared-state writes, so concurrent
+    // requests can probe one classifier at once (the lookup nodes and
+    // all intermediates are per-graph).
     InferenceGradScope scope;
     Backward(loss);
   }

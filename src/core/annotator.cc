@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "text/distance.h"
 #include "text/stopwords.h"
@@ -258,9 +257,9 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   static metrics::Counter& columns_scored =
       metrics::MetricsRegistry::Global().GetCounter(
           "annotator.classifier_columns_scored");
-  static metrics::Counter& influence_fanouts =
+  static metrics::Counter& influence_probes =
       metrics::MetricsRegistry::Global().GetCounter(
-          "annotator.influence_fanouts");
+          "annotator.influence_probes");
   trace::TraceSpan span("annotator.classifier");
   AdversarialLocator locator(config_);
 
@@ -283,40 +282,27 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   if (!probs_or.ok()) return probs_or.status();
   const std::vector<float>& probs = *probs_or;
 
-  // Phase 2 (parallel): influence profiles for the accepted columns.
-  // ComputeInfluence depends only on (question, column) — not on the
-  // claimed mask — so the per-column passes fan out across the thread
-  // pool into index-addressed slots. Each builds the one-column graph
+  // Phase 2: influence profiles for the accepted columns, one probe at
+  // a time on this thread. Each probe builds the one-column graph
   // (question encoding included) again to differentiate it; scoring
   // above kept no graph to reuse.
   std::vector<int> accepted;
   for (size_t j = 0; j < pending.size(); ++j) {
     if (probs[j] >= kClassifierThreshold) accepted.push_back(static_cast<int>(j));
   }
-  influence_fanouts.Increment(static_cast<int64_t>(accepted.size()));
-  std::vector<InfluenceProfile> profiles(accepted.size());
-  std::vector<Status> chunk_status(accepted.size());
-  const CancelContext pool_ctx = ctx != nullptr ? *ctx : CancelContext{};
-  NLIDB_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
-      0, static_cast<int>(accepted.size()),
-      [&](int jb, int je) {
-        // Worker-side span; parented under "annotator.classifier" via
-        // the trace-parent propagation in ThreadPool::RunJob.
-        trace::TraceSpan chunk("annotator.influence");
-        chunk.Annotate("columns", static_cast<int64_t>(je - jb));
-        for (int j = jb; j < je; ++j) {
-          StatusOr<InfluenceProfile> profile = locator.ComputeInfluence(
-              *classifier_, tokens, displays[accepted[j]]);
-          if (profile.ok()) {
-            profiles[j] = std::move(profile).value();
-          } else {
-            chunk_status[j] = profile.status();
-          }
-        }
-      },
-      pool_ctx));
-  for (const Status& s : chunk_status) {
-    NLIDB_RETURN_IF_ERROR(s);
+  std::vector<InfluenceProfile> profiles;
+  profiles.reserve(accepted.size());
+  if (!accepted.empty()) {
+    influence_probes.Increment(static_cast<int64_t>(accepted.size()));
+    trace::TraceSpan probes("annotator.influence");
+    probes.Annotate("columns", static_cast<int64_t>(accepted.size()));
+    for (int j : accepted) {
+      NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "annotator.influence"));
+      StatusOr<InfluenceProfile> profile =
+          locator.ComputeInfluence(*classifier_, tokens, displays[j]);
+      if (!profile.ok()) return profile.status();
+      profiles.push_back(std::move(profile).value());
+    }
   }
 
   // Phase 3 (sequential, original column order): masking, span location,

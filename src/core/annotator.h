@@ -71,8 +71,8 @@ class Annotator {
   /// statistics and cell index); an empty question or a stats/schema
   /// size mismatch is an InvalidArgument error rather than a
   /// silently-empty annotation. `ctx` (optional) is polled at stage
-  /// boundaries and inside the value-detector scan and classifier
-  /// fan-out; expiry surfaces as DeadlineExceeded.
+  /// boundaries, inside the value-detector scan and before each
+  /// influence probe; expiry surfaces as DeadlineExceeded.
   ///
   /// `column_shortlist` (optional, ascending column indices) restricts
   /// the classifier pass to those columns; excluded columns behave

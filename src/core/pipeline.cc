@@ -17,7 +17,7 @@ NlidbPipeline::NlidbPipeline(const ModelConfig& config,
     : config_(config), provider_(std::move(provider)) {
   NLIDB_CHECK(provider_ != nullptr) << "pipeline needs an embedding provider";
   // Size the shared pool once per process; 1 forces every substrate
-  // consumer (GEMM kernels, influence fan-out) onto the serial path.
+  // consumer (the GEMM row partition) onto the serial path.
   ThreadPool::SetGlobalParallelism(config_.ResolveNumThreads());
   classifier_ = std::make_unique<ColumnMentionClassifier>(config_, *provider_);
   value_detector_ = std::make_unique<ValueDetector>(config_, *provider_);
@@ -78,10 +78,9 @@ StatusOr<Annotation> NlidbPipeline::AnnotateAgainst(
     const std::vector<std::string>& tokens, const sql::Table& table,
     const CancelContext* ctx, Annotator::AnnotateDebug* debug) const {
   const schema::TableStatsEntry& entry = registry_->EntryFor(table);
-  // Rank a column shortlist when the registry's mode and the table's
-  // width call for one; otherwise the annotator scans every column.
+  // Rank a column shortlist when the table is wider than shortlist_k;
+  // otherwise the annotator scans every column.
   const bool shortlisted =
-      registry_->mode() == schema::ScanMode::kShortlist &&
       table.num_columns() > registry_->options().shortlist_k;
   std::vector<int> shortlist;
   if (shortlisted) {

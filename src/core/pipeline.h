@@ -53,7 +53,7 @@ struct QueryRequest {
 
   /// Optional deadline. Polled at stage boundaries and inside the
   /// expensive inner loops (decode steps, value-span scan, influence
-  /// fan-out); expiry makes Query return DeadlineExceeded instead of
+  /// probes); expiry makes Query return DeadlineExceeded instead of
   /// running to completion — never an abort.
   Deadline deadline;
 
@@ -173,7 +173,7 @@ class NlidbPipeline {
   /// The schema-resolution subsystem: registered tables, the content-
   /// keyed column statistics, routing and shortlisting. The const
   /// accessor is all inference needs; `mutable_registry()` exists for
-  /// setup (registering tables, switching the scan mode).
+  /// setup (registering tables).
   const schema::SchemaRegistry& registry() const { return *registry_; }
   schema::SchemaRegistry& mutable_registry() { return *registry_; }
 
@@ -192,7 +192,7 @@ class NlidbPipeline {
 
  private:
   /// The one annotate path behind `Annotate` and `Query`: stats lookup,
-  /// column shortlist when the registry calls for one, then the
+  /// column shortlist when the table is wider than shortlist_k, then the
   /// annotator, polling `ctx` and filling `debug` (both optional).
   StatusOr<Annotation> AnnotateAgainst(const std::vector<std::string>& tokens,
                                        const sql::Table& table,

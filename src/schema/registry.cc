@@ -92,9 +92,7 @@ std::vector<std::string> IndexTokens(const sql::Table& table, int max_rows) {
 SchemaRegistry::SchemaRegistry(
     std::shared_ptr<const text::EmbeddingProvider> provider,
     const SchemaRegistryOptions& options)
-    : provider_(std::move(provider)),
-      options_(options),
-      mode_(static_cast<int>(ScanMode::kShortlist)) {}
+    : provider_(std::move(provider)), options_(options) {}
 
 void SchemaRegistry::FillDerived(const sql::Table& table,
                                  TableStatsEntry& entry) const {
@@ -180,6 +178,12 @@ StatusOr<TableId> SchemaRegistry::Register(
   if (table == nullptr) {
     return Status::InvalidArgument("cannot register a null table");
   }
+  const auto duplicate = [&table] {
+    return Status::FailedPrecondition("table '" + table->name() +
+                                      "' is already registered");
+  };
+  // A known duplicate is rejected before any entry is computed for it.
+  if (Find(table->name()) != kInvalidTableId) return duplicate();
   // Compute the entry to bind before taking mu_ (EntryFor locks
   // internally).
   const TableStatsEntry& entry = EntryFor(*table);
@@ -187,10 +191,9 @@ StatusOr<TableId> SchemaRegistry::Register(
       IndexTokens(*table, kMaxIndexRows);
 
   MutexLock lock(mu_);
-  if (name_to_id_.count(table->name()) > 0) {
-    return Status::FailedPrecondition("table '" + table->name() +
-                                      "' is already registered");
-  }
+  // Two concurrent registrations of one name can both pass the check
+  // above; the loser's entry stays resident as an ad-hoc entry.
+  if (name_to_id_.count(table->name()) > 0) return duplicate();
   const TableId id = static_cast<TableId>(tables_.size());
   name_to_id_.emplace(table->name(), id);
   tables_.push_back({std::move(table), &entry, entry.centroid});

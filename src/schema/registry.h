@@ -23,9 +23,13 @@
 // outside the lock on an ad-hoc miss (they are a pure function of table
 // content and the embedding provider), so misses of different tables do
 // not serialize; returned entry references stay valid for the registry
-// lifetime because entries are heap-allocated and never erased.
+// lifetime because entries are heap-allocated and never erased. The
+// price: every distinct ad-hoc table content the registry ever sees
+// stays resident, statistics and cell index included, for the
+// registry's lifetime (perfbench's catalog_large computes about 0.086
+// entries per query). Bounding the store needs a design that keeps
+// this reference contract, which callers rely on.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,18 +48,6 @@
 
 namespace nlidb {
 namespace schema {
-
-/// How the annotator consumes column statistics.
-enum class ScanMode {
-  /// Score every column of the table (the paper's behavior; byte-
-  /// identical to the pre-registry pipeline).
-  kFullScan,
-  /// Score only the registry's top-K candidate columns. Annotations are
-  /// identical to full-scan whenever K covers every column the
-  /// classifier would accept (guaranteed trivially when K >= table
-  /// width; asserted against full-scan by tests and the scale bench).
-  kShortlist,
-};
 
 struct SchemaRegistryOptions {
   /// Max candidate columns the shortlist passes to the classifier.
@@ -105,7 +97,8 @@ class SchemaRegistry {
   /// Registers `table` under its name, computes its statistics entry
   /// and indexes it for routing, all from its content now: later
   /// mutations of `*table` are not seen. Duplicate names are
-  /// FailedPrecondition; a null table is InvalidArgument. Thread-safe.
+  /// FailedPrecondition, found before any entry is computed; a null
+  /// table is InvalidArgument. Thread-safe.
   StatusOr<TableId> Register(std::shared_ptr<const sql::Table> table);
 
   /// Handle of the registered table named `name`; kInvalidTableId when
@@ -153,15 +146,6 @@ class SchemaRegistry {
                                     const sql::Table& table,
                                     const TableStatsEntry& entry) const;
 
-  /// kShortlist from construction; tests and benches flip it to
-  /// kFullScan for the equivalence oracle.
-  ScanMode mode() const {
-    return static_cast<ScanMode>(mode_.load(std::memory_order_relaxed));
-  }
-  void set_mode(ScanMode mode) {
-    mode_.store(static_cast<int>(mode), std::memory_order_relaxed);
-  }
-
   const SchemaRegistryOptions& options() const { return options_; }
   const text::EmbeddingProvider& provider() const { return *provider_; }
 
@@ -190,10 +174,6 @@ class SchemaRegistry {
 
   const std::shared_ptr<const text::EmbeddingProvider> provider_;
   const SchemaRegistryOptions options_;
-  /// ScanMode, relaxed: a mode flip mid-flight only changes which
-  /// (equivalent) scoring path later queries take.
-  std::atomic<int> mode_;
-
   mutable Mutex mu_{"schema.registry"};
   /// Registered tables by id; ids are dense and never reused.
   std::vector<Registered> tables_ NLIDB_GUARDED_BY(mu_);

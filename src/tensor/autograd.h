@@ -52,7 +52,8 @@ void ZeroGrad(const std::vector<Var>& vars);
 /// graph leaves (nodes with no backward_fn: parameters and constant
 /// inputs), so backward closures skip writing weight gradients entirely.
 /// That makes concurrent Backward() calls over graphs that share
-/// parameter nodes race-free — the only shared state written during a
+/// parameter nodes (serving workers probing one classifier for
+/// concurrent requests) race-free — the only shared state written during a
 /// training backward is exactly those leaf grads — and skips the dW GEMMs
 /// influence probing never reads. Intermediate nodes (including the
 /// embedding activations whose grads the influence profile reads) are

@@ -204,14 +204,18 @@ namespace {
 // amortize the fork/join. Each output row belongs to exactly one
 // contiguous chunk, so the partition never changes any element's
 // accumulation order — parallel and serial results are bitwise identical.
+// The threshold is tested first: most GEMMs sit below it, and
+// `ThreadPool::Global()` takes the global pool lock.
 template <typename RowsFn>
 void RunRowPartitioned(long long flops, int m, const RowsFn& rows) {
-  ThreadPool& pool = ThreadPool::Global();
-  if (flops >= kGemmParallelFlops && pool.parallelism() > 1) {
-    pool.ParallelFor(0, m, rows);
-  } else {
-    rows(0, m);
+  if (flops >= kGemmParallelFlops) {
+    ThreadPool& pool = ThreadPool::Global();
+    if (pool.parallelism() > 1) {
+      pool.ParallelFor(0, m, rows);
+      return;
+    }
   }
+  rows(0, m);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests for the RAII tracing substrate (src/common/trace.h): disabled
-// no-op behavior, span nesting on one thread and across ThreadPool
-// workers, sink swapping, the JSON-lines sink's output format, and the
-// one-timer contract (one duration feeds record, stage tree and
-// histogram).
+// no-op behavior, span nesting, parent re-installation, sink swapping,
+// the JSON-lines sink's output format, and the one-timer contract (one
+// duration feeds record, stage tree and histogram).
 
 #include "common/trace.h"
 
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 
 namespace nlidb {
 namespace trace {
@@ -81,32 +79,6 @@ TEST_F(TraceTest, NestedSpansFormATree) {
   EXPECT_LE(records[1].start_ns, records[0].start_ns);
   EXPECT_GE(records[1].start_ns + records[1].duration_ns,
             records[0].start_ns + records[0].duration_ns);
-}
-
-TEST_F(TraceTest, WorkerSpansParentUnderTheEnqueuingSpan) {
-  // ThreadPool::RunJob re-installs the enqueuing span id on workers via
-  // ScopedParent, so spans opened inside ParallelFor bodies stitch into
-  // the request tree instead of floating as roots.
-  ThreadPool::SetGlobalParallelism(4);
-  auto sink = std::make_shared<InMemorySink>();
-  SetSink(sink);
-  int outer_id = 0;
-  {
-    TraceSpan outer("test.fanout");
-    outer_id = CurrentSpanId();
-    ThreadPool::Global().ParallelFor(0, 64, [](int jb, int je) {
-      TraceSpan chunk("test.worker_chunk");
-      chunk.Annotate("items", int64_t{je - jb});
-    });
-  }
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-  int worker_spans = 0;
-  for (const SpanRecord& r : sink->Records()) {
-    if (r.name != "test.worker_chunk") continue;
-    ++worker_spans;
-    EXPECT_EQ(r.parent_id, outer_id) << "worker span not stitched";
-  }
-  EXPECT_GT(worker_spans, 0);
 }
 
 TEST_F(TraceTest, ScopedParentInstallsAndRestores) {

@@ -96,9 +96,9 @@ TEST(WorkspaceTest, ScopeOnFreshWorkspace) {
 
 TEST(WorkspaceTest, ScopeRewindsOnException) {
   // Stack unwinding through a throwing region must rewind the arena
-  // exactly as a clean scope exit does — the kernels-in-fan-out failure
-  // mode, where an exception mid-request would otherwise leak bump space
-  // on every retry.
+  // exactly as a clean scope exit does — the failure mode of a kernel
+  // on a long-lived thread, where an exception mid-request would
+  // otherwise leak bump space on every retry.
   Workspace ws;
   float* outer = ws.Floats(32);
   outer[0] = 5.0f;
@@ -119,10 +119,10 @@ TEST(WorkspaceTest, ScopeRewindsOnException) {
 }
 
 TEST(WorkspaceStressTest, InterleavedScopesAcrossPoolThreads) {
-  // The fan-out pattern of the annotator under load: every pool thread
-  // hammers its own thread-local arena with nested scopes, interleaved
-  // rewinds, and occasional exceptions, while checking its buffers are
-  // never shared or corrupted. After a warmup pass, steady-state requests
+  // Many threads serving requests at once: every pool thread hammers
+  // its own thread-local arena with nested scopes, interleaved rewinds,
+  // and occasional exceptions, while checking its buffers are never
+  // shared or corrupted. After a warmup pass, steady-state requests
   // must not allocate — per-thread reserved() stays flat.
 #if defined(NLIDB_SANITIZER_BUILD)
   const int kRounds = 30;

@@ -147,6 +147,26 @@ TEST(SchemaRegistryTest, RegisterAssignsDenseIdsAndRejectsDuplicates) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(SchemaRegistryTest, DuplicateRegisterComputesNoEntry) {
+  auto& computed =
+      metrics::MetricsRegistry::Global().GetCounter("schema.stats_computed");
+  SchemaRegistry registry(Provider());
+  ASSERT_TRUE(
+      registry.Register(std::make_shared<sql::Table>(FilmTable())).ok());
+  // Same name, content never seen before: rejected before an entry is
+  // computed for it, so the registry retains nothing of it.
+  auto duplicate = std::make_shared<sql::Table>(FilmTable());
+  ASSERT_TRUE(duplicate
+                  ->AddRow({sql::Value::Text("north wind"),
+                            sql::Value::Text("ana silva")})
+                  .ok());
+  const int64_t computed_before = computed.Value();
+  EXPECT_EQ(registry.Register(duplicate).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(computed.Value() - computed_before, 0);
+  EXPECT_EQ(registry.num_tables(), 1);
+}
+
 TEST(SchemaRegistryTest, ResolveCoversEveryRefKind) {
   SchemaRegistry registry(Provider());
   auto films = std::make_shared<sql::Table>(FilmTable());

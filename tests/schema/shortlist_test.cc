@@ -89,9 +89,13 @@ class ShortlistEquivalenceTest : public ::testing::Test {
 
 TEST_F(ShortlistEquivalenceTest, ShortlistModeMatchesFullScanOnSeedCorpus) {
   // The correctness gate: with the default shortlist_k (16, wider than
-  // any seed-corpus table), shortlist mode must reproduce full-scan
-  // annotations exactly — at 1 thread and at 8.
+  // any seed-corpus table), the pipeline's annotate path must equal the
+  // annotator called with no shortlist — at 1 thread and at 8 — and
+  // must rank no shortlist for these narrow tables.
   core::NlidbPipeline pipeline(config_, provider_);
+  metrics::Counter& shortlist_queries =
+      metrics::MetricsRegistry::Global().GetCounter(
+          "schema.shortlist_queries");
   data::GeneratorConfig gc;
   gc.num_tables = 6;
   gc.questions_per_table = 4;
@@ -101,17 +105,21 @@ TEST_F(ShortlistEquivalenceTest, ShortlistModeMatchesFullScanOnSeedCorpus) {
 
   for (int threads : {1, 8}) {
     ThreadPool::SetGlobalParallelism(threads);
+    const int64_t shortlists_before = shortlist_queries.Value();
     for (const data::Example& ex : splits.test.examples) {
-      pipeline.mutable_registry().set_mode(ScanMode::kFullScan);
-      auto full = pipeline.Annotate(ex.tokens, *ex.table);
-      pipeline.mutable_registry().set_mode(ScanMode::kShortlist);
+      ASSERT_LE(ex.table->num_columns(),
+                pipeline.registry().options().shortlist_k);
       auto shortlisted = pipeline.Annotate(ex.tokens, *ex.table);
+      auto full = pipeline.annotator().Annotate(
+          ex.tokens, *ex.table, pipeline.registry().EntryFor(*ex.table));
       ASSERT_TRUE(full.ok()) << full.status();
       ASSERT_TRUE(shortlisted.ok()) << shortlisted.status();
       EXPECT_EQ(testing::AnnotationToString(*full),
                 testing::AnnotationToString(*shortlisted))
           << "threads=" << threads << " q: " << ex.question;
     }
+    EXPECT_EQ(shortlist_queries.Value() - shortlists_before, 0)
+        << "threads=" << threads;
   }
   ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 }
@@ -182,7 +190,6 @@ TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {
 
   // A shortlisted Annotate fingerprints the table once: the shortlist
   // ranks against the entry the pipeline already resolved.
-  ASSERT_EQ(pipeline.registry().mode(), ScanMode::kShortlist);
   ASSERT_GT(wide.num_columns(), pipeline.registry().options().shortlist_k);
   metrics::Counter& hits =
       metrics::MetricsRegistry::Global().GetCounter("schema.stats_hits");
