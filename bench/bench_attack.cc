@@ -39,7 +39,6 @@
 #include "attack/soak.h"
 #include "attack/triage.h"
 #include "common/lockdep.h"
-#include "common/thread_pool.h"
 
 namespace nlidb {
 namespace bench {
@@ -94,8 +93,6 @@ int Run(bool smoke) {
               static_cast<unsigned long long>(soak_options.queries),
               soak_corpus.size(), env.splits.test.size(),
               attack::kNumMutators);
-  // The engine's workers are the concurrency under test.
-  ThreadPool::SetGlobalParallelism(1);
   const attack::SoakReport soak =
       attack::RunSoak(*pipeline, soak_corpus, soak_options);
   std::printf("%s", soak.ToString().c_str());
@@ -154,7 +151,6 @@ int Run(bool smoke) {
   const attack::HardenReport harden =
       attack::Harden(*pipeline, env.provider, env.splits.train,
                      clean_control, attack_eval, engine, harden_options);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 
   std::printf("baseline under attack:\n%s",
               harden.baseline.Render().c_str());

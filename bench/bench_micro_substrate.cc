@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "core/annotation.h"
 #include "data/generator.h"
 #include "nn/rnn.h"
@@ -226,9 +225,7 @@ void RunSubstrateGemmReport(bench::FlatJson& json) {
        &MatMulTransposeAAccumulateReference, true},
   };
   const int sizes[] = {64, 128, 256, 384};
-  std::printf("substrate: tiled GEMM vs seed-equivalent reference "
-              "(threads=%d)\n",
-              ThreadPool::Global().parallelism());
+  std::printf("substrate: tiled GEMM vs seed-equivalent reference\n");
   std::printf("%-10s %6s %12s %12s %9s\n", "kernel", "n", "ref ns/op",
               "tiled ns/op", "speedup");
   for (const GemmCase& c : cases) {
@@ -299,7 +296,6 @@ int main(int argc, char** argv) {
   {
     nlidb::bench::FlatJson json;
     nlidb::bench::SetMachineKeys(json);
-    json.Set("threads", nlidb::ThreadPool::Global().parallelism());
     nlidb::RunSubstrateGemmReport(json);
     nlidb::RunSubstrateTanhReport(json);
     json.Save(nlidb::bench::SubstrateJsonPath());

@@ -17,7 +17,8 @@
 // --smoke shrinks the sweep to {10, 50} tables and asserts the
 // correctness gates instead of recording timings: the pipeline's
 // queries must be byte-identical to the annotator's full scan on the
-// generated corpus, and routed queries over registered tables must
+// generated test split and on all 100 questions of the 50-table pool,
+// and routed queries over registered tables must
 // compute no statistics (their entries are bound at Register). CI runs
 // it in the Release legs.
 
@@ -250,24 +251,44 @@ int Run(bool smoke) {
     // Correctness gate instead of timings: Query's annotated question,
     // SQL and score equal those of the annotator called with no
     // shortlist, fed through the same build_qa and translate steps, on
-    // the generated corpus (whose tables sit under shortlist_k, so the
-    // pipeline must not prune them).
-    int checked = 0;
+    // the generated test split and on every question of the table pool.
+    // All of those tables sit under shortlist_k, so the pipeline must
+    // not prune them.
+    std::vector<const data::Example*> corpus;
     for (const data::Example& ex : env.splits.test.examples) {
-      core::QueryRequest request;
-      request.schema_ref = core::SchemaRef::Table(ex.table.get());
-      request.tokens = ex.tokens;
-      StatusOr<core::QueryResult> result = pipeline->Query(request);
-      StatusOr<core::Annotation> full = pipeline->annotator().Annotate(
-          ex.tokens, *ex.table, pipeline->registry().EntryFor(*ex.table));
-      if (result.ok() != full.ok()) {
-        std::printf("SMOKE FAIL: shortlist changed status for: %s\n",
-                    ex.question.c_str());
+      corpus.push_back(&ex);
+    }
+    for (const data::Example& ex : pool.examples) corpus.push_back(&ex);
+    const int shortlist_k = pipeline->registry().options().shortlist_k;
+    int checked = 0;
+    int skipped = 0;  // annotation failed on both sides
+    for (const data::Example* ex : corpus) {
+      if (ex->table->num_columns() > shortlist_k) {
+        std::printf("SMOKE FAIL: %s has %d columns, over shortlist_k %d\n",
+                    ex->table->name().c_str(), ex->table->num_columns(),
+                    shortlist_k);
         return 1;
       }
-      if (!full.ok()) continue;
+      core::QueryRequest request;
+      request.schema_ref = core::SchemaRef::Table(ex->table.get());
+      request.tokens = ex->tokens;
+      StatusOr<core::QueryResult> result = pipeline->Query(request);
+      StatusOr<core::Annotation> full = pipeline->annotator().Annotate(
+          ex->tokens, *ex->table, pipeline->registry().EntryFor(*ex->table));
+      if (result.ok() != full.ok()) {
+        std::printf("SMOKE FAIL: shortlist changed status for: %s\n",
+                    ex->question.c_str());
+        return 1;
+      }
+      if (!full.ok()) {
+        ++skipped;
+        std::printf("[smoke] skipped, annotation failed on both sides (%s): "
+                    "%s\n",
+                    full.status().ToString().c_str(), ex->question.c_str());
+        continue;
+      }
       const std::vector<std::string> full_question =
-          core::BuildAnnotatedQuestion(ex.tokens, *full, ex.table->schema(),
+          core::BuildAnnotatedQuestion(ex->tokens, *full, ex->table->schema(),
                                        pipeline->annotation_options());
       StatusOr<core::Seq2SeqTranslator::Decoded> full_sql =
           pipeline->translator().Decode(full_question);
@@ -276,7 +297,7 @@ int Run(bool smoke) {
           result->annotated_sql != full_sql->tokens ||
           result->translate_score != full_sql->score) {
         std::printf("SMOKE FAIL: shortlist != full scan for: %s\n",
-                    ex.question.c_str());
+                    ex->question.c_str());
         return 1;
       }
       ++checked;
@@ -291,9 +312,11 @@ int Run(bool smoke) {
                   static_cast<long long>(routed_computes));
       return 1;
     }
-    std::printf("smoke OK: %d questions shortlist == full scan, "
-                "flat ratio %.3f, 0 stats computes on routed runs\n",
-                checked, flat_ratio);
+    std::printf("smoke OK: %d of %zu questions (%zu test split + %zu pool) "
+                "shortlist == full scan, %d skipped, flat ratio %.3f, "
+                "0 stats computes on routed runs\n",
+                checked, corpus.size(), env.splits.test.examples.size(),
+                pool.examples.size(), skipped, flat_ratio);
     return 0;
   }
 

@@ -57,8 +57,7 @@ struct SoakReport : serving::OpenLoopReport {
 };
 
 /// Replays `corpus` (round-robin) through the shared driver on
-/// `pipeline` and exports `attack.*` metrics from the final matrix. Pin
-/// ThreadPool::SetGlobalParallelism(1) around it, as for the driver.
+/// `pipeline` and exports `attack.*` metrics from the final matrix.
 SoakReport RunSoak(const core::NlidbPipeline& pipeline,
                    const std::vector<Mutant>& corpus,
                    const SoakOptions& options);

@@ -101,8 +101,8 @@ struct HeldLock {
 };
 
 /// Set once the calling thread's held set is destroyed. The main
-/// thread's dies before static destructors that still lock (the global
-/// ThreadPool's), so from then on its locks take the plain path.
+/// thread's dies before static destructors that may still lock, so from
+/// then on its locks take the plain path.
 thread_local bool tls_held_destroyed = false;
 
 struct HeldSet {

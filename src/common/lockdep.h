@@ -10,8 +10,8 @@
 //
 //  - Every `nlidb::Mutex` belongs to a *lock class*, keyed by the name
 //    registered at its declaration (`Mutex mu_{"serving.queue"};`).
-//    Instances sharing a name share ordering history, so one ThreadPool
-//    teaches the detector about every ThreadPool.
+//    Instances sharing a name share ordering history, so one serving
+//    engine's queue teaches the detector about every engine's queue.
 //  - Each thread keeps its held-lock set. Acquiring class B while
 //    holding class A folds the edge A -> B into a process-global
 //    lock-order graph; the first edge that closes a cycle is reported

@@ -1,16 +1,7 @@
 #include "core/config.h"
 
-#include "common/thread_pool.h"
-
 namespace nlidb {
 namespace core {
-
-int ModelConfig::ResolveNumThreads() const {
-  if (num_threads >= 1) return num_threads;
-  // DefaultParallelism reads NLIDB_NUM_THREADS (clamped >= 1) and falls
-  // back to hardware concurrency.
-  return ThreadPool::DefaultParallelism();
-}
 
 ModelConfig ModelConfig::Tiny() {
   ModelConfig c;

@@ -62,16 +62,14 @@ struct ModelConfig {
 
   uint64_t seed = 7;
 
-  /// Worker threads for the inference substrate (GEMM row
-  /// partitioning). 0 = resolve at pipeline construction via
-  /// ResolveNumThreads(): the NLIDB_NUM_THREADS environment variable if
-  /// set, else hardware concurrency. 1 forces the fully serial path. Any value produces bitwise-identical results
-  /// (DESIGN.md "Performance architecture").
+  /// Inert: nothing reads it. Training and inference run on the calling
+  /// thread in every configuration. Kept only because perfbench/driver.cc
+  /// sets it; the next change to perfbench/ deletes it.
   int num_threads = 0;
 
-  /// `num_threads` with defaults applied: the explicit value if >= 1,
-  /// else NLIDB_NUM_THREADS, else hardware concurrency; always >= 1.
-  int ResolveNumThreads() const;
+  /// Inert: always 1, the substrate's real parallelism (perfbench reports
+  /// it as `compute_threads`). The next change to perfbench/ deletes it.
+  int ResolveNumThreads() const { return 1; }
 
   /// Scaled-down configuration (default).
   static ModelConfig Small() { return ModelConfig(); }
@@ -79,7 +77,9 @@ struct ModelConfig {
   /// Tiny configuration for unit tests: smallest dims that still learn.
   static ModelConfig Tiny();
 
-  /// The paper's configuration (Sec. VII-A2); needs serious compute.
+  /// The paper's configuration (Sec. VII-A2); needs serious compute, and
+  /// like every configuration it runs serially on the calling thread. No
+  /// bench, test or binary trains it (only config_test builds one).
   static ModelConfig Paper();
 };
 

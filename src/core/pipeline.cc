@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/annotation.h"
 #include "text/tokenizer.h"
@@ -16,9 +15,6 @@ NlidbPipeline::NlidbPipeline(const ModelConfig& config,
                              std::shared_ptr<text::EmbeddingProvider> provider)
     : config_(config), provider_(std::move(provider)) {
   NLIDB_CHECK(provider_ != nullptr) << "pipeline needs an embedding provider";
-  // Size the shared pool once per process; 1 forces every substrate
-  // consumer (the GEMM row partition) onto the serial path.
-  ThreadPool::SetGlobalParallelism(config_.ResolveNumThreads());
   classifier_ = std::make_unique<ColumnMentionClassifier>(config_, *provider_);
   value_detector_ = std::make_unique<ValueDetector>(config_, *provider_);
   translator_ = std::make_unique<Seq2SeqTranslator>(config_);

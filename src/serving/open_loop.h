@@ -5,9 +5,8 @@
 // the adversarial soak (attack/soak.h) replays its traffic through: one
 // generator thread, an absolute-time Poisson schedule, deadline tiers
 // 35% none / 50% generous (400x service) / 15% infeasibly tight
-// (service/4), and a bounded in-flight window. Callers pin
-// ThreadPool::SetGlobalParallelism(1): the engine's workers are the
-// concurrency under test.
+// (service/4), and a bounded in-flight window. The engine's workers are
+// the only concurrency under test: each query runs on one worker.
 
 #include <cstdint>
 #include <functional>

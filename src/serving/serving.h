@@ -36,11 +36,9 @@
 #include "common/thread_annotations.h"
 #include "core/pipeline.h"
 
-// The worker pool deliberately bypasses common/thread_pool (lint
-// suppression on the member below): serving workers block on the
-// admission queue's condition variable, which the shared compute pool's
-// run-to-completion tasks must never do, and the compute pool stays
-// reserved for the GEMM substrate beneath the workers.
+// The engine's workers are the only threads src/ starts (lint rule
+// `raw-thread` allows this file alone); each runs a whole query, GEMMs
+// included, on its own thread.
 #include <thread>
 
 namespace nlidb {
@@ -140,7 +138,7 @@ class ServingEngine {
 
   // Written once in the constructor, joined under shutdown_mu_'s
   // workers_joined_ latch; never mutated while workers run.
-  // nlidb-lint: disable(raw-thread, mutex-coverage)
+  // nlidb-lint: disable(mutex-coverage)
   std::vector<std::thread> workers_;
 };
 

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "tensor/gemm_kernels.h"
 
 namespace nlidb {
@@ -197,29 +196,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-namespace {
-
-// Runs `rows(ib, ie)` over [0, m), partitioned across the global thread
-// pool when the kernel has enough arithmetic (`flops` = 2*m*k*n) to
-// amortize the fork/join. Each output row belongs to exactly one
-// contiguous chunk, so the partition never changes any element's
-// accumulation order — parallel and serial results are bitwise identical.
-// The threshold is tested first: most GEMMs sit below it, and
-// `ThreadPool::Global()` takes the global pool lock.
-template <typename RowsFn>
-void RunRowPartitioned(long long flops, int m, const RowsFn& rows) {
-  if (flops >= kGemmParallelFlops) {
-    ThreadPool& pool = ThreadPool::Global();
-    if (pool.parallelism() > 1) {
-      pool.ParallelFor(0, m, rows);
-      return;
-    }
-  }
-  rows(0, m);
-}
-
-}  // namespace
-
 void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const int m = a.rows();
   const int k = a.cols();
@@ -228,18 +204,12 @@ void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  const gemm::RowKernels& kr = gemm::Kernels();
-  RunRowPartitioned(2LL * m * k * n, m, [&](int ib, int ie) {
-    kr.rows_ab(pa, pb, po, ib, ie, k, n);
-  });
+  gemm::Kernels().rows_ab(pa, pb, po, 0, m, k, n);
 }
 
 void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
                        int k, int n) {
-  const gemm::RowKernels& kr = gemm::Kernels();
-  RunRowPartitioned(2LL * m * k * n, m, [&](int ib, int ie) {
-    kr.rows_ab(a, b, out, ib, ie, k, n);
-  });
+  gemm::Kernels().rows_ab(a, b, out, 0, m, k, n);
 }
 
 void MatMulTransposeAAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
@@ -259,26 +229,23 @@ void MatMulTransposeAAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const size_t total = a.size();
   size_t zeros = 0;
   for (size_t idx = 0; idx < total; ++idx) zeros += (pa[idx] == 0.0f);
-  const bool sparse = zeros * 2 >= total;
-  const gemm::RowKernels& kr = gemm::Kernels();
-  RunRowPartitioned(2LL * m * k * n, m, [&](int ib, int ie) {
-    if (sparse) {
-      // kk-outer with increasing-kk accumulation per element: the same
-      // order as the dense tiles, so both paths match bitwise.
-      for (int kk = 0; kk < k; ++kk) {
-        const float* arow = pa + kk * m;
-        const float* brow = pb + kk * n;
-        for (int i = ib; i < ie; ++i) {
-          const float v = arow[i];
-          if (v == 0.0f) continue;
-          float* orow = po + i * n;
-          for (int j = 0; j < n; ++j) orow[j] += v * brow[j];
-        }
-      }
-    } else {
-      kr.rows_atb(pa, pb, po, ib, ie, k, m, n);
+  const gemm::RowKernels& kr = gemm::Kernels();  // counts both paths
+  if (zeros * 2 < total) {
+    kr.rows_atb(pa, pb, po, 0, m, k, m, n);
+    return;
+  }
+  // kk-outer with increasing-kk accumulation per element: the same order
+  // as the dense tiles, so both paths match bitwise.
+  for (int kk = 0; kk < k; ++kk) {
+    const float* arow = pa + kk * m;
+    const float* brow = pb + kk * n;
+    for (int i = 0; i < m; ++i) {
+      const float v = arow[i];
+      if (v == 0.0f) continue;
+      float* orow = po + i * n;
+      for (int j = 0; j < n; ++j) orow[j] += v * brow[j];
     }
-  });
+  }
 }
 
 void MatMulTransposeBAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
@@ -290,10 +257,7 @@ void MatMulTransposeBAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  const gemm::RowKernels& kr = gemm::Kernels();
-  RunRowPartitioned(2LL * m * k * n, m, [&](int ib, int ie) {
-    kr.rows_abt(pa, pb, po, ib, ie, k, n);
-  });
+  gemm::Kernels().rows_abt(pa, pb, po, 0, m, k, n);
 }
 
 namespace gemm {

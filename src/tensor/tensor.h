@@ -115,17 +115,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// out += a * b. `out` must already be [m,n].
 ///
-/// All three accumulate kernels are register-blocked and tiled, with a
-/// row-partitioned parallel path (ThreadPool::Global) above
-/// `kGemmParallelFlops`. Every output element receives its k partial
+/// All three accumulate kernels are register-blocked and tiled, and run
+/// on the calling thread. Every output element receives its k partial
 /// products in increasing-k order no matter which path runs, so results
-/// are bitwise identical to the scalar reference kernel — parallelism and
-/// tiling never change model outputs (DESIGN.md "Performance
-/// architecture").
+/// are bitwise identical to the scalar reference kernel — tiling never
+/// changes model outputs (DESIGN.md "Performance architecture").
 void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 /// Raw-pointer form of MatMulAccumulate: out[m,n] += a[m,k] * b[k,n].
-/// Same kernel dispatch (ISA tier, counters) and the same row-partitioned
-/// parallel path above kGemmParallelFlops, for callers that stage
+/// Same kernel dispatch (ISA tier, counters), for callers that stage
 /// operands in Workspace arena buffers instead of Tensors (the decoder
 /// inference fast path). The bitwise-determinism contract above applies
 /// unchanged.
@@ -156,10 +153,6 @@ void MatMulTransposeAAccumulateReference(const Tensor& a, const Tensor& b,
                                          Tensor& out);
 void MatMulTransposeBAccumulateReference(const Tensor& a, const Tensor& b,
                                          Tensor& out);
-
-/// Work threshold (2*m*n*k flops) above which the accumulate kernels
-/// partition rows across the global thread pool.
-inline constexpr long long kGemmParallelFlops = 1LL << 23;
 
 size_t NumElements(const std::vector<int>& shape);
 

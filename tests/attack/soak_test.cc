@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/lockdep.h"
-#include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
 
@@ -56,7 +55,7 @@ TEST_F(SoakTest, SoakBalancesCountersAndTriagesEveryQuery) {
   ASSERT_FALSE(corpus.empty());
 
   // 4 workers is the soak's default; 1 and 8 keep the open-loop
-  // driver's counter balance covered at both ends of the pool size.
+  // driver's counter balance covered at both ends of the engine's size.
   for (int workers : {1, 4, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     SoakOptions options;
@@ -65,12 +64,7 @@ TEST_F(SoakTest, SoakBalancesCountersAndTriagesEveryQuery) {
     options.queue_capacity = 64;
     options.seed = 19;
     options.random_delay_seed = 11;
-
-    // The engine's worker pool is the concurrency under test; the shared
-    // compute pool must not multiply it.
-    ThreadPool::SetGlobalParallelism(1);
     const SoakReport report = RunSoak(*pipeline_, corpus, options);
-    ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 
     // Open-loop accounting: every planned arrival was submitted, and the
     // serving decomposition identities hold exactly.

@@ -168,9 +168,9 @@ TEST(FailpointTest, DeathBeforeRenameLeavesPreviousFileLoadable) {
 TEST(FailpointDeathTest, CrashBeforeRenameIsAHardDeath) {
   // The genuine kCrash action: the process dies at the site with no
   // destructors. The destination file must survive untouched.
-  // The live ThreadPool makes a plain fork unsafe; threadsafe style
-  // re-executes the binary so the dying statement runs in a fresh
-  // process.
+  // Threadsafe style re-executes the binary so the dying statement runs
+  // in a fresh process; a plain fork is unsafe if an earlier test left a
+  // thread running.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::string path = TempDirFor("ckpt_crash.ckpt");
   std::vector<Var> params = MakeParams();

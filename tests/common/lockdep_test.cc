@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/mutex.h"
-#include "common/thread_pool.h"
+#include "testing/threads.h"
 
 namespace nlidb {
 namespace {
@@ -169,19 +169,16 @@ TEST(LockdepTest, NotifiedWaitDoesNotReport) {
   Mutex mu{"test.notified"};
   CondVar cv;
   bool ready = false;
-  // Chunk 0 runs on the calling thread (waiter), chunk 1 on the pool
-  // worker (notifier) — a notify well inside the watchdog window.
-  ThreadPool pool(2);
-  pool.ParallelFor(0, 2, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      if (i == 0) {
-        MutexLock hold(mu);
-        cv.Wait(mu, [&] { return ready; });
-      } else {
-        MutexLock hold(mu);
-        ready = true;
-        cv.NotifyAll();
-      }
+  // Index 0 runs on the calling thread (waiter), index 1 on a second
+  // thread (notifier) — a notify well inside the watchdog window.
+  testing::RunOnThreads(2, [&](int i) {
+    if (i == 0) {
+      MutexLock hold(mu);
+      cv.Wait(mu, [&] { return ready; });
+    } else {
+      MutexLock hold(mu);
+      ready = true;
+      cv.NotifyAll();
     }
   });
   lockdep::SetWatchdogTimeoutMs(old_timeout);
@@ -197,19 +194,16 @@ TEST(LockdepTest, IdleWaitIsWatchdogExempt) {
   bool ready = false;
   // The notify lands well AFTER the 50ms watchdog window: a plain Wait
   // would file a stuck-wait report, an idle park must not (this is the
-  // worker-pool / serving-queue steady state).
-  ThreadPool pool(2);
-  pool.ParallelFor(0, 2, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      if (i == 0) {
-        MutexLock hold(mu);
-        cv.WaitIdle(mu, [&] { return ready; });
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(120));
-        MutexLock hold(mu);
-        ready = true;
-        cv.NotifyAll();
-      }
+  // serving-queue steady state).
+  testing::RunOnThreads(2, [&](int i) {
+    if (i == 0) {
+      MutexLock hold(mu);
+      cv.WaitIdle(mu, [&] { return ready; });
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(120));
+      MutexLock hold(mu);
+      ready = true;
+      cv.NotifyAll();
     }
   });
   lockdep::SetWatchdogTimeoutMs(old_timeout);
@@ -252,8 +246,8 @@ TEST(LockdepTest, DisabledSequencesAreInvisible) {
 }
 
 /// Locks a Mutex with the detector on from a static destructor, which
-/// runs after the main thread's thread_local held set is destroyed (the
-/// global ThreadPool's destructor does the same). The hooks must fall
+/// runs after the main thread's thread_local held set is destroyed, as
+/// any static object that locks in its destructor does. The hooks must fall
 /// back to the plain lock there; a sanitizer build reports a
 /// use-after-free at process exit otherwise.
 struct LockAtExit {

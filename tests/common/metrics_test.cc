@@ -1,7 +1,7 @@
 // Tests for the lock-sharded metrics substrate (src/common/metrics.h):
 // counter sharding, gauge maxima, histogram bucketing/percentiles, the
 // registry's stable-reference contract, and concurrent recording from
-// ThreadPool workers (this suite runs under TSan in CI).
+// several threads (this suite runs under TSan in CI).
 
 #include "common/metrics.h"
 
@@ -10,11 +10,15 @@
 #include <cstdint>
 #include <string>
 
-#include "common/thread_pool.h"
+#include "testing/threads.h"
 
 namespace nlidb {
 namespace metrics {
 namespace {
+
+using ::nlidb::testing::RunOnThreads;
+
+constexpr int kThreads = 8;
 
 TEST(DenseThreadIdTest, StableAndNonNegative) {
   const int id = DenseThreadId();
@@ -33,14 +37,12 @@ TEST(CounterTest, IncrementValueReset) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAllLand) {
-  ThreadPool::SetGlobalParallelism(8);
   Counter c;
-  constexpr int kItems = 10000;
-  ThreadPool::Global().ParallelFor(0, kItems, [&](int jb, int je) {
-    for (int i = jb; i < je; ++i) c.Increment();
+  constexpr int kPerThread = 1250;
+  RunOnThreads(kThreads, [&](int) {
+    for (int i = 0; i < kPerThread; ++i) c.Increment();
   });
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-  EXPECT_EQ(c.Value(), kItems);
+  EXPECT_EQ(c.Value(), kThreads * kPerThread);
 }
 
 TEST(MaxGaugeTest, TracksMaximum) {
@@ -104,13 +106,14 @@ TEST(HistogramTest, PercentilesAreOrderedAndBracketed) {
 }
 
 TEST(HistogramTest, ConcurrentRecordsAllLand) {
-  ThreadPool::SetGlobalParallelism(8);
   Histogram h;
-  constexpr int kItems = 10000;
-  ThreadPool::Global().ParallelFor(0, kItems, [&](int jb, int je) {
-    for (int i = jb; i < je; ++i) h.Record(static_cast<uint64_t>(i) * 100);
+  constexpr int kPerThread = 1250;
+  constexpr int kItems = kThreads * kPerThread;
+  RunOnThreads(kThreads, [&](int t) {
+    for (int i = t * kPerThread; i < (t + 1) * kPerThread; ++i) {
+      h.Record(static_cast<uint64_t>(i) * 100);
+    }
   });
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   EXPECT_EQ(h.Count(), kItems);
   int64_t total = 0;
   for (int b = 0; b < Histogram::kNumBuckets; ++b) total += h.BucketCount(b);
@@ -144,21 +147,18 @@ TEST(MetricsRegistryTest, RenderTextShowsNonZeroInstruments) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentGetOrCreateIsSafe) {
-  // Registry lookups race against each other from pool workers; every
+  // Registry lookups race against each other from several threads; every
   // thread must agree on the instrument instance (TSan gate).
-  ThreadPool::SetGlobalParallelism(8);
   MetricsRegistry& reg = MetricsRegistry::Global();
   Counter& reference = reg.GetCounter("test.registry.race");
-  ThreadPool::Global().ParallelFor(0, 256, [&](int jb, int je) {
-    for (int i = jb; i < je; ++i) {
-      Counter& c =
-          reg.GetCounter("test.registry.race");
+  RunOnThreads(kThreads, [&](int) {
+    for (int i = 0; i < 32; ++i) {
+      Counter& c = reg.GetCounter("test.registry.race");
       EXPECT_EQ(&c, &reference);
       c.Increment();
     }
   });
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-  EXPECT_EQ(reference.Value(), 256);
+  EXPECT_EQ(reference.Value(), kThreads * 32);
 }
 
 }  // namespace

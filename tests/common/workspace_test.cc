@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 
-#include "common/thread_pool.h"
+#include "testing/threads.h"
 
 namespace nlidb {
 namespace {
@@ -118,24 +118,26 @@ TEST(WorkspaceTest, ScopeRewindsOnException) {
   EXPECT_EQ(outer[0], 5.0f);
 }
 
-TEST(WorkspaceStressTest, InterleavedScopesAcrossPoolThreads) {
-  // Many threads serving requests at once: every pool thread hammers
-  // its own thread-local arena with nested scopes, interleaved rewinds,
-  // and occasional exceptions, while checking its buffers are never
-  // shared or corrupted. After a warmup pass, steady-state requests
-  // must not allocate — per-thread reserved() stays flat.
+TEST(WorkspaceStressTest, InterleavedScopesAcrossThreads) {
+  // Many threads serving requests at once: every thread hammers its own
+  // thread-local arena with nested scopes, interleaved rewinds, and
+  // occasional exceptions, while checking its buffers are never shared
+  // or corrupted. Each thread lives through every round, so after its
+  // first request steady-state requests must not allocate — per-thread
+  // reserved() stays flat.
 #if defined(NLIDB_SANITIZER_BUILD)
   const int kRounds = 30;
 #else
   const int kRounds = 300;
 #endif
-  ThreadPool pool(8);
+  constexpr int kThreads = 8;
+  constexpr int kItemsPerThread = 8;
 
   // One simulated request. Returns false on any correctness violation:
   // corrupted outer buffer after inner rewinds, or arena growth on a
-  // thread whose arena already reached its high-water mark (which chunk
-  // lands on which worker is scheduler-dependent, so the steady-state
-  // check is per-thread, against that thread's own previous watermark).
+  // thread whose arena already reached its high-water mark (the
+  // steady-state check is per-thread, against that thread's own previous
+  // watermark).
   auto hammer = [](int item) {
     Workspace& ws = Workspace::ThreadLocal();
     const size_t reserved_before = ws.reserved();
@@ -163,18 +165,18 @@ TEST(WorkspaceStressTest, InterleavedScopesAcrossPoolThreads) {
   };
 
   std::atomic<bool> ok{true};
-  for (int round = 0; round < kRounds; ++round) {
-    pool.ParallelFor(0, 64, [&](int b, int e) {
-      for (int i = b; i < e; ++i) {
+  testing::RunOnThreads(kThreads, [&](int t) {
+    for (int round = 0; round < kRounds && ok.load(); ++round) {
+      for (int i = t * kItemsPerThread; i < (t + 1) * kItemsPerThread; ++i) {
         if (!hammer(i)) ok.store(false);
       }
-    });
-    ASSERT_TRUE(ok.load()) << "round " << round;
-  }
+    }
+  });
+  ASSERT_TRUE(ok.load());
 
-  // The calling thread ran chunk 0 of every round: its arena must have
-  // settled at exactly one retained block despite kRounds * interleaved
-  // scope rewinds and exceptions.
+  // The calling thread ran index 0 through every round: its arena must
+  // have settled at exactly one retained block despite kRounds *
+  // interleaved scope rewinds and exceptions.
   EXPECT_GT(Workspace::ThreadLocal().reserved(), 0u);
   EXPECT_EQ(Workspace::ThreadLocal().live_buffers(), 0);
 }
@@ -182,10 +184,9 @@ TEST(WorkspaceStressTest, InterleavedScopesAcrossPoolThreads) {
 TEST(WorkspaceTest, ThreadLocalIsPerThread) {
   Workspace* main_ws = &Workspace::ThreadLocal();
   Workspace* other_ws = nullptr;
-  // A raw thread on purpose: the test needs a thread that is NOT a pool
-  // worker to prove ThreadLocal() hands out distinct arenas.
-  std::thread t([&] { other_ws = &Workspace::ThreadLocal(); });  // nlidb-lint: disable(raw-thread)
-  t.join();
+  testing::RunOnThreads(2, [&](int i) {
+    if (i == 1) other_ws = &Workspace::ThreadLocal();
+  });
   EXPECT_NE(main_ws, other_ws);
   EXPECT_EQ(main_ws, &Workspace::ThreadLocal());
 }

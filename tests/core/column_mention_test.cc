@@ -9,7 +9,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/thread_pool.h"
 #include "core/adversarial.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -276,19 +275,14 @@ std::string GradientTrace() {
 TEST(ColumnMentionClassifierTest, GradientsMatchCommittedGolden) {
   // Training and the influence probe both differentiate Forward's graph;
   // the golden trace sees that only through trained probabilities, so
-  // this pins the gradients themselves — on both GEMM tiers, serial and
-  // parallel.
+  // this pins the gradients themselves — on both GEMM tiers.
   std::map<std::string, std::string> traces;
   for (gemm::Tier tier : {gemm::Tier::kBase, gemm::Tier::kAuto}) {
     gemm::SetTier(tier);
-    for (int threads : {1, 8}) {
-      ThreadPool::SetGlobalParallelism(threads);
-      traces[std::to_string(static_cast<int>(gemm::ActiveTier())) + "/" +
-             std::to_string(threads)] = GradientTrace();
-    }
+    traces[std::to_string(static_cast<int>(gemm::ActiveTier()))] =
+        GradientTrace();
   }
   gemm::SetTier(gemm::Tier::kAuto);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   for (const auto& [key, trace] : traces) {
     EXPECT_EQ(trace, traces.begin()->second) << "gradients diverge at " << key;
   }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "data/generator.h"
 #include "eval/metrics.h"
@@ -178,42 +177,37 @@ TEST_F(PipelineTest, EveryStageHistogramAdvancesOncePerQuery) {
   const std::vector<std::string> all_stages = {
       "query", "tokenize", "resolve", "annotate", "build_qa",
       "translate", "recover", "execute"};
-  for (int threads : {1, 8}) {
-    ThreadPool::SetGlobalParallelism(threads);
-    std::vector<std::string> ran;  // the root and its children
-    for (bool collect : {true, false}) {
-      std::map<std::string, int64_t> before;
-      for (const std::string& stage : all_stages) {
-        before[stage] =
-            registry.GetHistogram("pipeline." + stage + "_ns").Count();
+  std::vector<std::string> ran;  // the root and its children
+  for (bool collect : {true, false}) {
+    std::map<std::string, int64_t> before;
+    for (const std::string& stage : all_stages) {
+      before[stage] = registry.GetHistogram("pipeline." + stage + "_ns").Count();
+    }
+    QueryRequest request;
+    request.schema_ref = SchemaRef::Table(&table);
+    request.question = "which film name directed by sofia garcia ?";
+    request.collect_timings = collect;
+    auto result = pipeline.Query(request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    if (collect) {
+      ran = {result->stages.name};
+      for (const StageTiming& child : result->stages.children) {
+        ran.push_back(child.name);
       }
-      QueryRequest request;
-      request.schema_ref = SchemaRef::Table(&table);
-      request.question = "which film name directed by sofia garcia ?";
-      request.collect_timings = collect;
-      auto result = pipeline.Query(request);
-      ASSERT_TRUE(result.ok()) << result.status();
-      if (collect) {
-        ran = {result->stages.name};
-        for (const StageTiming& child : result->stages.children) {
-          ran.push_back(child.name);
-        }
-        ASSERT_EQ(ran.front(), "query");
-      } else {
-        EXPECT_TRUE(result->stages.children.empty());
-      }
-      for (const std::string& stage : all_stages) {
-        const bool expected =
-            std::find(ran.begin(), ran.end(), stage) != ran.end();
-        EXPECT_EQ(
-            registry.GetHistogram("pipeline." + stage + "_ns").Count() -
-                before[stage],
-            expected ? 1 : 0)
-            << stage << " threads=" << threads << " collect=" << collect;
-      }
+      ASSERT_EQ(ran.front(), "query");
+    } else {
+      EXPECT_TRUE(result->stages.children.empty());
+    }
+    for (const std::string& stage : all_stages) {
+      const bool expected =
+          std::find(ran.begin(), ran.end(), stage) != ran.end();
+      EXPECT_EQ(
+          registry.GetHistogram("pipeline." + stage + "_ns").Count() -
+              before[stage],
+          expected ? 1 : 0)
+          << stage << " collect=" << collect;
     }
   }
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 }
 
 TEST_F(PipelineTest, EverySpanOfAQuickstartRunHasAHistogram) {

@@ -1,14 +1,13 @@
 // Property-based differential fuzzing (seeded, deterministic): random
 // schemas/tables/questions from data/generator drive cross-implementation
-// invariants of the concurrent inference substrate:
+// invariants of the inference substrate:
 //
-//   1. tiled GEMM kernels (both ISA tiers, serial and row-partitioned)
-//      are bitwise equal to the *Reference loops;
+//   1. tiled GEMM kernels (both ISA tiers) are bitwise equal to the
+//      *Reference loops;
 //   2. every PredictBatch row is bitwise equal to that column scored
 //      alone and to the sigmoid of its one-column Forward;
-//   3. parallel Annotate equals serial Annotate structurally;
-//   4. executor results are stable under row shuffling;
-//   5. exact cell-value matching through the cell index equals the
+//   3. executor results are stable under row shuffling;
+//   4. exact cell-value matching through the cell index equals the
 //      per-question scan of every cell it replaced.
 //
 // Every case derives from a fixed seed, so a failure reproduces exactly.
@@ -22,7 +21,6 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "core/annotator.h"
 #include "core/seq2seq.h"
 #include "data/generator.h"
@@ -138,10 +136,7 @@ std::string DetectionsToString(
 
 class DifferentialFuzzTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    gemm::SetTier(gemm::Tier::kAuto);
-    ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-  }
+  void TearDown() override { gemm::SetTier(gemm::Tier::kAuto); }
 };
 
 TEST_F(DifferentialFuzzTest, TiledGemmMatchesReferenceBitwise) {
@@ -150,17 +145,14 @@ TEST_F(DifferentialFuzzTest, TiledGemmMatchesReferenceBitwise) {
   const int shapes = 40 / kScale;
   for (int trial = 0; trial < shapes; ++trial) {
     // Mostly small odd shapes (tile-remainder coverage); every 10th trial
-    // is large enough to cross the kGemmParallelFlops row-partition
-    // threshold so the pooled path is exercised too.
+    // is a large square whose size spans many full tiles plus a tail.
     int m, k, n;
     if (trial % 10 == 9) {
       m = k = n = rng.NextInt(160, 176);
-      ThreadPool::SetGlobalParallelism(8);
     } else {
       m = rng.NextInt(1, 40);
       k = rng.NextInt(1, 40);
       n = rng.NextInt(1, 40);
-      ThreadPool::SetGlobalParallelism(rng.NextBool() ? 1 : 8);
     }
     // The sparse probe in MatMulTransposeAAccumulate flips implementation
     // at >= 50% zeros; cover both sides.
@@ -266,43 +258,13 @@ TEST_F(ClassifierFuzz, PredictBatchRowsMatchSingleColumnBitwise) {
   EXPECT_GT(cases, 0);
 }
 
-TEST_F(ClassifierFuzz, ParallelAnnotateMatchesSerialAnnotate) {
-  core::Annotator annotator(*config_, *provider_, classifier_, nullptr);
-  const int limit =
-      std::min<int>(16 / kScale + 4, corpus_->examples.size());
-  int cases = 0;
-  for (int i = 0; i < limit; ++i) {
-    const data::Example& ex = corpus_->examples[i];
-    schema::TableStatsEntry entry;
-    entry.stats =
-        sql::ComputeTableStatistics(*ex.table, *provider_, &entry.cells);
-
-    ThreadPool::SetGlobalParallelism(1);
-    const StatusOr<core::Annotation> serial =
-        annotator.Annotate(ex.tokens, *ex.table, entry);
-    ThreadPool::SetGlobalParallelism(8);
-    const StatusOr<core::Annotation> parallel =
-        annotator.Annotate(ex.tokens, *ex.table, entry);
-
-    ASSERT_TRUE(serial.ok()) << serial.status();
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_EQ(testing::AnnotationToString(*serial),
-              testing::AnnotationToString(*parallel))
-        << "question: " << ex.question;
-    ++cases;
-  }
-  RecordProperty("cases", cases);
-  EXPECT_GT(cases, 0);
-}
-
 TEST_F(DifferentialFuzzTest, DecoderFastPathMatchesReferenceBitwise) {
   // Differential oracle for the graph-free decode fast path: over seeded
   // random (untrained — maximally tie-heavy) models, kFastUnmasked must
   // reproduce kReference and kFast must reproduce kReferenceMasked, byte
   // for byte: same tokens, same score bits, same statuses. Sweeps beam
   // width, max decode length, copy mechanism, grammar-mask eligibility
-  // (config flags and SELECT-less vocabularies), GEMM tiers and thread
-  // counts.
+  // (config flags and SELECT-less vocabularies) and GEMM tiers.
   const std::vector<std::string> structural = {
       "SELECT", "WHERE", "AND", "MAX", "MIN", "COUNT",
       "SUM",    "AVG",   "=",   ">",   "<"};
@@ -341,7 +303,6 @@ TEST_F(DifferentialFuzzTest, DecoderFastPathMatchesReferenceBitwise) {
                              : rng.Choice(vocab_tokens));
       }
       gemm::SetTier(rng.NextBool() ? gemm::Tier::kBase : gemm::Tier::kAuto);
-      ThreadPool::SetGlobalParallelism(rng.NextBool() ? 1 : 8);
 
       const std::pair<core::DecodeMode, core::DecodeMode> pairings[] = {
           {core::DecodeMode::kReference, core::DecodeMode::kFastUnmasked},

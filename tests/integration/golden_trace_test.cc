@@ -2,8 +2,7 @@
 // corpus, serializes every pipeline stage (classifier probabilities,
 // mention pairs, q^a, decoded s^a, recovered SQL, executor results) for a
 // held-out corpus, and asserts that the trace is (a) bitwise identical
-// across thread counts {1, 2, 8} and both GEMM ISA tiers, and (b) equal
-// to the committed golden file. Regenerate with NLIDB_UPDATE_GOLDENS=1
+// across both GEMM ISA tiers, and (b) equal to the committed golden file. Regenerate with NLIDB_UPDATE_GOLDENS=1
 // after an intentional behavior change (DESIGN.md "Correctness
 // architecture").
 
@@ -12,7 +11,6 @@
 #include <map>
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
@@ -60,7 +58,6 @@ class GoldenTraceTest : public ::testing::Test {
     delete trace_corpus_;
     delete pipeline_;
     delete provider_;
-    ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
     gemm::SetTier(gemm::Tier::kAuto);
   }
 
@@ -73,23 +70,18 @@ std::shared_ptr<text::EmbeddingProvider>* GoldenTraceTest::provider_ = nullptr;
 core::NlidbPipeline* GoldenTraceTest::pipeline_ = nullptr;
 data::Dataset* GoldenTraceTest::trace_corpus_ = nullptr;
 
-TEST_F(GoldenTraceTest, BitwiseIdenticalAcrossThreadCountsAndTiers) {
-  // Every (tier, thread count) combination must produce the same bytes:
-  // the substrate's determinism contract, end to end through the real
-  // pipeline rather than kernel microtests.
+TEST_F(GoldenTraceTest, BitwiseIdenticalAcrossTiers) {
+  // Every GEMM tier must produce the same bytes: the substrate's
+  // determinism contract, end to end through the real pipeline rather
+  // than kernel microtests.
   std::map<std::string, std::string> traces;
   for (gemm::Tier tier : {gemm::Tier::kBase, gemm::Tier::kAuto}) {
     gemm::SetTier(tier);
     const std::string tier_name =
         gemm::ActiveTier() == gemm::Tier::kAvx2 ? "avx2" : "base";
-    for (int threads : {1, 2, 8}) {
-      ThreadPool::SetGlobalParallelism(threads);
-      traces[tier_name + "/" + std::to_string(threads) + "t"] =
-          testing::TraceDataset(*pipeline_, *trace_corpus_);
-    }
+    traces[tier_name] = testing::TraceDataset(*pipeline_, *trace_corpus_);
   }
   gemm::SetTier(gemm::Tier::kAuto);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
 
   const auto& reference = *traces.begin();
   for (const auto& [key, trace] : traces) {
@@ -103,9 +95,7 @@ TEST_F(GoldenTraceTest, MatchesCommittedGolden) {
   // The reference decoder is the behavior baseline: its trace is the
   // committed golden, byte for byte.
   testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kReference);
-  ThreadPool::SetGlobalParallelism(8);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   EXPECT_TRUE(testing::MatchesGolden("pipeline_trace.golden", trace));
 }
 
@@ -114,9 +104,7 @@ TEST_F(GoldenTraceTest, FastUnmaskedMatchesReferenceGolden) {
   // with kFastUnmasked must reproduce the *reference* golden exactly —
   // same bytes, not just same answers (DESIGN.md §12).
   testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFastUnmasked);
-  ThreadPool::SetGlobalParallelism(8);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   EXPECT_TRUE(testing::MatchesGolden("pipeline_trace.golden", trace));
 }
 
@@ -125,16 +113,13 @@ TEST_F(GoldenTraceTest, MaskedDefaultMatchesCommittedGolden) {
   // golden: the mask legitimately restricts decoding to well-formed s^a,
   // so its trace differs from the reference, but it must still be pinned.
   testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFast);
-  ThreadPool::SetGlobalParallelism(8);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   EXPECT_TRUE(testing::MatchesGolden("pipeline_trace_masked.golden", trace));
 }
 
 TEST_F(GoldenTraceTest, MaskedFastMatchesMaskedReference) {
   // Pairwise equivalence under the mask: kFast and kReferenceMasked are
   // two implementations of the same search and must agree byte for byte.
-  ThreadPool::SetGlobalParallelism(8);
   std::string fast, reference_masked;
   {
     testing::ScopedDecodeMode mode(pipeline_, core::DecodeMode::kFast);
@@ -145,7 +130,6 @@ TEST_F(GoldenTraceTest, MaskedFastMatchesMaskedReference) {
                                    core::DecodeMode::kReferenceMasked);
     reference_masked = testing::TraceDataset(*pipeline_, *trace_corpus_);
   }
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   EXPECT_EQ(fast, reference_masked)
       << "masked fast path diverges from the masked reference";
 }
@@ -153,23 +137,16 @@ TEST_F(GoldenTraceTest, MaskedFastMatchesMaskedReference) {
 TEST_F(GoldenTraceTest, InstrumentationDoesNotPerturbNumerics) {
   // The observability layer must be purely observational: running the
   // exact same corpus with tracing enabled (spans recorded to an
-  // in-memory sink) must produce byte-identical pipeline traces at both
-  // ends of the thread sweep, matching the untraced bytes.
-  ThreadPool::SetGlobalParallelism(1);
+  // in-memory sink) must produce a byte-identical pipeline trace,
+  // matching the untraced bytes.
   const std::string untraced = testing::TraceDataset(*pipeline_, *trace_corpus_);
 
   auto sink = std::make_shared<trace::InMemorySink>();
-  std::map<int, std::string> traced;
-  for (int threads : {1, 8}) {
-    ThreadPool::SetGlobalParallelism(threads);
-    trace::SetSink(sink);
-    traced[threads] = testing::TraceDataset(*pipeline_, *trace_corpus_);
-    trace::SetSink(nullptr);
-  }
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
+  trace::SetSink(sink);
+  const std::string traced = testing::TraceDataset(*pipeline_, *trace_corpus_);
+  trace::SetSink(nullptr);
 
-  EXPECT_EQ(traced[1], untraced) << "tracing changed pipeline numerics";
-  EXPECT_EQ(traced[8], untraced) << "tracing changed pipeline numerics";
+  EXPECT_EQ(traced, untraced) << "tracing changed pipeline numerics";
   // And the instrumentation actually fired: the hot path emitted spans
   // for every pipeline stage while the sink was installed.
   std::map<std::string, int> by_name;
@@ -185,9 +162,7 @@ TEST_F(GoldenTraceTest, InstrumentationDoesNotPerturbNumerics) {
 TEST_F(GoldenTraceTest, TraceCoversEveryStage) {
   // Self-check of the harness: a trace that silently dropped a stage
   // would make the golden comparison vacuous for that stage.
-  ThreadPool::SetGlobalParallelism(1);
   const std::string trace = testing::TraceDataset(*pipeline_, *trace_corpus_);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   for (const char* marker :
        {"# nlidb pipeline trace v1", "case 0", "tokens: ", "probs: ",
         "qa: ", "sa: ", "sql: "}) {

@@ -59,6 +59,27 @@ TEST(LintTest, RawThreadHit) {
             CountRule(findings, "raw-thread"));
 }
 
+TEST(LintTest, RawThreadScopeAndExemptions) {
+  const std::string spawn =
+      "#include <thread>\n"
+      "void F() { std::thread t([] {}); t.join(); }\n";
+  // The serving engine and the test helper own every thread.
+  for (const char* path :
+       {"src/serving/serving.h", "tests/testing/threads.h"}) {
+    EXPECT_EQ(CountRule(LintFiles({LoadSource(path, spawn)}), "raw-thread"),
+              0)
+        << path;
+  }
+  // Every other file, tests and benches included, may not.
+  for (const char* path :
+       {"src/serving/serving.cc", "src/tensor/tensor.cc",
+        "tests/testing/trace.cc", "bench/bench_foo.cc"}) {
+    EXPECT_EQ(CountRule(LintFiles({LoadSource(path, spawn)}), "raw-thread"),
+              1)
+        << path;
+  }
+}
+
 TEST(LintTest, RawThreadSuppressedSameLineAndPrecedingLine) {
   EXPECT_TRUE(Lint({"tests/lint/fixtures/raw_thread_suppressed.cc"}).empty());
 }
@@ -262,13 +283,12 @@ TEST(LintTest, RawGetenvScopeAndExemptions) {
   const std::string read =
       "#include <cstdlib>\n"
       "const char* F() { return std::getenv(\"X\"); }\n";
-  // The five process-switch readers, and everything outside src/, may
+  // The four process-switch readers, and everything outside src/, may
   // read the environment.
   for (const char* path :
-       {"src/common/thread_pool.cc", "src/tensor/tensor.cc",
-        "src/common/trace.cc", "src/common/failpoint.cc",
-        "src/common/lockdep.cc", "tests/core/foo_test.cc", "tools/gen.cc",
-        "bench/bench_foo.cc"}) {
+       {"src/tensor/tensor.cc", "src/common/trace.cc",
+        "src/common/failpoint.cc", "src/common/lockdep.cc",
+        "tests/core/foo_test.cc", "tools/gen.cc", "bench/bench_foo.cc"}) {
     EXPECT_EQ(CountRule(LintFiles({LoadSource(path, read)}), "raw-getenv"),
               0)
         << path;

@@ -8,7 +8,7 @@
 
 #include "common/lockdep.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
+#include "testing/threads.h"
 #include "core/annotator.h"
 #include "sql/value.h"
 
@@ -316,9 +316,10 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
   constexpr int kIters = 64;
   std::vector<const TableStatsEntry*> seen(kIters, nullptr);
   std::vector<int> route_winner(kIters, -1);
-  ThreadPool pool(8);
-  pool.ParallelFor(0, kIters, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = kIters / kThreads;
+  testing::RunOnThreads(kThreads, [&](int thread) {
+    for (int i = thread * kPerThread; i < (thread + 1) * kPerThread; ++i) {
       const sql::Table& t = (i % 2 == 0) ? *films : adhoc;
       seen[i] = &registry.EntryFor(t);
       auto ranked = registry.Route(question, 3);
@@ -339,7 +340,7 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
 
 // Runs last: under the schema_registry_lockdep ctest entry
 // (NLIDB_DEADLOCK=on) every test above fed the lock-order graph —
-// schema.registry, text.embedding_cache, pool.queue, metrics.registry —
+// schema.registry, text.embedding_cache, metrics.registry —
 // and none of it may have produced an order-inversion report.
 TEST(SchemaRegistryLockDiscipline, NoInversionReportsAcrossSuite) {
   if (!lockdep::Enabled()) {

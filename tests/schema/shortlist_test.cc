@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
 #include "schema/registry.h"
@@ -103,25 +102,20 @@ TEST_F(ShortlistEquivalenceTest, ShortlistModeMatchesFullScanOnSeedCorpus) {
   data::Splits splits = data::GenerateWikiSqlSplits(gc);
   pipeline.Train(splits.train);
 
-  for (int threads : {1, 8}) {
-    ThreadPool::SetGlobalParallelism(threads);
-    const int64_t shortlists_before = shortlist_queries.Value();
-    for (const data::Example& ex : splits.test.examples) {
-      ASSERT_LE(ex.table->num_columns(),
-                pipeline.registry().options().shortlist_k);
-      auto shortlisted = pipeline.Annotate(ex.tokens, *ex.table);
-      auto full = pipeline.annotator().Annotate(
-          ex.tokens, *ex.table, pipeline.registry().EntryFor(*ex.table));
-      ASSERT_TRUE(full.ok()) << full.status();
-      ASSERT_TRUE(shortlisted.ok()) << shortlisted.status();
-      EXPECT_EQ(testing::AnnotationToString(*full),
-                testing::AnnotationToString(*shortlisted))
-          << "threads=" << threads << " q: " << ex.question;
-    }
-    EXPECT_EQ(shortlist_queries.Value() - shortlists_before, 0)
-        << "threads=" << threads;
+  const int64_t shortlists_before = shortlist_queries.Value();
+  for (const data::Example& ex : splits.test.examples) {
+    ASSERT_LE(ex.table->num_columns(),
+              pipeline.registry().options().shortlist_k);
+    auto shortlisted = pipeline.Annotate(ex.tokens, *ex.table);
+    auto full = pipeline.annotator().Annotate(
+        ex.tokens, *ex.table, pipeline.registry().EntryFor(*ex.table));
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_TRUE(shortlisted.ok()) << shortlisted.status();
+    EXPECT_EQ(testing::AnnotationToString(*full),
+              testing::AnnotationToString(*shortlisted))
+        << "q: " << ex.question;
   }
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
+  EXPECT_EQ(shortlist_queries.Value() - shortlists_before, 0);
 }
 
 TEST_F(ShortlistEquivalenceTest, WideTableShortlistEqualsFullScanWhenCovered) {

@@ -21,8 +21,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-// Raw threads so submitters can block in Take() without starving the
-// shared compute pool.
 #include <thread>
 #include <vector>
 
@@ -32,6 +30,7 @@
 #include "core/pipeline.h"
 #include "data/generator.h"
 #include "serving/serving.h"
+#include "testing/threads.h"
 
 namespace nlidb {
 namespace {
@@ -136,33 +135,29 @@ TEST_F(ServingFaultTest, DelaySoakWithRacingCancelsStaysInBand) {
   const int kPerThread = 12;
   std::atomic<bool> cancel{false};
   std::atomic<int> in_band{0};
-  std::vector<std::thread> clients;  // nlidb-lint: disable(raw-thread)
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t] {
-      Rng rng(900 + static_cast<uint64_t>(t));
-      for (int i = 0; i < kPerThread; ++i) {
-        core::QueryRequest request = Request();
-        const float roll = rng.NextFloat();
-        if (roll < 0.25f) {
-          request.deadline = Deadline::AfterMillis(1 + (i % 3));
-        } else if (roll < 0.5f) {
-          request.cancel = &cancel;
-        }
-        serving::ServedResult served = engine.Query(std::move(request));
-        const StatusCode code = served.status.code();
-        if (served.status.ok() || code == StatusCode::kDeadlineExceeded ||
-            code == StatusCode::kUnavailable) {
-          in_band.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ADD_FAILURE() << "out-of-band status: " << served.status.message();
-        }
-        if (t == 0 && i == kPerThread / 2) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
+  testing::RunOnThreads(kThreads, [&](int t) {
+    Rng rng(900 + static_cast<uint64_t>(t));
+    for (int i = 0; i < kPerThread; ++i) {
+      core::QueryRequest request = Request();
+      const float roll = rng.NextFloat();
+      if (roll < 0.25f) {
+        request.deadline = Deadline::AfterMillis(1 + (i % 3));
+      } else if (roll < 0.5f) {
+        request.cancel = &cancel;
       }
-    });
-  }
-  for (auto& c : clients) c.join();
+      serving::ServedResult served = engine.Query(std::move(request));
+      const StatusCode code = served.status.code();
+      if (served.status.ok() || code == StatusCode::kDeadlineExceeded ||
+          code == StatusCode::kUnavailable) {
+        in_band.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        ADD_FAILURE() << "out-of-band status: " << served.status.message();
+      }
+      if (t == 0 && i == kPerThread / 2) {
+        cancel.store(true, std::memory_order_relaxed);
+      }
+    }
+  });
   engine.Shutdown();
 
   EXPECT_EQ(in_band.load(), kThreads * kPerThread);

@@ -15,8 +15,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-// Raw threads (not common/thread_pool) so submitter threads may block
-// in Ticket::Take() without starving the shared compute pool.
 #include <thread>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "core/pipeline.h"
 #include "data/generator.h"
 #include "serving/serving.h"
+#include "testing/threads.h"
 
 namespace nlidb {
 namespace {
@@ -92,25 +91,21 @@ TEST_F(ServingStressTest, RacingSubmitsAndCancelsAllResolve) {
   const int kPerThread = 16;
   std::atomic<bool> cancel{false};
   std::atomic<int> resolved{0};
-  std::vector<std::thread> clients;  // nlidb-lint: disable(raw-thread)
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        core::QueryRequest request = Request();
-        // Odd submissions share a cancel flag that flips mid-run, so
-        // dequeue-time cancellation races live traffic.
-        if ((t + i) % 2 == 1) request.cancel = &cancel;
-        serving::ServedResult served = engine.Query(std::move(request));
-        // Any in-band resolution is legal under the race; what must
-        // never happen is a hang (test timeout) or a crash.
-        resolved.fetch_add(1, std::memory_order_relaxed);
-        if (i == kPerThread / 2 && t == 0) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
+  testing::RunOnThreads(kThreads, [&](int t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      core::QueryRequest request = Request();
+      // Odd submissions share a cancel flag that flips mid-run, so
+      // dequeue-time cancellation races live traffic.
+      if ((t + i) % 2 == 1) request.cancel = &cancel;
+      serving::ServedResult served = engine.Query(std::move(request));
+      // Any in-band resolution is legal under the race; what must
+      // never happen is a hang (test timeout) or a crash.
+      resolved.fetch_add(1, std::memory_order_relaxed);
+      if (i == kPerThread / 2 && t == 0) {
+        cancel.store(true, std::memory_order_relaxed);
       }
-    });
-  }
-  for (auto& c : clients) c.join();
+    }
+  });
   EXPECT_EQ(resolved.load(), kThreads * kPerThread);
   engine.Shutdown();
   ExpectCountersConsistent();
@@ -189,11 +184,7 @@ TEST_F(ServingStressTest, ConcurrentShutdownIsIdempotent) {
   serving::ServingEngine engine(*pipeline_, options);
   for (int i = 0; i < 8; ++i) engine.Submit(Request());
 
-  std::vector<std::thread> shutters;  // nlidb-lint: disable(raw-thread)
-  for (int i = 0; i < 4; ++i) {
-    shutters.emplace_back([&engine] { engine.Shutdown(); });
-  }
-  for (auto& s : shutters) s.join();
+  testing::RunOnThreads(4, [&engine](int) { engine.Shutdown(); });
   ExpectCountersConsistent();
 }
 

@@ -2,9 +2,9 @@
 // seed-equivalent reference loops (gemm_reference.cc). The substrate's
 // determinism contract is exact: for every kernel, every output element
 // must receive its k partial products in increasing-k order, so tiled,
-// sparse-path, parallel and reference execution all produce the same
-// bits. These tests enforce that contract over shapes that exercise all
-// tile tails and both density branches.
+// sparse-path and reference execution all produce the same bits. These
+// tests enforce that contract over shapes that exercise all tile tails
+// and both density branches.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
 
@@ -104,34 +103,6 @@ TEST(GemmTest, TransposeADenseAndSparsePathsMatchReferenceBitwise) {
               &MatMulTransposeAAccumulateReference, true, false, 0.55f);
   CheckKernel(&MatMulTransposeAAccumulate,
               &MatMulTransposeAAccumulateReference, true, false, 0.95f);
-}
-
-TEST(GemmTest, ParallelMatchesSerialBitwise) {
-  // 192^3 crosses kGemmParallelFlops, so with a multi-thread global pool
-  // the row-partitioned path engages. Row partitioning must not change a
-  // single bit relative to the serial tiled path.
-  const int n = 192;
-  ASSERT_GE(2LL * n * n * n, kGemmParallelFlops);
-  Rng rng(7);
-  Tensor a = Tensor::Gaussian({n, n}, 1.0f, rng);
-  Tensor b = Tensor::Gaussian({n, n}, 1.0f, rng);
-
-  auto run_all = [&](int parallelism) {
-    ThreadPool::SetGlobalParallelism(parallelism);
-    std::vector<Tensor> outs(3, Tensor::Zeros({n, n}));
-    MatMulAccumulate(a, b, outs[0]);
-    MatMulTransposeBAccumulate(a, b, outs[1]);
-    MatMulTransposeAAccumulate(a, b, outs[2]);
-    return outs;
-  };
-  const std::vector<Tensor> serial = run_all(1);
-  const std::vector<Tensor> parallel = run_all(4);
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-  const char* names[] = {"ab", "abt", "atb"};
-  for (int i = 0; i < 3; ++i) {
-    ExpectBitwiseEqual(parallel[i], serial[i],
-                       std::string("parallel vs serial ") + names[i]);
-  }
 }
 
 TEST(GemmTest, BothIsaTiersMatchReferenceBitwise) {

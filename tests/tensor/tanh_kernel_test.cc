@@ -1,7 +1,7 @@
 // Bitwise tests for the tanh row kernels (gemm_kernels.h). The AVX2 tier
 // must reproduce the scalar fdlibm port exactly, so the sweep compares the
-// two over every one of the 2^32 float bit patterns, split across the
-// global thread pool. The named cases pin the range boundaries the AVX2
+// two over every one of the 2^32 float bit patterns, split across eight
+// threads. The named cases pin the range boundaries the AVX2
 // tier hands to the scalar port and check the port's values there.
 
 #include <gtest/gtest.h>
@@ -13,9 +13,9 @@
 #include <limits>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
+#include "testing/threads.h"
 
 namespace nlidb {
 namespace {
@@ -29,7 +29,10 @@ TEST(TanhKernelTest, Avx2TierMatchesScalarPortOnEveryFloat) {
   constexpr int kNumBlocks = 1 << (32 - kBlockBits);
   std::atomic<uint64_t> mismatches{0};
   std::atomic<uint32_t> first_bad{0};
-  ThreadPool::Global().ParallelFor(0, kNumBlocks, [&](int bb, int be) {
+  constexpr int kThreads = 8;
+  testing::RunOnThreads(kThreads, [&](int t) {
+    const int bb = t * (kNumBlocks / kThreads);
+    const int be = (t + 1) * (kNumBlocks / kThreads);
     std::vector<float> in(kBlock);
     std::vector<float> want(kBlock);
     std::vector<float> got(kBlock);

@@ -168,24 +168,26 @@ void Report(const SourceFile& file, int line, const std::string& rule,
 }
 
 // ---------------------------------------------------------------------------
-// raw-thread: threading primitives outside the pool.
+// raw-thread: threading primitives outside the two thread owners.
 
 const char kRawThread[] = "raw-thread";
 
-bool ThreadPoolFile(const std::string& path) {
-  return path == "src/common/thread_pool.h" ||
-         path == "src/common/thread_pool.cc";
+/// The serving engine, whose workers are the only threads src/ starts,
+/// and the test helper that races code against itself.
+bool ThreadOwnerFile(const std::string& path) {
+  return path == "src/serving/serving.h" || path == "tests/testing/threads.h";
 }
 
 void CheckRawThread(const SourceFile& file, std::vector<Finding>* out) {
-  if (ThreadPoolFile(file.path)) return;
+  if (ThreadOwnerFile(file.path)) return;
   static const std::regex re(
       "std::jthread\\b|std::thread\\b|std::async\\b|\\bpthread_[a-z_]+");
   for (size_t i = 0; i < file.code.size(); ++i) {
     if (std::regex_search(file.code[i], re)) {
       Report(file, static_cast<int>(i) + 1, kRawThread,
-             "raw threading primitive; all concurrency goes through "
-             "ThreadPool (src/common/thread_pool.h)",
+             "raw threading primitive; only the serving engine "
+             "(src/serving/serving.h) starts threads, and tests use "
+             "RunOnThreads (tests/testing/threads.h)",
              out);
     }
   }
@@ -364,10 +366,9 @@ void CheckRawFileWrite(const SourceFile& file, std::vector<Finding>* out) {
 const char kRawGetenv[] = "raw-getenv";
 
 /// The src/ files that read process switches which cannot change an
-/// answer: thread count, GEMM tier, trace sink, failpoints, lockdep.
+/// answer: GEMM tier, trace sink, failpoints, lockdep.
 bool EnvSwitchFile(const std::string& path) {
-  return path == "src/common/thread_pool.cc" ||
-         path == "src/tensor/tensor.cc" || path == "src/common/trace.cc" ||
+  return path == "src/tensor/tensor.cc" || path == "src/common/trace.cc" ||
          path == "src/common/failpoint.cc" || path == "src/common/lockdep.cc";
 }
 
@@ -845,7 +846,7 @@ std::vector<std::string> DefaultTree(const std::string& root) {
 std::vector<std::string> RuleDescriptions() {
   return {
       "raw-thread: no std::thread/std::async/pthread_* outside "
-      "src/common/thread_pool.*",
+      "src/serving/serving.h and tests/testing/threads.h",
       "raw-random: no rand()/srand()/std::random_device outside "
       "src/common/rng.*",
       "kernel-wall-clock: no clock/time calls inside GEMM kernel TUs",

@@ -4,10 +4,11 @@
 // Project-rule checker behind the `nlidb_lint` CLI (DESIGN.md "Static
 // contract architecture").
 //
-// Enforces the contracts the compiler cannot: all threading goes through
-// ThreadPool, all randomness through common/rng, GEMM kernel TUs stay
-// wall-clock-free and literal-identical across ISA tiers, every mutex
-// member names the state it guards, lock acquisition is RAII-only
+// Enforces the contracts the compiler cannot: only the serving engine
+// starts threads (tests through testing/threads.h), all randomness goes
+// through common/rng, GEMM kernel TUs stay wall-clock-free and
+// literal-identical across ISA tiers, every mutex member names the state
+// it guards, lock acquisition is RAII-only
 // (naked-lock), every class owning a mutex annotates its mutable fields
 // (mutex-coverage), and headers carry path-derived include guards.
 // Token/regex level on comment- and string-stripped source —
