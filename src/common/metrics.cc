@@ -118,7 +118,7 @@ MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
 
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked: instruments are referenced from function-local statics in
-  // hot paths and from pool workers during shutdown.
+  // hot paths and from serving workers during shutdown.
   static MetricsRegistry* registry = new MetricsRegistry;
   return *registry;
 }

@@ -14,7 +14,7 @@ namespace metrics {
 int DenseThreadId();
 
 /// A process-lifetime counter sharded across cache lines so concurrent
-/// increments from pool workers do not bounce a single line. All
+/// increments from serving workers do not bounce a single line. All
 /// operations use relaxed atomics: the counter conveys magnitude, not
 /// ordering, and relaxed keeps it TSan-clean with zero fences on the
 /// hot path.

@@ -20,7 +20,7 @@
 // so the annotations are pure documentation with zero cost.
 //
 // The attributes only fire for lock types that are themselves annotated;
-// std::mutex is not, which is why the pool code locks through the
+// std::mutex is not, which is why the repository locks through the
 // annotated `nlidb::Mutex` / `nlidb::MutexLock` wrappers in
 // common/mutex.h rather than std::lock_guard<std::mutex>.
 

@@ -36,7 +36,7 @@ struct SinkState {
   std::shared_ptr<TraceSink> sink NLIDB_GUARDED_BY(mu);
 };
 
-// Leaked so pool workers closing spans during process shutdown never
+// Leaked so serving workers closing spans during process shutdown never
 // touch a destroyed mutex; the env-installed sink is still flushed via
 // the atexit hook registered in InitFromEnv.
 SinkState& GlobalSinkState() {

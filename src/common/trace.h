@@ -38,7 +38,7 @@ struct SpanRecord {
 };
 
 /// Receives finished spans. Implementations must be thread-safe:
-/// `OnSpanEnd` is called concurrently from pool workers.
+/// `OnSpanEnd` is called concurrently from serving workers.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

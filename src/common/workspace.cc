@@ -8,10 +8,10 @@ namespace nlidb {
 namespace {
 
 // Rounds a float count up so consecutive buffers stay 64-byte aligned
-// (16 floats) relative to the block start; std::vector<float> data is
-// 16-byte aligned at minimum, which is enough for the unaligned-load
-// kernels in tensor/ — the rounding mainly prevents false sharing between
-// buffers handed to different loop chunks.
+// (16 floats) relative to the block start: no buffer starts mid cache
+// line after its predecessor's tail. std::vector<float> data is 16-byte
+// aligned at minimum, which is enough for the unaligned-load kernels in
+// tensor/.
 size_t AlignCount(size_t n) { return (n + 15u) & ~size_t{15u}; }
 
 }  // namespace

@@ -239,21 +239,9 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::DetectColumnMentions(
 StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
     const std::vector<std::string>& tokens, const sql::Schema& schema,
     std::vector<bool>& claimed, const std::vector<bool>& matched,
-    const CancelContext* ctx,
-    const std::vector<int>* column_shortlist) const {
+    const CancelContext* ctx) const {
   std::vector<ColumnMentionCandidate> out;
   if (classifier_ == nullptr) return out;
-  // Shortlist gating: a column off the shortlist is skipped exactly as
-  // if the classifier had rejected it — it contributes nothing to the
-  // annotation (only accepted columns do, below), so the result matches
-  // a full scan whenever the shortlist covers every would-be accept.
-  std::vector<bool> in_shortlist;
-  if (column_shortlist != nullptr) {
-    in_shortlist.assign(static_cast<size_t>(schema.num_columns()), false);
-    for (int c : *column_shortlist) {
-      if (c >= 0 && c < schema.num_columns()) in_shortlist[c] = true;
-    }
-  }
   static metrics::Counter& columns_scored =
       metrics::MetricsRegistry::Global().GetCounter(
           "annotator.classifier_columns_scored");
@@ -270,7 +258,6 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   std::vector<std::vector<std::string>> displays;
   for (int c = 0; c < schema.num_columns(); ++c) {
     if (matched[c]) continue;
-    if (!in_shortlist.empty() && !in_shortlist[c]) continue;
     pending.push_back(c);
     displays.push_back(schema.column(c).DisplayTokens());
   }
@@ -342,8 +329,7 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
 StatusOr<Annotation> Annotator::Annotate(
     const std::vector<std::string>& tokens, const sql::Table& table,
     const schema::TableStatsEntry& entry, const NlMetadata* metadata,
-    const CancelContext* ctx, AnnotateDebug* debug,
-    const std::vector<int>* column_shortlist) const {
+    const CancelContext* ctx, AnnotateDebug* debug) const {
   if (tokens.empty()) {
     return Status::InvalidArgument("empty question");
   }
@@ -426,8 +412,7 @@ StatusOr<Annotation> Annotator::Annotate(
 
   // Stage 4: classifier + adversarial locator for unmatched columns.
   StatusOr<std::vector<ColumnMentionCandidate>> learned_columns =
-      ClassifierColumnPass(tokens, schema, claimed, matched, ctx,
-                           column_shortlist);
+      ClassifierColumnPass(tokens, schema, claimed, matched, ctx);
   if (!learned_columns.ok()) return learned_columns.status();
   for (auto& cand : *learned_columns) {
     columns.push_back(std::move(cand));

@@ -73,22 +73,12 @@ class Annotator {
   /// silently-empty annotation. `ctx` (optional) is polled at stage
   /// boundaries, inside the value-detector scan and before each
   /// influence probe; expiry surfaces as DeadlineExceeded.
-  ///
-  /// `column_shortlist` (optional, ascending column indices) restricts
-  /// the classifier pass to those columns; excluded columns behave
-  /// exactly as classifier rejections. The result is identical to a
-  /// full scan whenever the shortlist covers every column the
-  /// classifier would accept — the schema registry's contract
-  /// (schema/registry.h), asserted by the equality tests. Context-free
-  /// matching and value detection are never restricted: they are the
-  /// higher-confidence evidence tiers.
   StatusOr<Annotation> Annotate(
       const std::vector<std::string>& tokens, const sql::Table& table,
       const schema::TableStatsEntry& entry,
       const NlMetadata* metadata = nullptr,
       const CancelContext* ctx = nullptr,
-      AnnotateDebug* debug = nullptr,
-      const std::vector<int>* column_shortlist = nullptr) const;
+      AnnotateDebug* debug = nullptr) const;
 
   /// Best context-free match of `phrase_tokens` inside `tokens`:
   /// the window with the highest blended edit/semantic similarity, if it
@@ -118,13 +108,12 @@ class Annotator {
       const NlMetadata* metadata, std::vector<bool>& claimed,
       std::vector<bool>& matched) const;
 
-  /// Classifier + adversarial-locator pass over unmatched columns
-  /// (intersected with `column_shortlist` when non-null).
+  /// Classifier + adversarial-locator pass over every column the
+  /// context-free pass left unmatched.
   StatusOr<std::vector<ColumnMentionCandidate>> ClassifierColumnPass(
       const std::vector<std::string>& tokens, const sql::Schema& schema,
       std::vector<bool>& claimed, const std::vector<bool>& matched,
-      const CancelContext* ctx,
-      const std::vector<int>* column_shortlist = nullptr) const;
+      const CancelContext* ctx) const;
 
   ModelConfig config_;
   const text::EmbeddingProvider* provider_;

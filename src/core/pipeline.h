@@ -171,7 +171,7 @@ class NlidbPipeline {
   const Annotator& annotator() const { return *annotator_; }
 
   /// The schema-resolution subsystem: registered tables, the content-
-  /// keyed column statistics, routing and shortlisting. The const
+  /// keyed column statistics and routing. The const
   /// accessor is all inference needs; `mutable_registry()` exists for
   /// setup (registering tables).
   const schema::SchemaRegistry& registry() const { return *registry_; }
@@ -192,8 +192,8 @@ class NlidbPipeline {
 
  private:
   /// The one annotate path behind `Annotate` and `Query`: stats lookup,
-  /// column shortlist when the table is wider than shortlist_k, then the
-  /// annotator, polling `ctx` and filling `debug` (both optional).
+  /// then the annotator over every column, polling `ctx` and filling
+  /// `debug` (both optional).
   StatusOr<Annotation> AnnotateAgainst(const std::vector<std::string>& tokens,
                                        const sql::Table& table,
                                        const CancelContext* ctx,

@@ -21,8 +21,6 @@ struct SchemaCounters {
   metrics::Counter& stats_computed;
   metrics::Counter& route_queries;
   metrics::Counter& route_fallback_scan;
-  metrics::Counter& shortlist_queries;
-  metrics::Counter& shortlist_pruned_columns;
 
   static SchemaCounters& Get() {
     auto& reg = metrics::MetricsRegistry::Global();
@@ -30,9 +28,7 @@ struct SchemaCounters {
                             reg.GetCounter("schema.stats_hits"),
                             reg.GetCounter("schema.stats_computed"),
                             reg.GetCounter("schema.route_queries"),
-                            reg.GetCounter("schema.route_fallback_scan"),
-                            reg.GetCounter("schema.shortlist_queries"),
-                            reg.GetCounter("schema.shortlist_pruned_columns")};
+                            reg.GetCounter("schema.route_fallback_scan")};
     return c;
   }
 };
@@ -46,8 +42,8 @@ constexpr int kRouteLimit = 5;
 constexpr int kMaxIndexRows = 32;
 
 /// Question tokens that carry content: not stop words (which covers
-/// punctuation too). These drive routing and shortlist scoring; function
-/// words would only add noise shared by every table.
+/// punctuation too). These drive routing; function words would only add
+/// noise shared by every table.
 std::vector<std::string> ContentTokens(const std::vector<std::string>& tokens) {
   std::vector<std::string> content;
   content.reserve(tokens.size());
@@ -90,20 +86,17 @@ std::vector<std::string> IndexTokens(const sql::Table& table, int max_rows) {
 }  // namespace
 
 SchemaRegistry::SchemaRegistry(
-    std::shared_ptr<const text::EmbeddingProvider> provider,
-    const SchemaRegistryOptions& options)
-    : provider_(std::move(provider)), options_(options) {}
+    std::shared_ptr<const text::EmbeddingProvider> provider)
+    : provider_(std::move(provider)) {}
 
 void SchemaRegistry::FillDerived(const sql::Table& table,
                                  TableStatsEntry& entry) const {
-  const int ncols = table.num_columns();
-  entry.name_embeddings.resize(ncols);
   entry.centroid.assign(provider_->dim(), 0.0f);
   int contributing = 0;
-  for (int c = 0; c < ncols; ++c) {
-    entry.name_embeddings[c] =
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const std::vector<float> name_vec =
         provider_->PhraseVector(table.schema().column(c).DisplayTokens());
-    const std::vector<float>* sources[2] = {&entry.name_embeddings[c],
+    const std::vector<float>* sources[2] = {&name_vec,
                                             &entry.stats[c].embedding};
     for (const std::vector<float>* vec : sources) {
       if (vec->size() != entry.centroid.size()) continue;
@@ -274,62 +267,6 @@ std::vector<RouteCandidate> SchemaRegistry::Route(
     ranked.resize(static_cast<size_t>(limit));
   }
   return ranked;
-}
-
-std::vector<int> SchemaRegistry::ShortlistColumns(
-    const std::vector<std::string>& tokens, const sql::Table& table,
-    const TableStatsEntry& entry) const {
-  SchemaCounters& counters = SchemaCounters::Get();
-  counters.shortlist_queries.Increment();
-  const int ncols = table.num_columns();
-  std::vector<int> all(static_cast<size_t>(ncols));
-  for (int c = 0; c < ncols; ++c) all[static_cast<size_t>(c)] = c;
-  if (ncols <= options_.shortlist_k) return all;
-
-  const std::vector<std::string> content = ContentTokens(tokens);
-  std::vector<const std::vector<float>*> token_vecs;
-  token_vecs.reserve(content.size());
-  for (const std::string& t : content) {
-    token_vecs.push_back(&provider_->Vector(t));
-  }
-
-  std::vector<std::pair<float, int>> scored(static_cast<size_t>(ncols));
-  for (int c = 0; c < ncols; ++c) {
-    const sql::ColumnDef& def = table.schema().column(c);
-    const std::vector<std::string> name_tokens = def.DisplayTokens();
-    float score = 0.0f;
-    // Exact lexical hit on a name token outranks any embedding signal:
-    // a literally mentioned column must survive the shortlist.
-    for (const std::string& t : content) {
-      if (std::find(name_tokens.begin(), name_tokens.end(), t) !=
-          name_tokens.end()) {
-        score += 2.0f;
-        break;
-      }
-    }
-    float best_name = 0.0f;
-    float best_cell = 0.0f;
-    for (const std::vector<float>* vec : token_vecs) {
-      best_name = std::max(best_name, text::EmbeddingProvider::Cosine(
-                                          *vec, entry.name_embeddings[c]));
-      best_cell = std::max(best_cell, text::EmbeddingProvider::Cosine(
-                                          *vec, entry.stats[c].embedding));
-    }
-    score += best_name + 0.5f * best_cell;
-    scored[static_cast<size_t>(c)] = {score, c};
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const std::pair<float, int>& a, const std::pair<float, int>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  scored.resize(static_cast<size_t>(options_.shortlist_k));
-  std::vector<int> shortlist;
-  shortlist.reserve(scored.size());
-  for (const auto& [score, c] : scored) shortlist.push_back(c);
-  std::sort(shortlist.begin(), shortlist.end());
-  counters.shortlist_pruned_columns.Increment(ncols - options_.shortlist_k);
-  return shortlist;
 }
 
 StatusOr<Resolution> SchemaRegistry::Resolve(

@@ -5,8 +5,7 @@
 //
 // `SchemaRegistry` is the single owner of schema-resolution state for a
 // pipeline: the set of registered tables, their column statistics and
-// cell indexes, the token index behind table routing, and the per-table
-// column embeddings behind classifier shortlisting.
+// cell indexes, and the token index and centroids behind table routing.
 //
 // Registered tables are snapshots: a registered table's statistics,
 // cell index and routing data are bound at `Register`, so to change a
@@ -49,23 +48,15 @@
 namespace nlidb {
 namespace schema {
 
-struct SchemaRegistryOptions {
-  /// Max candidate columns the shortlist passes to the classifier.
-  /// Tables at or under this width are never pruned.
-  int shortlist_k = 16;
-};
-
 /// Everything the registry precomputes for one table content
 /// fingerprint. `stats` is the paper's per-column s_c metadata; `cells`
 /// is the exact-value index the annotator looks question n-grams up in,
-/// built in the same pass over the cells; `name_embeddings` are phrase
-/// vectors of each column's display name (shortlist scoring);
-/// `centroid` is the mean column embedding (routing tiebreak).
+/// built in the same pass over the cells; `centroid` is the mean of the
+/// columns' name and content embeddings (routing tiebreak).
 struct TableStatsEntry {
   uint64_t fingerprint = 0;
   std::vector<sql::ColumnStatistics> stats;
   sql::CellIndex cells;
-  std::vector<std::vector<float>> name_embeddings;
   std::vector<float> centroid;
 };
 
@@ -89,8 +80,7 @@ struct Resolution {
 class SchemaRegistry {
  public:
   explicit SchemaRegistry(
-      std::shared_ptr<const text::EmbeddingProvider> provider,
-      const SchemaRegistryOptions& options = SchemaRegistryOptions());
+      std::shared_ptr<const text::EmbeddingProvider> provider);
   SchemaRegistry(const SchemaRegistry&) = delete;
   SchemaRegistry& operator=(const SchemaRegistry&) = delete;
 
@@ -136,21 +126,10 @@ class SchemaRegistry {
   std::vector<RouteCandidate> Route(const std::vector<std::string>& tokens,
                                     int limit) const;
 
-  /// Candidate columns of `table` for `tokens`, ascending column
-  /// indices. Returns all columns when the table is at or under
-  /// shortlist_k wide; otherwise the top-K by blended name/content
-  /// similarity against `entry`, the caller's EntryFor(table), so the
-  /// shortlist and the statistics come from one fingerprint. Pure
-  /// ranking — never consults the classifier.
-  std::vector<int> ShortlistColumns(const std::vector<std::string>& tokens,
-                                    const sql::Table& table,
-                                    const TableStatsEntry& entry) const;
-
-  const SchemaRegistryOptions& options() const { return options_; }
   const text::EmbeddingProvider& provider() const { return *provider_; }
 
  private:
-  /// Builds the embeddings/centroid half of an entry from its stats.
+  /// Builds the centroid of an entry from its stats.
   /// Pure; called outside mu_ (it takes the provider's lock).
   void FillDerived(const sql::Table& table, TableStatsEntry& entry) const;
 
@@ -173,7 +152,6 @@ class SchemaRegistry {
   };
 
   const std::shared_ptr<const text::EmbeddingProvider> provider_;
-  const SchemaRegistryOptions options_;
   mutable Mutex mu_{"schema.registry"};
   /// Registered tables by id; ids are dense and never reused.
   std::vector<Registered> tables_ NLIDB_GUARDED_BY(mu_);

@@ -1,8 +1,8 @@
 #ifndef NLIDB_TENSOR_GEMM_KERNELS_H_
 #define NLIDB_TENSOR_GEMM_KERNELS_H_
 
-// Row kernels compiled once per ISA tier: the row-range GEMMs and the
-// elementwise tanh.
+// Row kernels compiled once per ISA tier: the GEMMs and the elementwise
+// tanh.
 //
 // The kernels are instantiated by two translation units:
 // gemm_kernels_base.cc (the toolchain's default target, runs anywhere the
@@ -11,9 +11,6 @@
 // AVX2). Both TUs build with -ffp-contract=off, so neither tier fuses
 // multiply-adds and both produce bitwise-identical results — which
 // machine runs the model never changes its outputs.
-//
-// The GEMMs process output rows [ib, ie) only, so callers can partition
-// rows across the thread pool without further coordination.
 //
 // tanh does not call libm. The base tier is a scalar port of the fdlibm
 // tanhf -> expm1f algorithm (the code glibc ships for tanhf on x86-64);
@@ -26,25 +23,22 @@
 namespace nlidb {
 namespace gemm {
 
-// out[ib..ie) += a[ib..ie) * b          (a [m,k], b [k,n], out [m,n])
-using RowsABFn = void (*)(const float* a, const float* b, float* out, int ib,
-                          int ie, int k, int n);
-// out[ib..ie) += a[ib..ie) * b^T        (a [m,k], b [n,k], out [m,n])
-using RowsABtFn = void (*)(const float* a, const float* b, float* out, int ib,
-                           int ie, int k, int n);
-// out[ib..ie) += (a^T)[ib..ie) * b      (a [k,m], b [k,n], out [m,n])
-using RowsAtBFn = void (*)(const float* a, const float* b, float* out, int ib,
-                           int ie, int k, int m, int n);
+// out += a * b          (a [m,k], b [k,n], out [m,n])
+using RowsABFn = void (*)(const float* a, const float* b, float* out, int m,
+                          int k, int n);
+// out += a * b^T        (a [m,k], b [n,k], out [m,n])
+using RowsABtFn = void (*)(const float* a, const float* b, float* out, int m,
+                           int k, int n);
+// out += a^T * b        (a [k,m], b [k,n], out [m,n])
+using RowsAtBFn = void (*)(const float* a, const float* b, float* out, int k,
+                           int m, int n);
 // out[i] = tanh(in[i]) for i in [0, n); in == out is allowed.
 using TanhRowsFn = void (*)(const float* in, float* out, int n);
 
 namespace base {
-void RowsAB(const float* a, const float* b, float* out, int ib, int ie, int k,
-            int n);
-void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
-             int n);
-void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
-             int m, int n);
+void RowsAB(const float* a, const float* b, float* out, int m, int k, int n);
+void RowsABt(const float* a, const float* b, float* out, int m, int k, int n);
+void RowsAtB(const float* a, const float* b, float* out, int k, int m, int n);
 /// The scalar fdlibm tanhf port; the AVX2 tier also uses it for the
 /// lanes it does not vectorize.
 [[nodiscard]] float Tanh(float x);
@@ -55,12 +49,9 @@ namespace avx2 {
 /// True only when this TU was compiled at x86-64-v3 AND the running CPU
 /// supports AVX2; the base tier is used otherwise.
 [[nodiscard]] bool Available();
-void RowsAB(const float* a, const float* b, float* out, int ib, int ie, int k,
-            int n);
-void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
-             int n);
-void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
-             int m, int n);
+void RowsAB(const float* a, const float* b, float* out, int m, int k, int n);
+void RowsABt(const float* a, const float* b, float* out, int m, int k, int n);
+void RowsAtB(const float* a, const float* b, float* out, int k, int m, int n);
 void TanhRows(const float* in, float* out, int n);
 }  // namespace avx2
 

@@ -198,19 +198,16 @@ namespace avx2 {
 
 bool Available() { return false; }
 
-void RowsAB(const float* a, const float* b, float* out, int ib, int ie, int k,
-            int n) {
-  base::RowsAB(a, b, out, ib, ie, k, n);
+void RowsAB(const float* a, const float* b, float* out, int m, int k, int n) {
+  base::RowsAB(a, b, out, m, k, n);
 }
 
-void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
-             int n) {
-  base::RowsABt(a, b, out, ib, ie, k, n);
+void RowsABt(const float* a, const float* b, float* out, int m, int k, int n) {
+  base::RowsABt(a, b, out, m, k, n);
 }
 
-void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
-             int m, int n) {
-  base::RowsAtB(a, b, out, ib, ie, k, m, n);
+void RowsAtB(const float* a, const float* b, float* out, int k, int m, int n) {
+  base::RowsAtB(a, b, out, k, m, n);
 }
 
 void TanhRows(const float* in, float* out, int n) {

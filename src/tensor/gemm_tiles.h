@@ -18,8 +18,7 @@
 // Vector lanes are independent elements, the TUs compile with
 // -ffp-contract=off so no ISA fuses mul+add into an FMA, and therefore
 // results are bitwise identical to the scalar reference kernels
-// regardless of tile shape, vector width, or the row partition chosen
-// by the thread pool.
+// regardless of tile shape or vector width.
 
 namespace nlidb {
 namespace gemm {
@@ -191,14 +190,14 @@ inline void MicroPanelAtB(const float* a, const float* b, float* out, int i0,
   }
 }
 
-/// Drives MicroPanel over output rows [ib, ie): full MR-row panels, then
+/// Drives MicroPanel over output rows [0, m): full MR-row panels, then
 /// a 1..MR-1 row tail. `Panel` is one of the micro-tiles above bound to
 /// its extra geometry arguments.
 template <int MR, typename PanelFn, typename TailFn>
-inline void ForEachRowPanel(int ib, int ie, PanelFn panel, TailFn tail) {
-  int i = ib;
-  for (; i + MR <= ie; i += MR) panel(i);
-  for (; i < ie; ++i) tail(i);
+inline void ForEachRowPanel(int m, PanelFn panel, TailFn tail) {
+  int i = 0;
+  for (; i + MR <= m; i += MR) panel(i);
+  for (; i < m; ++i) tail(i);
 }
 
 }  // namespace gemm

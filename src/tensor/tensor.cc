@@ -204,12 +204,12 @@ void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  gemm::Kernels().rows_ab(pa, pb, po, 0, m, k, n);
+  gemm::Kernels().rows_ab(pa, pb, po, m, k, n);
 }
 
 void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
                        int k, int n) {
-  gemm::Kernels().rows_ab(a, b, out, 0, m, k, n);
+  gemm::Kernels().rows_ab(a, b, out, m, k, n);
 }
 
 void MatMulTransposeAAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
@@ -231,7 +231,7 @@ void MatMulTransposeAAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   for (size_t idx = 0; idx < total; ++idx) zeros += (pa[idx] == 0.0f);
   const gemm::RowKernels& kr = gemm::Kernels();  // counts both paths
   if (zeros * 2 < total) {
-    kr.rows_atb(pa, pb, po, 0, m, k, m, n);
+    kr.rows_atb(pa, pb, po, k, m, n);
     return;
   }
   // kk-outer with increasing-kk accumulation per element: the same order
@@ -257,7 +257,7 @@ void MatMulTransposeBAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  gemm::Kernels().rows_abt(pa, pb, po, 0, m, k, n);
+  gemm::Kernels().rows_abt(pa, pb, po, m, k, n);
 }
 
 namespace gemm {

@@ -12,6 +12,7 @@
 #include "common/trace.h"
 #include "data/generator.h"
 #include "eval/metrics.h"
+#include "testing/trace.h"
 #include "text/tokenizer.h"
 
 namespace nlidb {
@@ -277,6 +278,48 @@ TEST_F(PipelineTest, RegistryStatsSharedAcrossCalls) {
   // memory shares the same entry.
   sql::Table copy = FilmTable();
   EXPECT_EQ(&pipeline.registry().EntryFor(copy).stats, &s1);
+}
+
+TEST_F(PipelineTest, WideTableAnnotateScoresEveryUnmatchedColumn) {
+  // The paper's annotator (Sec. IV-B) hands every column the
+  // context-free pass left unmatched to the classifier, however wide the
+  // table: here all 24 columns but "mountain".
+  const char* kWords[] = {"population", "director", "county",  "film",
+                          "year",       "price",    "team",    "city",
+                          "color",      "author",   "title",   "length",
+                          "weight",     "height",   "speed",   "genre",
+                          "artist",     "album",    "country", "capital",
+                          "river",      "mountain", "animal",  "flower"};
+  std::vector<sql::ColumnDef> cols;
+  std::vector<sql::Value> row;
+  for (const char* w : kWords) {
+    cols.push_back({w, sql::DataType::kText});
+    row.push_back(sql::Value::Text(std::string("sample ") + w));
+  }
+  sql::Table wide("wide", sql::Schema(cols));
+  ASSERT_TRUE(wide.AddRow(std::move(row)).ok());
+
+  data::GeneratorConfig gc;
+  gc.num_tables = 6;
+  gc.questions_per_table = 4;
+  gc.seed = 22;
+  data::WikiSqlGenerator gen(gc, data::TrainDomains());
+  NlidbPipeline pipeline(config_, provider_);
+  pipeline.Train(gen.Generate());
+
+  metrics::Counter& scored = metrics::MetricsRegistry::Global().GetCounter(
+      "annotator.classifier_columns_scored");
+  const auto tokens = text::Tokenize("how tall is the mountain ?");
+  const int64_t before = scored.Value();
+  StatusOr<Annotation> via_pipeline = pipeline.Annotate(tokens, wide);
+  ASSERT_TRUE(via_pipeline.ok()) << via_pipeline.status();
+  EXPECT_EQ(scored.Value() - before, 23);
+
+  StatusOr<Annotation> direct = pipeline.annotator().Annotate(
+      tokens, wide, pipeline.registry().EntryFor(wide));
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(testing::AnnotationToString(*via_pipeline),
+            testing::AnnotationToString(*direct));
 }
 
 TEST_F(PipelineTest, QueryResolvesRegisteredTableByName) {

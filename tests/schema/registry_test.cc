@@ -115,12 +115,8 @@ TEST(SchemaRegistryTest, EntriesCarryDerivedEmbeddings) {
   auto provider = Provider();
   SchemaRegistry registry(provider);
   sql::Table t = FilmTable();
-  const TableStatsEntry& entry = registry.EntryFor(t);
-  ASSERT_EQ(entry.name_embeddings.size(), 2u);
-  for (const auto& vec : entry.name_embeddings) {
-    EXPECT_EQ(static_cast<int>(vec.size()), provider->dim());
-  }
-  EXPECT_EQ(static_cast<int>(entry.centroid.size()), provider->dim());
+  EXPECT_EQ(static_cast<int>(registry.EntryFor(t).centroid.size()),
+            provider->dim());
 }
 
 TEST(SchemaRegistryTest, RegisterAssignsDenseIdsAndRejectsDuplicates) {
@@ -324,7 +320,6 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
       seen[i] = &registry.EntryFor(t);
       auto ranked = registry.Route(question, 3);
       route_winner[i] = ranked.empty() ? -1 : ranked.front().id;
-      EXPECT_EQ(registry.ShortlistColumns(question, t, *seen[i]).size(), 2u);
     }
   });
   // Racing first-touch computes converge on one resident entry per

@@ -118,8 +118,8 @@ TEST(GemmTest, BothIsaTiersMatchReferenceBitwise) {
     Tensor got_base = want;
     Tensor got_avx2 = want;
     MatMulAccumulateReference(a, b, want);
-    gemm::base::RowsAB(a.data(), b.data(), got_base.data(), 0, s.m, s.k, s.n);
-    gemm::avx2::RowsAB(a.data(), b.data(), got_avx2.data(), 0, s.m, s.k, s.n);
+    gemm::base::RowsAB(a.data(), b.data(), got_base.data(), s.m, s.k, s.n);
+    gemm::avx2::RowsAB(a.data(), b.data(), got_avx2.data(), s.m, s.k, s.n);
     const std::string ctx = "m=" + std::to_string(s.m) +
                             " k=" + std::to_string(s.k) +
                             " n=" + std::to_string(s.n);
