@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-#include "tensor/ops.h"
-
 namespace nlidb {
 namespace core {
 
@@ -13,50 +10,35 @@ StatusOr<InfluenceProfile> AdversarialLocator::ComputeInfluence(
     const ColumnMentionClassifier& classifier,
     const std::vector<std::string>& question,
     const std::vector<std::string>& column) const {
-  StatusOr<ColumnMentionClassifier::ForwardResult> fr_or =
-      classifier.Forward(question, column);
-  if (!fr_or.ok()) return fr_or.status();
-  ColumnMentionClassifier::ForwardResult fr = std::move(fr_or).value();
+  ColumnMentionClassifier::Pass pass(classifier);
+  NLIDB_RETURN_IF_ERROR(pass.Run(question, {column}));
+  return Influence(pass, 0);
+}
+
+InfluenceProfile AdversarialLocator::Influence(
+    ColumnMentionClassifier::Pass& pass, int c) const {
   // The paper takes dL/dq with L the classifier loss. Since
   // dL/dE = (sigmoid(z) - target) * dz/dE, the loss gradient is the
   // logit gradient scaled by a constant that underflows to exactly zero
   // in float once the classifier saturates (p -> 1). We therefore
-  // backpropagate from the logit z itself: identical influence *profile*
+  // differentiate the logit z itself: identical influence *profile*
   // (what the span search consumes), numerically stable at saturation.
-  Var loss = fr.logit;
-  // The embedding lookup nodes must expose gradients even though we never
-  // update them here.
-  fr.question_word_embeddings->requires_grad = true;
-  for (auto& v : fr.question_char_embeddings) v->requires_grad = true;
-  {
-    // Influence probing only reads gradients at the embedding *lookup*
-    // nodes, never at the weights. The scope makes Backward skip every
-    // write into parameter leaves, which (a) drops the useless dW GEMMs
-    // and (b) removes the only shared-state writes, so concurrent
-    // requests can probe one classifier at once (the lookup nodes and
-    // all intermediates are per-graph).
-    InferenceGradScope scope;
-    Backward(loss);
-  }
-
-  const int n = static_cast<int>(question.size());
+  const ColumnMentionClassifier::Pass::Gradients g = pass.Differentiate(c);
+  const int n = g.tokens;
   InfluenceProfile profile;
   profile.word_level.resize(n, 0.0f);
   profile.char_level.resize(n, 0.0f);
   profile.total.resize(n, 0.0f);
   const float p = config_.influence_norm_p;
-  const Tensor& wg = fr.question_word_embeddings->grad;
+  auto norm = [p](const float* row, int width) {
+    // ||row||_p, accumulated as Tensor::NormP does.
+    float s = 0.0f;
+    for (int j = 0; j < width; ++j) s += std::pow(std::fabs(row[j]), p);
+    return std::pow(s, 1.0f / p);
+  };
   for (int i = 0; i < n; ++i) {
-    if (!wg.empty()) {
-      // ||dL/dE_word(w_i)||_p over the i-th row.
-      float s = 0.0f;
-      for (int j = 0; j < wg.cols(); ++j) {
-        s += std::pow(std::fabs(wg(i, j)), p);
-      }
-      profile.word_level[i] = std::pow(s, 1.0f / p);
-    }
-    const Tensor& cg = fr.question_char_embeddings[i]->grad;
-    if (!cg.empty()) profile.char_level[i] = cg.NormP(p);
+    profile.word_level[i] = norm(g.word + i * g.word_dim, g.word_dim);
+    profile.char_level[i] = norm(g.chars + i * g.char_dim, g.char_dim);
     profile.total[i] = config_.influence_alpha * profile.word_level[i] +
                        config_.influence_beta * profile.char_level[i];
   }

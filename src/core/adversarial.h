@@ -28,13 +28,19 @@ class AdversarialLocator {
   explicit AdversarialLocator(const ModelConfig& config) : config_(config) {}
 
   /// Computes the influence of every question token on the prediction
-  /// that `column` is mentioned in `question`. Runs one forward/backward
-  /// pass of the classifier with target label 1. Propagates the
+  /// that `column` is mentioned in `question`: one graph-free classifier
+  /// pass over that column, differentiated from its logit. Propagates the
   /// classifier's InvalidArgument on empty inputs.
   StatusOr<InfluenceProfile> ComputeInfluence(
       const ColumnMentionClassifier& classifier,
       const std::vector<std::string>& question,
       const std::vector<std::string>& column) const;
+
+  /// The influence profile of column `c` of a pass that has run; the
+  /// annotator scores every column with one pass and probes the accepted
+  /// ones through it.
+  InfluenceProfile Influence(ColumnMentionClassifier::Pass& pass,
+                             int c) const;
 
   /// Picks the mention span from an influence profile: seeded at the
   /// influence peak and greedily extended while neighbors stay above

@@ -251,9 +251,11 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   trace::TraceSpan span("annotator.classifier");
   AdversarialLocator locator(config_);
 
-  // Phase 1 (batched): score every unmatched column in one classifier
-  // graph. Each row is bitwise equal to that column scored alone, so the
-  // acceptance decisions are exactly those of a per-column pass.
+  // Phase 1: one graph-free classifier pass scores every unmatched
+  // column. It encodes the question once and keeps every column's
+  // activations; each probability is bitwise equal to that column's
+  // one-column Forward, so the acceptance decisions are exactly those of
+  // a per-column pass.
   std::vector<int> pending;
   std::vector<std::vector<std::string>> displays;
   for (int c = 0; c < schema.num_columns(); ++c) {
@@ -264,15 +266,14 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   if (pending.empty()) return out;
   columns_scored.Increment(static_cast<int64_t>(pending.size()));
   NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "annotator.classifier_batch"));
-  StatusOr<std::vector<float>> probs_or =
-      classifier_->PredictBatch(tokens, displays);
-  if (!probs_or.ok()) return probs_or.status();
-  const std::vector<float>& probs = *probs_or;
+  ColumnMentionClassifier::Pass pass(*classifier_);
+  NLIDB_RETURN_IF_ERROR(pass.Run(tokens, displays));
+  const std::vector<float>& probs = pass.probabilities();
 
-  // Phase 2: influence profiles for the accepted columns, one probe at
-  // a time on this thread. Each probe builds the one-column graph
-  // (question encoding included) again to differentiate it; scoring
-  // above kept no graph to reuse.
+  // Phase 2: influence profiles for the accepted columns, one probe at a
+  // time on this thread. Each probe is a hand-written reverse pass over
+  // the activations phase 1 kept, from the column's logit back to the
+  // question's embeddings; nothing is re-encoded.
   std::vector<int> accepted;
   for (size_t j = 0; j < pending.size(); ++j) {
     if (probs[j] >= kClassifierThreshold) accepted.push_back(static_cast<int>(j));
@@ -285,10 +286,7 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
     probes.Annotate("columns", static_cast<int64_t>(accepted.size()));
     for (int j : accepted) {
       NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "annotator.influence"));
-      StatusOr<InfluenceProfile> profile =
-          locator.ComputeInfluence(*classifier_, tokens, displays[j]);
-      if (!profile.ok()) return profile.status();
-      profiles.push_back(std::move(profile).value());
+      profiles.push_back(locator.Influence(pass, j));
     }
   }
 

@@ -1,6 +1,6 @@
 #include "core/column_mention_classifier.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/logging.h"
 #include "tensor/ops.h"
@@ -75,12 +75,9 @@ StatusOr<Var> ColumnMentionClassifier::Embed(
 }
 
 StatusOr<ColumnMentionClassifier::ForwardResult>
-ColumnMentionClassifier::Build(
-    const std::vector<std::string>& question,
-    const std::vector<std::vector<std::string>>& columns) const {
-  const int batch = static_cast<int>(columns.size());
+ColumnMentionClassifier::Forward(const std::vector<std::string>& question,
+                                 const std::vector<std::string>& column) const {
   ForwardResult result;
-  // Shared question encoding, computed once for every column.
   StatusOr<Var> q_emb_or = Embed(question, &result.question_word_embeddings,
                                  &result.question_char_embeddings);
   if (!q_emb_or.ok()) return q_emb_or.status();
@@ -91,105 +88,59 @@ ColumnMentionClassifier::Build(
   Var memory_proj = attention_->ProjectMemory(sq);
   const int h = config_.classifier_hidden;
 
-  // Per-column encodings and BiDAF-style similarity features (the
-  // paper's "bidirectional attention flow"). Embeddings start unit-norm,
-  // so the dots approximate cosines.
-  std::vector<Var> sc(batch), sim_max(batch), sim_mean(batch);
-  std::vector<int> capped(batch);
-  for (int c = 0; c < batch; ++c) {
-    Var c_word;
-    StatusOr<Var> c_emb_or = Embed(columns[c], &c_word, nullptr);
-    if (!c_emb_or.ok()) return c_emb_or.status();
-    Var sim = ops::MatMul(c_word, q_word_t);
-    sim_max[c] = ops::RowMax(sim);    // [m,1]
-    sim_mean[c] = ops::RowMean(sim);  // [m,1]
-    sc[c] = column_lstm_->Forward(*c_emb_or);  // [m, h]
-    capped[c] = std::min(sc[c]->value.rows(), config_.max_column_words);
-  }
+  // Column encoding and BiDAF-style similarity features (the paper's
+  // "bidirectional attention flow"). Embeddings start unit-norm, so the
+  // dots approximate cosines.
+  Var c_word;
+  StatusOr<Var> c_emb_or = Embed(column, &c_word, nullptr);
+  if (!c_emb_or.ok()) return c_emb_or.status();
+  Var sim = ops::MatMul(c_word, q_word_t);
+  Var sim_max = ops::RowMax(sim);    // [m,1]
+  Var sim_mean = ops::RowMean(sim);  // [m,1]
+  Var sc = column_lstm_->Forward(*c_emb_or);  // [m, h]
+  const int len = std::min(sc->value.rows(), config_.max_column_words);
 
-  // Attention bi-LSTM over column steps. Columns of equal capped length
-  // walk it in lockstep: each group member is one row of the shared state
-  // matrix, so the per-step projections, context GEMM and LSTM cell run
-  // once per group instead of once per column. Rows evolve independently
-  // through every op involved, which keeps each column's result bitwise
-  // equal to building it alone.
-  std::vector<std::vector<int>> groups(config_.max_column_words + 1);
-  for (int c = 0; c < batch; ++c) groups[capped[c]].push_back(c);
-  std::vector<std::vector<Var>> fw(batch), bw(batch);
-  for (int c = 0; c < batch; ++c) {
-    fw[c].resize(capped[c]);
-    bw[c].resize(capped[c]);
-  }
-  for (int len = 1; len <= config_.max_column_words; ++len) {
-    const std::vector<int>& group = groups[len];
-    if (group.empty()) continue;
-    const int g = static_cast<int>(group.size());
-    auto run_direction = [&](bool forward) {
-      std::vector<std::vector<Var>>& outs = forward ? fw : bw;
-      nn::LstmCell& cell = forward ? *fwd_cell_ : *bwd_cell_;
-      nn::LstmCell::State state = cell.InitialState(g);
-      for (int step = 0; step < len; ++step) {
-        const int t = forward ? step : len - 1 - step;
-        std::vector<Var> st_rows(g);
-        for (int i = 0; i < g; ++i) st_rows[i] = ops::PickRow(sc[group[i]], t);
-        Var st = ops::ConcatRows(st_rows);  // [g, h]
-        Var query = ops::Add(query_state_proj_->Forward(st),
-                             query_hidden_proj_->Forward(state.h));
-        std::vector<Var> energy_rows(g);
-        for (int i = 0; i < g; ++i) {
-          energy_rows[i] =
-              attention_->Energies(memory_proj, ops::PickRow(query, i));
-        }
-        Var weights = attention_->Weights(ops::ConcatRows(energy_rows));
-        Var context = attention_->Context(weights, sq);  // [g, h]
-        state = cell.Step(ops::ConcatCols({st, context}), state);
-        for (int i = 0; i < g; ++i) {
-          outs[group[i]][t] = ops::PickRow(state.h, i);
-        }
-      }
-    };
-    run_direction(true);
-    run_direction(false);
-  }
-
-  // One feature row per column, one head-MLP GEMM for all of them.
-  Var zero_slot = MakeVar(Tensor::Zeros({1, 2 * h + 2}));
-  std::vector<Var> feature_rows(batch);
-  for (int c = 0; c < batch; ++c) {
-    std::vector<Var> slots;
-    slots.reserve(config_.max_column_words);
-    for (int t = 0; t < config_.max_column_words; ++t) {
-      if (t < capped[c]) {
-        slots.push_back(ops::ConcatCols({fw[c][t], bw[c][t],
-                                         ops::PickRow(sim_max[c], t),
-                                         ops::PickRow(sim_mean[c], t)}));
-      } else {
-        slots.push_back(zero_slot);  // zero-padding (paper Sec. IV-B iii)
-      }
+  // Attention bi-LSTM over the first `len` column steps.
+  std::vector<Var> fw(len), bw(len);
+  for (const bool forward : {true, false}) {
+    std::vector<Var>& outs = forward ? fw : bw;
+    nn::LstmCell& cell = forward ? *fwd_cell_ : *bwd_cell_;
+    nn::LstmCell::State state = cell.InitialState();
+    for (int step = 0; step < len; ++step) {
+      const int t = forward ? step : len - 1 - step;
+      Var st = ops::PickRow(sc, t);  // [1, h]
+      Var query = ops::Add(query_state_proj_->Forward(st),
+                           query_hidden_proj_->Forward(state.h));
+      Var weights =
+          attention_->Weights(attention_->Energies(memory_proj, query));
+      Var context = attention_->Context(weights, sq);  // [1, h]
+      state = cell.Step(ops::ConcatCols({st, context}), state);
+      outs[t] = state.h;
     }
-    feature_rows[c] = ops::ConcatCols(slots);
   }
-  result.logit = head_->Forward(ops::ConcatRows(feature_rows));  // [batch, 1]
-  return result;
-}
 
-StatusOr<ColumnMentionClassifier::ForwardResult>
-ColumnMentionClassifier::Forward(const std::vector<std::string>& question,
-                                 const std::vector<std::string>& column) const {
-  return Build(question, {column});
+  Var zero_slot = MakeVar(Tensor::Zeros({1, 2 * h + 2}));
+  std::vector<Var> slots;
+  slots.reserve(config_.max_column_words);
+  for (int t = 0; t < config_.max_column_words; ++t) {
+    if (t < len) {
+      slots.push_back(ops::ConcatCols({fw[t], bw[t], ops::PickRow(sim_max, t),
+                                       ops::PickRow(sim_mean, t)}));
+    } else {
+      slots.push_back(zero_slot);  // zero-padding (paper Sec. IV-B iii)
+    }
+  }
+  result.logit = head_->Forward(ops::ConcatCols(slots));  // [1, 1]
+  return result;
 }
 
 StatusOr<std::vector<float>> ColumnMentionClassifier::PredictBatch(
     const std::vector<std::string>& question,
     const std::vector<std::vector<std::string>>& columns) const {
   if (columns.empty()) return std::vector<float>{};
-  StatusOr<ForwardResult> r = Build(question, columns);
-  if (!r.ok()) return r.status();
-  std::vector<float> probs(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    probs[c] = 1.0f / (1.0f + std::exp(-r->logit->value(static_cast<int>(c), 0)));
-  }
-  return probs;
+  Pass pass(*this);
+  NLIDB_RETURN_IF_ERROR(pass.Run(question, columns));
+  return pass.probabilities();
 }
 
 void ColumnMentionClassifier::CollectParameters(std::vector<Var>* out) const {

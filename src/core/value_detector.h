@@ -67,9 +67,17 @@ class ValueDetector : public nn::Module {
 
  private:
   // Score for an already embedded span (the provider's PhraseVector of
-  // its tokens), so Detect embeds a span once for all its columns.
+  // its tokens) through the autograd graph; `Score` runs it.
   StatusOr<float> ScoreEmbedding(const std::vector<float>& span_embedding,
                                  const sql::ColumnStatistics& stats) const;
+
+  // Scores of one embedded span against table_stats[c] for every c in
+  // `columns`, from one graph-free [k, 2d] pass of the MLP (Detect's
+  // path). Each score is bitwise equal to ScoreEmbedding's.
+  StatusOr<std::vector<float>> ScoreColumns(
+      const std::vector<float>& span_embedding,
+      const std::vector<sql::ColumnStatistics>& table_stats,
+      const std::vector<int>& columns) const;
 
   ModelConfig config_;
   const text::EmbeddingProvider* provider_;

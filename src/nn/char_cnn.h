@@ -41,6 +41,14 @@ class CharCnnEmbedder : public Module {
   }
   int char_dim() const { return char_dim_; }
 
+  /// Component access for graph-free inference (read-only): the
+  /// character table and, per width index w, the convolution weight
+  /// [widths()[w] * char_dim, per_width_dim] and bias.
+  const Embedding& char_embedding() const { return *char_embedding_; }
+  const std::vector<int>& widths() const { return widths_; }
+  const Var& conv_weight(int w) const { return conv_weights_[w]; }
+  const Var& conv_bias(int w) const { return conv_biases_[w]; }
+
  private:
   int char_dim_;
   int per_width_dim_;

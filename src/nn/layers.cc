@@ -23,6 +23,17 @@ Var Linear::Forward(const Var& x) const {
   return y;
 }
 
+void Linear::Infer(const float* x, int m, float* out) const {
+  GemmAccumulateRaw(x, weight_->value.data(), out, m, in_features_,
+                    out_features_);
+  if (!bias_) return;
+  const float* b = bias_->value.data();
+  for (int i = 0; i < m; ++i) {
+    float* row = out + static_cast<size_t>(i) * out_features_;
+    for (int j = 0; j < out_features_; ++j) row[j] += b[j];
+  }
+}
+
 void Linear::CollectParameters(std::vector<Var>* out) const {
   out->push_back(weight_);
   if (bias_) out->push_back(bias_);
@@ -62,6 +73,24 @@ Var Mlp::Forward(const Var& x) const {
     if (i + 1 < layers_.size()) h = ops::Relu(h);
   }
   return h;
+}
+
+std::vector<float*> Mlp::Infer(const float* x, int rows, Workspace& ws) const {
+  std::vector<float*> outputs;
+  const float* in = x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const int width = layers_[i]->out_features();
+    float* out = ws.Floats(static_cast<size_t>(rows) * width);
+    layers_[i]->Infer(in, rows, out);
+    if (i + 1 < layers_.size()) {
+      for (size_t j = 0; j < static_cast<size_t>(rows) * width; ++j) {
+        out[j] = out[j] > 0.0f ? out[j] : 0.0f;  // ops::Relu
+      }
+    }
+    outputs.push_back(out);
+    in = out;
+  }
+  return outputs;
 }
 
 void Mlp::CollectParameters(std::vector<Var>* out) const {

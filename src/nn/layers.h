@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/workspace.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
 
@@ -19,6 +20,11 @@ class Linear : public Module {
 
   /// [m, in] -> [m, out].
   Var Forward(const Var& x) const;
+
+  /// Forward without a graph, for inference: out[m, out] += x[m, in] W,
+  /// then the bias. With `out` zeroed, each row is bitwise equal to
+  /// Forward of that row alone.
+  void Infer(const float* x, int m, float* out) const;
 
   void CollectParameters(std::vector<Var>* out) const override;
 
@@ -65,7 +71,16 @@ class Mlp : public Module {
 
   Var Forward(const Var& x) const;
 
+  /// Forward without a graph over `rows` inputs stacked in x [rows, in]:
+  /// each row is bitwise equal to Forward of that row alone. Returns
+  /// every layer's output ([rows, width], after the ReLU for hidden
+  /// layers) in `ws` buffers; the last one is the network's output.
+  std::vector<float*> Infer(const float* x, int rows, Workspace& ws) const;
+
   void CollectParameters(std::vector<Var>* out) const override;
+
+  int num_layers() const { return static_cast<int>(layers_.size()); }
+  const Linear& layer(int l) const { return *layers_[l]; }
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;

@@ -38,6 +38,12 @@ class LstmCell : public Module {
   int input_size() const { return input_size_; }
   int hidden_size() const { return hidden_size_; }
 
+  /// Raw weight access for graph-free inference paths that re-implement
+  /// `Step` on arena buffers (core/column_mention_fast.cc). Read-only.
+  const Var& w_ih() const { return w_ih_; }
+  const Var& w_hh() const { return w_hh_; }
+  const Var& bias() const { return bias_; }
+
  private:
   int input_size_;
   int hidden_size_;
@@ -92,6 +98,12 @@ class StackedLstm : public Module {
   void CollectParameters(std::vector<Var>* out) const override;
 
   int hidden_size() const { return hidden_size_; }
+  int num_layers() const { return static_cast<int>(cells_.size()); }
+
+  /// Per-layer component access for graph-free inference (read-only);
+  /// `l` must be in [0, num_layers()).
+  const Linear& input_affine(int l) const { return *input_affines_[l]; }
+  const LstmCell& cell(int l) const { return *cells_[l]; }
 
  private:
   int hidden_size_;

@@ -83,21 +83,4 @@ void ZeroGrad(const std::vector<Var>& vars) {
   }
 }
 
-namespace {
-thread_local bool tls_inference_grad = false;
-}  // namespace
-
-InferenceGradScope::InferenceGradScope() : prev_(tls_inference_grad) {
-  tls_inference_grad = true;
-}
-
-InferenceGradScope::~InferenceGradScope() { tls_inference_grad = prev_; }
-
-bool InferenceGradScope::Active() { return tls_inference_grad; }
-
-Tensor* GradSink(AutogradNode& node) {
-  if (tls_inference_grad && node.backward_fn == nullptr) return nullptr;
-  return &node.EnsureGrad();
-}
-
 }  // namespace nlidb

@@ -38,47 +38,15 @@ Var MakeVar(Tensor value, bool requires_grad = false);
 
 /// Runs reverse-mode differentiation from `root`, seeding d(root)/d(root)
 /// with ones (for scalar losses root is [1]). Safe to call on any graph;
-/// nodes without requires_grad in their ancestry are skipped.
+/// nodes without requires_grad in their ancestry are skipped. Backward
+/// writes the gradients of the parameters the graph reads, so it runs
+/// only in training, one graph at a time per model; inference
+/// differentiates by hand (core/column_mention_fast.cc).
 void Backward(const Var& root);
 
 /// Clears gradients on the given variables (typically parameters between
 /// steps; graph intermediates are freed with the graph).
 void ZeroGrad(const std::vector<Var>& vars);
-
-/// Marks the current thread as running an inference-time backward pass
-/// (adversarial influence probing, DESIGN.md "Performance architecture").
-///
-/// While a scope is active on a thread, GradSink() returns nullptr for
-/// graph leaves (nodes with no backward_fn: parameters and constant
-/// inputs), so backward closures skip writing weight gradients entirely.
-/// That makes concurrent Backward() calls over graphs that share
-/// parameter nodes (serving workers probing one classifier for
-/// concurrent requests) race-free — the only shared state written during a
-/// training backward is exactly those leaf grads — and skips the dW GEMMs
-/// influence probing never reads. Intermediate nodes (including the
-/// embedding activations whose grads the influence profile reads) are
-/// per-graph and still accumulate normally.
-class [[nodiscard]] InferenceGradScope {
- public:
-  InferenceGradScope();
-  ~InferenceGradScope();
-  InferenceGradScope(const InferenceGradScope&) = delete;
-  InferenceGradScope& operator=(const InferenceGradScope&) = delete;
-
-  /// True when the calling thread is inside an InferenceGradScope.
-  [[nodiscard]] static bool Active();
-
- private:
-  bool prev_;
-};
-
-/// The gradient buffer a backward closure should accumulate into for
-/// `node`, or nullptr when the write (and the work producing it) should
-/// be skipped — see InferenceGradScope. Closures must route every
-/// parent-grad write through this; [[nodiscard]] because calling it and
-/// then writing `node.grad` directly would reintroduce exactly the
-/// shared-parameter race the scope exists to prevent.
-[[nodiscard]] Tensor* GradSink(AutogradNode& node);
 
 }  // namespace nlidb
 

@@ -26,12 +26,8 @@ Var MatMul(const Var& a, const Var& b) {
     const Var& a = n.parents[0];
     const Var& b = n.parents[1];
     // dA += dOut * B^T ; dB += A^T * dOut
-    if (Tensor* ga = GradSink(*a)) {
-      MatMulTransposeBAccumulate(n.grad, b->value, *ga);
-    }
-    if (Tensor* gb = GradSink(*b)) {
-      MatMulTransposeAAccumulate(a->value, n.grad, *gb);
-    }
+    MatMulTransposeBAccumulate(n.grad, b->value, a->EnsureGrad());
+    MatMulTransposeAAccumulate(a->value, n.grad, b->EnsureGrad());
   });
 }
 
@@ -40,8 +36,8 @@ Var Add(const Var& a, const Var& b) {
   Tensor out = a->value;
   out.Add(b->value);
   return NewNode(std::move(out), {a, b}, [](AutogradNode& n) {
-    if (Tensor* ga = GradSink(*n.parents[0])) ga->Add(n.grad);
-    if (Tensor* gb = GradSink(*n.parents[1])) gb->Add(n.grad);
+    n.parents[0]->EnsureGrad().Add(n.grad);
+    n.parents[1]->EnsureGrad().Add(n.grad);
   });
 }
 
@@ -50,8 +46,8 @@ Var Sub(const Var& a, const Var& b) {
   Tensor out = a->value;
   out.Axpy(-1.0f, b->value);
   return NewNode(std::move(out), {a, b}, [](AutogradNode& n) {
-    if (Tensor* ga = GradSink(*n.parents[0])) ga->Add(n.grad);
-    if (Tensor* gb = GradSink(*n.parents[1])) gb->Axpy(-1.0f, n.grad);
+    n.parents[0]->EnsureGrad().Add(n.grad);
+    n.parents[1]->EnsureGrad().Axpy(-1.0f, n.grad);
   });
 }
 
@@ -60,13 +56,13 @@ Var Mul(const Var& a, const Var& b) {
   Tensor out = a->value;
   for (size_t i = 0; i < out.size(); ++i) out.vec()[i] *= b->value.vec()[i];
   return NewNode(std::move(out), {a, b}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    Tensor* gb = GradSink(*n.parents[1]);
+    Tensor* ga = &n.parents[0]->EnsureGrad();
+    Tensor* gb = &n.parents[1]->EnsureGrad();
     const auto& av = n.parents[0]->value.vec();
     const auto& bv = n.parents[1]->value.vec();
     for (size_t i = 0; i < n.grad.size(); ++i) {
-      if (ga) ga->vec()[i] += n.grad.vec()[i] * bv[i];
-      if (gb) gb->vec()[i] += n.grad.vec()[i] * av[i];
+      ga->vec()[i] += n.grad.vec()[i] * bv[i];
+      gb->vec()[i] += n.grad.vec()[i] * av[i];
     }
   });
 }
@@ -81,13 +77,12 @@ Var AddRowBroadcast(const Var& a, const Var& bias) {
     for (int j = 0; j < nc; ++j) out(i, j) += bias->value(j);
   }
   return NewNode(std::move(out), {a, bias}, [](AutogradNode& n) {
-    if (Tensor* ga = GradSink(*n.parents[0])) ga->Add(n.grad);
-    if (Tensor* gb = GradSink(*n.parents[1])) {
-      const int m = n.grad.rows();
-      const int nc = n.grad.cols();
-      for (int i = 0; i < m; ++i) {
-        for (int j = 0; j < nc; ++j) gb->vec()[j] += n.grad(i, j);
-      }
+    n.parents[0]->EnsureGrad().Add(n.grad);
+    Tensor& gb = n.parents[1]->EnsureGrad();
+    const int m = n.grad.rows();
+    const int nc = n.grad.cols();
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < nc; ++j) gb.vec()[j] += n.grad(i, j);
     }
   });
 }
@@ -96,7 +91,7 @@ Var ScalarMul(const Var& a, float s) {
   Tensor out = a->value;
   out.Scale(s);
   return NewNode(std::move(out), {a}, [s](AutogradNode& n) {
-    if (Tensor* ga = GradSink(*n.parents[0])) ga->Axpy(s, n.grad);
+    n.parents[0]->EnsureGrad().Axpy(s, n.grad);
   });
 }
 
@@ -104,8 +99,7 @@ Var Sigmoid(const Var& a) {
   Tensor out = a->value;
   for (float& x : out.vec()) x = 1.0f / (1.0f + std::exp(-x));
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (size_t i = 0; i < n.grad.size(); ++i) {
       const float y = n.value.vec()[i];
       ga->vec()[i] += n.grad.vec()[i] * y * (1.0f - y);
@@ -117,8 +111,7 @@ Var Tanh(const Var& a) {
   Tensor out = a->value;
   TanhRaw(out.data(), out.data(), static_cast<int>(out.size()));
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (size_t i = 0; i < n.grad.size(); ++i) {
       const float y = n.value.vec()[i];
       ga->vec()[i] += n.grad.vec()[i] * (1.0f - y * y);
@@ -130,8 +123,7 @@ Var Relu(const Var& a) {
   Tensor out = a->value;
   for (float& x : out.vec()) x = x > 0.0f ? x : 0.0f;
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (size_t i = 0; i < n.grad.size(); ++i) {
       if (n.parents[0]->value.vec()[i] > 0.0f) {
         ga->vec()[i] += n.grad.vec()[i];
@@ -144,8 +136,7 @@ Var Exp(const Var& a) {
   Tensor out = a->value;
   for (float& x : out.vec()) x = std::exp(std::min(x, 20.0f));
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (size_t i = 0; i < n.grad.size(); ++i) {
       // d/dx exp(min(x,20)) = exp(x) below the clamp, 0 above it.
       if (n.parents[0]->value.vec()[i] < 20.0f) {
@@ -171,8 +162,7 @@ Var SoftmaxRows(const Var& a) {
     for (int j = 0; j < nc; ++j) out(i, j) /= sum;
   }
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     const int m = n.value.rows();
     const int nc = n.value.cols();
     for (int i = 0; i < m; ++i) {
@@ -187,7 +177,7 @@ Var SoftmaxRows(const Var& a) {
 
 Var Transpose(const Var& a) {
   return NewNode(a->value.Transposed(), {a}, [](AutogradNode& n) {
-    if (Tensor* ga = GradSink(*n.parents[0])) ga->Add(n.grad.Transposed());
+    n.parents[0]->EnsureGrad().Add(n.grad.Transposed());
   });
 }
 
@@ -214,10 +204,9 @@ Var ConcatCols(const std::vector<Var>& parts) {
     int offset = 0;
     for (auto& p : n.parents) {
       const int nc = p->value.cols();
-      if (Tensor* gp = GradSink(*p)) {
-        for (int i = 0; i < m; ++i) {
-          for (int j = 0; j < nc; ++j) (*gp)(i, j) += n.grad(i, offset + j);
-        }
+      Tensor& gp = p->EnsureGrad();
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < nc; ++j) gp(i, j) += n.grad(i, offset + j);
       }
       offset += nc;
     }
@@ -245,10 +234,9 @@ Var ConcatRows(const std::vector<Var>& parts) {
     const int nc = n.grad.cols();
     int offset = 0;
     for (auto& p : n.parents) {
-      if (Tensor* gp = GradSink(*p)) {
-        for (int i = 0; i < p->value.rows(); ++i) {
-          for (int j = 0; j < nc; ++j) (*gp)(i, j) += n.grad(offset + i, j);
-        }
+      Tensor& gp = p->EnsureGrad();
+      for (int i = 0; i < p->value.rows(); ++i) {
+        for (int j = 0; j < nc; ++j) gp(i, j) += n.grad(offset + i, j);
       }
       offset += p->value.rows();
     }
@@ -261,8 +249,7 @@ Var PickRow(const Var& a, int i) {
   Tensor out({1, a->value.cols()});
   for (int j = 0; j < a->value.cols(); ++j) out(0, j) = a->value(i, j);
   return NewNode(std::move(out), {a}, [i](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (int j = 0; j < n.grad.cols(); ++j) (*ga)(i, j) += n.grad(0, j);
   });
 }
@@ -277,8 +264,7 @@ Var SliceCols(const Var& a, int start, int len) {
     for (int j = 0; j < len; ++j) out(i, j) = a->value(i, start + j);
   }
   return NewNode(std::move(out), {a}, [start, len](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (int i = 0; i < n.grad.rows(); ++i) {
       for (int j = 0; j < len; ++j) (*ga)(i, start + j) += n.grad(i, j);
     }
@@ -295,8 +281,7 @@ Var MeanRows(const Var& a) {
   }
   out.Scale(1.0f / static_cast<float>(m));
   return NewNode(std::move(out), {a}, [m](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     const float inv = 1.0f / static_cast<float>(m);
     for (int i = 0; i < m; ++i) {
       for (int j = 0; j < n.grad.cols(); ++j) (*ga)(i, j) += inv * n.grad(0, j);
@@ -319,8 +304,7 @@ Var RowMax(const Var& a) {
     out(i, 0) = a->value(i, best);
   }
   return NewNode(std::move(out), {a}, [argmax](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (int i = 0; i < n.grad.rows(); ++i) {
       (*ga)(i, (*argmax)[i]) += n.grad(i, 0);
     }
@@ -339,8 +323,7 @@ Var RowMean(const Var& a) {
     out(i, 0) = s * inv;
   }
   return NewNode(std::move(out), {a}, [inv](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (int i = 0; i < n.grad.rows(); ++i) {
       const float g = n.grad(i, 0) * inv;
       for (int j = 0; j < ga->cols(); ++j) (*ga)(i, j) += g;
@@ -352,8 +335,7 @@ Var SumAll(const Var& a) {
   Tensor out({1});
   out(0) = a->value.Sum();
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     const float g = n.grad(0);
     for (float& x : ga->vec()) x += g;
   });
@@ -365,8 +347,7 @@ Var MeanAll(const Var& a) {
   Tensor out({1});
   out(0) = a->value.Sum() * inv;
   return NewNode(std::move(out), {a}, [inv](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     const float g = n.grad(0) * inv;
     for (float& x : ga->vec()) x += g;
   });
@@ -383,8 +364,7 @@ Var EmbeddingLookup(const Var& weight, const std::vector<int>& indices) {
     for (int j = 0; j < d; ++j) out(static_cast<int>(i), j) = weight->value(indices[i], j);
   }
   return NewNode(std::move(out), {weight}, [indices](AutogradNode& n) {
-    Tensor* gw = GradSink(*n.parents[0]);
-    if (!gw) return;
+    Tensor* gw = &n.parents[0]->EnsureGrad();
     const int d = n.grad.cols();
     for (size_t i = 0; i < indices.size(); ++i) {
       for (int j = 0; j < d; ++j) {
@@ -422,15 +402,12 @@ Var Conv1dMean(const Var& input, const Var& weight, const Var& bias, int k) {
   return NewNode(
       std::move(out), {input, weight, bias},
       [k, len, d_in, d_out, num_slices, inv](AutogradNode& n) {
-        Tensor* gin = GradSink(*n.parents[0]);
-        Tensor* gw = GradSink(*n.parents[1]);
-        Tensor* gb = GradSink(*n.parents[2]);
+        Tensor* gin = &n.parents[0]->EnsureGrad();
+        Tensor* gw = &n.parents[1]->EnsureGrad();
+        Tensor* gb = &n.parents[2]->EnsureGrad();
         const Tensor& in = n.parents[0]->value;
         const Tensor& w = n.parents[1]->value;
-        if (gb) {
-          for (int o = 0; o < d_out; ++o) gb->vec()[o] += n.grad(0, o);
-        }
-        if (!gin && !gw) return;
+        for (int o = 0; o < d_out; ++o) gb->vec()[o] += n.grad(0, o);
         for (int s = 0; s < num_slices; ++s) {
           for (int r = 0; r < k; ++r) {
             const int row = s + r;
@@ -441,9 +418,9 @@ Var Conv1dMean(const Var& input, const Var& weight, const Var& bias, int k) {
               for (int o = 0; o < d_out; ++o) {
                 const float go = n.grad(0, o) * inv;
                 gx += go * w(wrow, o);
-                if (gw) (*gw)(wrow, o) += go * in(row, c);
+                (*gw)(wrow, o) += go * in(row, c);
               }
-              if (gin) (*gin)(row, c) += gx;
+              (*gin)(row, c) += gx;
             }
           }
         }
@@ -482,10 +459,9 @@ Var LayerNormRows(const Var& a, const Var& gain, const Var& bias) {
                  [mean, inv_std](AutogradNode& n) {
     const Var& a = n.parents[0];
     const Var& gain = n.parents[1];
-    Tensor* ga = GradSink(*a);
-    Tensor* gg = GradSink(*n.parents[1]);
-    Tensor* gb = GradSink(*n.parents[2]);
-    if (!ga && !gg && !gb) return;
+    Tensor* ga = &a->EnsureGrad();
+    Tensor* gg = &n.parents[1]->EnsureGrad();
+    Tensor* gb = &n.parents[2]->EnsureGrad();
     const int m = n.grad.rows();
     const int nc = n.grad.cols();
     for (int i = 0; i < m; ++i) {
@@ -497,13 +473,12 @@ Var LayerNormRows(const Var& a, const Var& gain, const Var& bias) {
       for (int j = 0; j < nc; ++j) {
         const float xhat = (a->value(i, j) - mu) * istd;
         const float dy = n.grad(i, j);
-        if (gg) gg->vec()[j] += dy * xhat;
-        if (gb) gb->vec()[j] += dy;
+        gg->vec()[j] += dy * xhat;
+        gb->vec()[j] += dy;
         const float dxhat = dy * gain->value(j);
         sum_dxhat += dxhat;
         sum_dxhat_xhat += dxhat * xhat;
       }
-      if (!ga) continue;
       for (int j = 0; j < nc; ++j) {
         const float xhat = (a->value(i, j) - mu) * istd;
         const float dxhat = n.grad(i, j) * gain->value(j);
@@ -524,8 +499,7 @@ Var Dropout(const Var& a, float p, Rng& rng, bool train) {
     out.vec()[i] *= (*mask)[i];
   }
   return NewNode(std::move(out), {a}, [mask](AutogradNode& n) {
-    Tensor* ga = GradSink(*n.parents[0]);
-    if (!ga) return;
+    Tensor* ga = &n.parents[0]->EnsureGrad();
     for (size_t i = 0; i < n.grad.size(); ++i) {
       ga->vec()[i] += n.grad.vec()[i] * (*mask)[i];
     }
@@ -545,8 +519,7 @@ Var ScatterSumCols(const Var& values, const std::vector<int>& col_indices,
     out(0, idx) += values->value(0, static_cast<int>(j));
   }
   return NewNode(std::move(out), {values}, [col_indices](AutogradNode& n) {
-    Tensor* gv = GradSink(*n.parents[0]);
-    if (!gv) return;
+    Tensor* gv = &n.parents[0]->EnsureGrad();
     for (size_t j = 0; j < col_indices.size(); ++j) {
       (*gv)(0, static_cast<int>(j)) += n.grad(0, col_indices[j]);
     }
@@ -562,8 +535,7 @@ Var BceWithLogits(const Var& logit, float target) {
   Tensor out({1});
   out(0) = loss;
   return NewNode(std::move(out), {logit}, [target](AutogradNode& n) {
-    Tensor* gl = GradSink(*n.parents[0]);
-    if (!gl) return;
+    Tensor* gl = &n.parents[0]->EnsureGrad();
     const float x = n.parents[0]->value.vec()[0];
     const float sigma = 1.0f / (1.0f + std::exp(-x));
     gl->vec()[0] += n.grad(0) * (sigma - target);
@@ -583,8 +555,7 @@ Var CrossEntropyWithLogits(const Var& logits, int index) {
   Tensor out({1});
   out(0) = log_z - logits->value(0, index);
   return NewNode(std::move(out), {logits}, [index, log_z](AutogradNode& n) {
-    Tensor* gl = GradSink(*n.parents[0]);
-    if (!gl) return;
+    Tensor* gl = &n.parents[0]->EnsureGrad();
     const int nc = n.parents[0]->value.cols();
     const float g = n.grad(0);
     for (int j = 0; j < nc; ++j) {
@@ -606,8 +577,7 @@ Var NegLogNormalized(const Var& scores, int index) {
   Tensor out({1});
   out(0) = std::log(sum + eps) - std::log(si + eps);
   return NewNode(std::move(out), {scores}, [index, sum, si, eps](AutogradNode& n) {
-    Tensor* gs = GradSink(*n.parents[0]);
-    if (!gs) return;
+    Tensor* gs = &n.parents[0]->EnsureGrad();
     const int nc = n.parents[0]->value.cols();
     const float g = n.grad(0);
     const float inv_sum = 1.0f / (sum + eps);

@@ -212,6 +212,11 @@ void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
   gemm::Kernels().rows_ab(a, b, out, m, k, n);
 }
 
+void GemmTransposeBAccumulateRaw(const float* a, const float* b, float* out,
+                                 int m, int k, int n) {
+  gemm::Kernels().rows_abt(a, b, out, m, k, n);
+}
+
 void MatMulTransposeAAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const int k = a.rows();
   const int m = a.cols();

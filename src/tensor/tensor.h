@@ -129,6 +129,12 @@ void MatMulAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
                        int k, int n);
 
+/// Raw-pointer form of MatMulTransposeBAccumulate: out[m,n] += a[m,k] *
+/// b[n,k]^T, for the hand-written reverse pass of graph-free inference
+/// (core/column_mention_fast.cc). Same kernels and contract.
+void GemmTransposeBAccumulateRaw(const float* a, const float* b, float* out,
+                                 int m, int k, int n);
+
 /// out[i] = tanh(in[i]) for i in [0, n); `in == out` is allowed. Runs the
 /// active tier's tanh kernel (gemm_kernels.h): fdlibm's tanhf, the
 /// algorithm glibc ships, bit for bit on both tiers and without calling

@@ -5,10 +5,13 @@
 //   1. tiled GEMM kernels (both ISA tiers) are bitwise equal to the
 //      *Reference loops;
 //   2. every PredictBatch row is bitwise equal to that column scored
-//      alone and to the sigmoid of its one-column Forward;
+//      alone and to the sigmoid of its one-column Forward, and the
+//      graph-free pass's logits and influence profiles equal autograd's;
 //   3. executor results are stable under row shuffling;
 //   4. exact cell-value matching through the cell index equals the
-//      per-question scan of every cell it replaced.
+//      per-question scan of every cell it replaced;
+//   5. value detection's batched column scores equal the per-column
+//      autograd scores.
 //
 // Every case derives from a fixed seed, so a failure reproduces exactly.
 // Release runs >= 200 cases; sanitizer builds scale the counts down
@@ -16,11 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/adversarial.h"
 #include "core/annotator.h"
 #include "core/seq2seq.h"
 #include "data/generator.h"
@@ -30,6 +35,7 @@
 #include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
 #include "text/tokenizer.h"
+#include "testing/influence.h"
 #include "testing/trace.h"
 
 namespace nlidb {
@@ -258,6 +264,134 @@ TEST_F(ClassifierFuzz, PredictBatchRowsMatchSingleColumnBitwise) {
   EXPECT_GT(cases, 0);
 }
 
+// Scores `columns` with one graph-free pass on each GEMM tier and checks
+// every column against autograd on its one-column Forward: the logit and
+// probability bits, and every influence-profile entry against the
+// Backward oracle. Returns the number of (tier, column) cases checked.
+int ExpectPassMatchesAutograd(const core::ColumnMentionClassifier& clf,
+                              const core::ModelConfig& config,
+                              const std::vector<std::string>& question,
+                              const std::vector<std::vector<std::string>>& columns,
+                              const std::string& where) {
+  const core::AdversarialLocator locator(config);
+  int cases = 0;
+  for (gemm::Tier tier : {gemm::Tier::kBase, gemm::Tier::kAuto}) {
+    gemm::SetTier(tier);
+    core::ColumnMentionClassifier::Pass pass(clf);
+    const Status run = pass.Run(question, columns);
+    EXPECT_TRUE(run.ok()) << where << ": " << run.ToString();
+    if (!run.ok()) return cases;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const std::string at = where + " column " + std::to_string(c) +
+                             " tier " +
+                             std::to_string(static_cast<int>(gemm::ActiveTier()));
+      const float logit =
+          clf.Forward(question, columns[c]).value().logit->value(0, 0);
+      EXPECT_EQ(testing::FloatBits(pass.logit(static_cast<int>(c))),
+                testing::FloatBits(logit))
+          << at;
+      EXPECT_EQ(testing::FloatBits(pass.probabilities()[c]),
+                testing::FloatBits(1.0f / (1.0f + std::exp(-logit))))
+          << at;
+      const core::InfluenceProfile fast =
+          locator.Influence(pass, static_cast<int>(c));
+      const core::InfluenceProfile oracle =
+          testing::AutogradInfluence(clf, config, question, columns[c]).value();
+      EXPECT_EQ(fast.total.size(), question.size()) << at;
+      for (size_t i = 0; i < question.size() && i < fast.total.size(); ++i) {
+        EXPECT_EQ(testing::FloatBits(fast.word_level[i]),
+                  testing::FloatBits(oracle.word_level[i]))
+            << at << " token " << i;
+        EXPECT_EQ(testing::FloatBits(fast.char_level[i]),
+                  testing::FloatBits(oracle.char_level[i]))
+            << at << " token " << i;
+        EXPECT_EQ(testing::FloatBits(fast.total[i]),
+                  testing::FloatBits(oracle.total[i]))
+            << at << " token " << i;
+      }
+      ++cases;
+    }
+  }
+  return cases;
+}
+
+TEST_F(ClassifierFuzz, FastPassMatchesAutogradLogitsAndInfluenceBitwise) {
+  // Every column of the first corpus examples, as the annotator scores
+  // them: one pass per question, influence probed through that pass.
+  const int limit = std::min<int>(8 / kScale + 2, corpus_->examples.size());
+  int cases = 0;
+  std::vector<std::string> words;
+  for (int i = 0; i < limit; ++i) {
+    const data::Example& ex = corpus_->examples[i];
+    std::vector<std::vector<std::string>> columns;
+    for (int c = 0; c < ex.schema().num_columns(); ++c) {
+      columns.push_back(ex.schema().column(c).DisplayTokens());
+    }
+    cases += ExpectPassMatchesAutograd(*classifier_, *config_, ex.tokens,
+                                       columns, "example " + std::to_string(i));
+    words.insert(words.end(), ex.tokens.begin(), ex.tokens.end());
+  }
+
+  // Crafted inputs on the corpus classifier and on a deeper one (two
+  // question-LSTM layers, a shorter cap): single-token questions, words
+  // outside the vocabulary (<unk>), columns longer than
+  // max_column_words, and many columns of mixed capped length in one
+  // pass.
+  core::ModelConfig deep = *config_;
+  deep.classifier_layers = 2;
+  deep.max_column_words = 3;
+  deep.classifier_hidden = 16;
+  deep.seed = 12;
+  core::ColumnMentionClassifier deep_classifier(deep, *provider_);
+  deep_classifier.AddVocabulary(words);
+  Rng rng(7301);
+  auto random_words = [&](int count) {
+    std::vector<std::string> out;
+    for (int k = 0; k < count; ++k) {
+      out.push_back(rng.NextBool(0.2f) ? "zq" + std::to_string(rng.NextInt(0, 9))
+                                       : rng.Choice(words));
+    }
+    return out;
+  };
+  const int trials = 12 / kScale + 2;
+  for (int trial = 0; trial < trials; ++trial) {
+    const bool use_deep = trial % 2 == 1;
+    const core::ColumnMentionClassifier& clf =
+        use_deep ? deep_classifier : *classifier_;
+    const core::ModelConfig& config = use_deep ? deep : *config_;
+    const int question_length = trial % 3 == 0 ? 1 : rng.NextInt(2, 12);
+    const std::vector<std::string> question = random_words(question_length);
+    std::vector<std::vector<std::string>> columns;
+    const int num_columns = trial % 4 == 0 ? rng.NextInt(10, 16)
+                                           : rng.NextInt(1, 5);
+    for (int c = 0; c < num_columns; ++c) {
+      columns.push_back(random_words(rng.NextInt(1, 7)));
+    }
+    cases += ExpectPassMatchesAutograd(clf, config, question, columns,
+                                       "trial " + std::to_string(trial));
+  }
+  RecordProperty("cases", cases);
+#if !defined(NLIDB_SANITIZER_BUILD)
+  EXPECT_GE(cases, 200);
+#endif
+}
+
+TEST_F(ClassifierFuzz, EmptyInputsStayInvalidArgument) {
+  const core::AdversarialLocator locator(*config_);
+  const std::vector<std::string> q = {"who", "won"};
+  const std::vector<std::vector<std::string>> empty_column = {{"year"}, {}};
+  EXPECT_EQ(classifier_->PredictBatch({}, {{"year"}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(classifier_->PredictBatch(q, empty_column).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(locator.ComputeInfluence(*classifier_, {}, {"year"}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(locator.ComputeInfluence(*classifier_, q, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  core::ColumnMentionClassifier::Pass pass(*classifier_);
+  EXPECT_EQ(pass.Run(q, empty_column).code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(DifferentialFuzzTest, DecoderFastPathMatchesReferenceBitwise) {
   // Differential oracle for the graph-free decode fast path: over seeded
   // random (untrained — maximally tie-heavy) models, kFastUnmasked must
@@ -340,6 +474,61 @@ TEST_F(DifferentialFuzzTest, DecoderFastPathMatchesReferenceBitwise) {
 #if !defined(NLIDB_SANITIZER_BUILD)
   EXPECT_GE(cases, 100);
 #endif
+}
+
+TEST_F(DifferentialFuzzTest, ValueDetectionMatchesPerColumnScoresBitwise) {
+  // Detect scores a span's type-compatible columns in one graph-free
+  // MLP pass. The oracle is the loop it replaced: every candidate span
+  // against every compatible column through the autograd `Score`, kept
+  // above 0.5 and sorted the same way. The untrained detector scores
+  // near 0.5, so both sides of the threshold occur.
+  text::EmbeddingProvider provider;
+  data::RegisterDomainClusters(provider);
+  core::ModelConfig config = core::ModelConfig::Tiny();
+  config.word_dim = provider.dim();
+  config.seed = 31;
+  const core::ValueDetector detector(config, provider);
+  data::GeneratorConfig gc;
+  gc.num_tables = 6;
+  gc.questions_per_table = 8 / kScale + 1;
+  gc.seed = 8080;
+  data::WikiSqlGenerator gen(gc, data::TrainDomains());
+  const data::Dataset ds = gen.Generate();
+  int cases = 0;
+  int detected = 0;
+  for (const data::Example& ex : ds.examples) {
+    const std::vector<sql::ColumnStatistics> stats =
+        sql::ComputeTableStatistics(*ex.table, provider);
+    std::vector<core::ValueDetector::Detection> want;
+    for (const text::Span& span : detector.CandidateSpans(ex.tokens)) {
+      const std::vector<std::string> span_tokens(
+          ex.tokens.begin() + span.begin, ex.tokens.begin() + span.end);
+      bool all_numeric = true;
+      for (const auto& t : span_tokens) all_numeric &= LooksNumeric(t);
+      core::ValueDetector::Detection det;
+      det.span = span;
+      for (size_t c = 0; c < stats.size(); ++c) {
+        if (stats[c].type == sql::DataType::kReal && !all_numeric) continue;
+        const float score = detector.Score(span_tokens, stats[c]).value();
+        if (score > 0.5f) det.column_scores.push_back({static_cast<int>(c), score});
+      }
+      if (det.column_scores.empty()) continue;
+      std::sort(det.column_scores.begin(), det.column_scores.end(),
+                [](const auto& a, const auto& b) { return a.second > b.second; });
+      want.push_back(std::move(det));
+    }
+    for (gemm::Tier tier : {gemm::Tier::kBase, gemm::Tier::kAuto}) {
+      gemm::SetTier(tier);
+      const auto got = detector.Detect(ex.tokens, stats).value();
+      EXPECT_EQ(DetectionsToString(got), DetectionsToString(want))
+          << "tier " << static_cast<int>(gemm::ActiveTier()) << " question "
+          << ex.question;
+      ++cases;
+    }
+    detected += static_cast<int>(want.size());
+  }
+  RecordProperty("cases", cases);
+  EXPECT_GT(detected, 0);
 }
 
 TEST_F(DifferentialFuzzTest, ExactValueIndexMatchesScan) {
