@@ -38,10 +38,9 @@ class AtomicFileWriter {
   Status Append(const void* data, size_t n);
   Status Append(std::string_view s) { return Append(s.data(), s.size()); }
 
-  /// CRC32C / byte count of everything appended so far. Lets formats
-  /// embed a footer checksum over their own header+payload.
+  /// CRC32C of everything appended so far. Lets formats embed a footer
+  /// checksum over their own header+payload.
   uint32_t crc() const { return crc_; }
-  uint64_t bytes_written() const { return buffer_.size(); }
 
   /// Write + fsync + rename. After an error the destination is
   /// untouched (a temp file may remain when the failure was injected

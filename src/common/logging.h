@@ -44,7 +44,7 @@ class NullStream {
 #define NLIDB_LOG(level)                                                   \
   if (static_cast<int>(::nlidb::LogLevel::k##level) <                      \
       static_cast<int>(::nlidb::GetLogLevel())) {                          \
-  } else /* NOLINT */                                                      \
+  } else                                                                   \
     ::nlidb::internal_logging::LogMessage(::nlidb::LogLevel::k##level,     \
                                           __FILE__, __LINE__)              \
         .stream()

@@ -73,16 +73,4 @@ float Rng::NextGaussian() {
 
 bool Rng::NextBool(float p) { return NextFloat() < p; }
 
-size_t Rng::NextWeighted(const std::vector<float>& weights) {
-  float total = 0.0f;
-  for (float w : weights) total += w;
-  float r = NextFloat() * total;
-  float acc = 0.0f;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace nlidb

@@ -41,10 +41,6 @@ class Rng {
   /// Bernoulli draw with probability `p` of true.
   bool NextBool(float p = 0.5f);
 
-  /// Picks an index in [0, weights.size()) proportionally to `weights`.
-  /// All weights must be >= 0 with a positive sum.
-  size_t NextWeighted(const std::vector<float>& weights);
-
   /// Fisher-Yates shuffles `items` in place.
   template <typename T>
   void Shuffle(std::vector<T>& items) {

@@ -109,8 +109,8 @@ class [[nodiscard]] StatusOr {
  public:
   /// Implicit conversions from both T and Status keep call sites terse,
   /// mirroring absl::StatusOr.
-  StatusOr(T value) : value_(std::move(value)) {}  // NOLINT
-  StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT
+  StatusOr(T value) : value_(std::move(value)) {}
+  StatusOr(Status status) : status_(std::move(status)) {}
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

@@ -23,7 +23,6 @@ float* Workspace::Floats(size_t n) {
     if (b.used + need <= b.data.size()) {
       float* out = b.data.data() + b.used;
       b.used += need;
-      ++live_buffers_;
       std::memset(out, 0, n * sizeof(float));
       return out;
     }
@@ -34,38 +33,23 @@ float* Workspace::Floats(size_t n) {
   fresh.used = need;
   blocks_.push_back(std::move(fresh));
   active_block_ = blocks_.size() - 1;
-  ++live_buffers_;
   float* out = blocks_.back().data.data();
   std::memset(out, 0, n * sizeof(float));
   return out;
 }
 
-void Workspace::Reset() {
-  for (Block& b : blocks_) b.used = 0;
-  active_block_ = 0;
-  live_buffers_ = 0;
-}
-
-size_t Workspace::reserved() const {
-  size_t total = 0;
-  for (const Block& b : blocks_) total += b.data.size();
-  return total;
-}
-
 Workspace::Scope::Scope(Workspace& ws)
     : ws_(&ws),
       block_(ws.active_block_),
-      used_(ws.blocks_.empty() ? 0 : ws.blocks_[ws.active_block_].used),
-      live_(ws.live_buffers_) {}
+      used_(ws.blocks_.empty() ? 0 : ws.blocks_[ws.active_block_].used) {}
 
 Workspace::Scope::~Scope() {
   // Rewind every block past the snapshot point; blocks themselves are
-  // retained (same policy as Reset).
+  // retained for reuse.
   for (size_t b = block_; b < ws_->blocks_.size(); ++b) {
     ws_->blocks_[b].used = b == block_ ? used_ : 0;
   }
   ws_->active_block_ = block_;
-  ws_->live_buffers_ = live_;
 }
 
 Workspace& Workspace::ThreadLocal() {

@@ -9,12 +9,14 @@ namespace nlidb {
 /// A reusable bump arena for forward-pass float temporaries.
 ///
 /// Inference code that needs short-lived staging buffers (stacked batch
-/// inputs, score rows, influence profiles) acquires them with `Floats(n)`
-/// and releases everything at once with `Reset()` at the start of the next
-/// request. Blocks are retained across Reset, so after a warmup request
-/// the arena serves every subsequent request without touching the
-/// allocator. Alignment is 64 bytes (one cache line / one AVX-512 lane)
-/// so arena buffers are as kernel-friendly as heap ones.
+/// inputs, score rows, influence profiles) opens a `Scope`, acquires them
+/// with `Floats(n)`, and releases them all when the scope ends. Blocks are
+/// retained when a scope rewinds, so after a warmup request the arena
+/// serves every subsequent request without touching the allocator.
+/// Consecutive buffers start 16 floats (64 bytes) apart relative to the
+/// start of their block; a block is a `std::vector<float>`, so its own
+/// start, and with it each buffer's absolute alignment, is whatever the
+/// allocator returned. The tensor kernels use unaligned loads.
 ///
 /// Thread-compatible, not thread-safe: a Workspace is owned by exactly
 /// one thread and carries no lock — `ThreadLocal()` hands each thread
@@ -30,14 +32,16 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// A zero-initialized scratch buffer of `n` floats, valid until Reset()
-  /// or the destruction of an enclosing Scope. Discarding the result
-  /// leaks the reservation until Reset, so it is a compile error.
+  /// A zero-initialized scratch buffer of `n` floats, valid until the
+  /// innermost enclosing Scope ends (for the arena's lifetime when no
+  /// Scope is open). Discarding the result only wastes arena space until
+  /// then, so it is a compile error.
   [[nodiscard]] float* Floats(size_t n);
 
   /// RAII rewind point: buffers acquired inside the scope are released
-  /// when it ends, buffers acquired before it stay live. Lets leaf
-  /// helpers use the arena without coordinating a global Reset.
+  /// when it ends, buffers acquired before it stay live, and every block
+  /// is retained for reuse. Lets leaf helpers use the arena without
+  /// coordinating with their callers.
   /// Like the arena itself, a Scope is pinned to the constructing thread.
   class [[nodiscard]] Scope {
    public:
@@ -50,19 +54,7 @@ class Workspace {
     Workspace* ws_;
     size_t block_;
     size_t used_;
-    int live_;
   };
-
-  /// Releases every buffer handed out since the last Reset. Capacity is
-  /// retained: the high-water block set is kept for reuse.
-  void Reset();
-
-  /// Total floats currently reserved across all blocks (monotone under
-  /// Reset; grows only when a request exceeds the high-water mark).
-  size_t reserved() const;
-
-  /// Buffers handed out since the last Reset.
-  int live_buffers() const { return live_buffers_; }
 
   /// The calling thread's arena.
   static Workspace& ThreadLocal();
@@ -77,7 +69,6 @@ class Workspace {
   };
   std::vector<Block> blocks_;
   size_t active_block_ = 0;
-  int live_buffers_ = 0;
 };
 
 }  // namespace nlidb

@@ -46,7 +46,6 @@ void ColumnMentionClassifier::AddVocabulary(
     if (vocab_.Contains(w)) continue;
     if (vocab_.size() >= word_embedding_->vocab_size()) break;  // -> <unk>
     const int id = vocab_.AddToken(w);
-    if (id == text::Vocab::kUnk) continue;  // vocab frozen
     word_embedding_->SetRow(id, provider_->Vector(w));
   }
 }

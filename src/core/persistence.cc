@@ -52,8 +52,8 @@ std::vector<std::string> ReadManifest(const std::filesystem::path& base) {
 }
 
 /// Structural validation of one snapshot directory without touching any
-/// pipeline state: both vocab files parse (v2 ones against their CRC)
-/// and all three checkpoints pass Checkpoint::Verify.
+/// pipeline state: both vocab files parse (against their CRC) and all
+/// three checkpoints pass Checkpoint::Verify.
 Status ValidateSnapshot(const std::filesystem::path& snap) {
   NLIDB_RETURN_IF_ERROR(
       LoadVocabTokens((snap / kClassifierVocab).string()).status());
@@ -141,25 +141,24 @@ StatusOr<std::vector<std::string>> LoadVocabTokens(const std::string& path) {
   StatusOr<std::string> contents = io::ReadFileToString(path);
   if (!contents.ok()) return contents.status();
   std::string_view body = *contents;
-  bool v2 = false;
+  if (!StartsWith(body, kVocabMagic)) {
+    return Status::ParseError("missing vocab header: " + path);
+  }
+  const size_t eol = body.find('\n');
+  if (eol == std::string_view::npos) {
+    return Status::ParseError("truncated vocab header: " + path);
+  }
+  std::string header(body.substr(0, eol));
+  StripTrailingCr(&header);
   uint32_t want_crc = 0;
   int want_count = 0;
-  if (StartsWith(body, kVocabMagic)) {
-    const size_t eol = body.find('\n');
-    if (eol == std::string_view::npos) {
-      return Status::ParseError("truncated vocab header: " + path);
-    }
-    std::string header(body.substr(0, eol));
-    StripTrailingCr(&header);
-    if (std::sscanf(header.c_str() + sizeof(kVocabMagic) - 1,
-                    "crc=%x count=%d", &want_crc, &want_count) != 2) {
-      return Status::ParseError("malformed vocab header: " + path);
-    }
-    body.remove_prefix(eol + 1);
-    if (Crc32c(body.data(), body.size()) != want_crc) {
-      return Status::ParseError("corrupt vocab (CRC mismatch): " + path);
-    }
-    v2 = true;
+  if (std::sscanf(header.c_str() + sizeof(kVocabMagic) - 1,
+                  "crc=%x count=%d", &want_crc, &want_count) != 2) {
+    return Status::ParseError("malformed vocab header: " + path);
+  }
+  body.remove_prefix(eol + 1);
+  if (Crc32c(body.data(), body.size()) != want_crc) {
+    return Status::ParseError("corrupt vocab (CRC mismatch): " + path);
   }
   std::vector<std::string> tokens;
   std::istringstream in{std::string(body)};
@@ -168,7 +167,7 @@ StatusOr<std::vector<std::string>> LoadVocabTokens(const std::string& path) {
     StripTrailingCr(&line);
     if (!line.empty()) tokens.push_back(line);
   }
-  if (v2 && static_cast<int>(tokens.size()) != want_count) {
+  if (static_cast<int>(tokens.size()) != want_count) {
     return Status::ParseError("vocab token count mismatch: " + path);
   }
   return tokens;

@@ -29,9 +29,9 @@ Status SavePipeline(const NlidbPipeline& pipeline, const std::string& dir);
 /// fail with FailedPrecondition (no partial loads).
 Status LoadPipeline(NlidbPipeline& pipeline, const std::string& dir);
 
-/// Writes / reads a vocabulary (specials omitted). The v2 format is one
+/// Writes / reads a vocabulary (specials omitted). The format is one
 /// header line `NLIDB-VOCAB v2 crc=<hex> count=<n>` followed by one
-/// token per line; plain token-list files (v1) still load.
+/// token per line; a file without that header is ParseError.
 Status SaveVocab(const text::Vocab& vocab, const std::string& path);
 StatusOr<std::vector<std::string>> LoadVocabTokens(const std::string& path);
 

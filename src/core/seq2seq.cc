@@ -79,7 +79,6 @@ void Seq2SeqTranslator::AddVocabulary(const std::vector<std::string>& tokens) {
     if (vocab_.Contains(t)) continue;
     if (vocab_.size() >= kVocabBudget) break;  // budget full: map to <unk>
     const int id = vocab_.AddToken(t);
-    if (id == text::Vocab::kUnk) continue;
     if (IsAnnotationSymbol(t)) {
       // Structured symbol embedding: [type vector ; index vector]
       // (Sec. VII-A2: concatenation of annotation-type and index
@@ -390,13 +389,6 @@ std::vector<std::string> Seq2SeqTranslator::Translate(
   StatusOr<Decoded> decoded = Decode(source, nullptr);
   if (!decoded.ok()) return {};
   return std::move(decoded).value().tokens;
-}
-
-std::vector<std::string> Seq2SeqTranslator::TranslateGreedy(
-    const std::vector<std::string>& source) const {
-  StatusOr<ScoredTokens> result = Search(source, 1, nullptr);
-  if (!result.ok()) return {};
-  return std::move(result.value().tokens);
 }
 
 void Seq2SeqTranslator::CollectParameters(std::vector<Var>* out) const {

@@ -68,9 +68,6 @@ class Seq2SeqTranslator : public TranslatorInterface {
   /// Annotation symbols receive structured type+index embeddings.
   void AddVocabulary(const std::vector<std::string>& tokens) override;
 
-  /// Freezes the vocabulary (unseen tokens become <unk> afterwards).
-  void FreezeVocabulary() { vocab_.Freeze(); }
-
   /// Teacher-forced loss (mean over target steps) for one pair.
   Var Loss(const std::vector<std::string>& source,
            const std::vector<std::string>& target) const override;
@@ -120,10 +117,6 @@ class Seq2SeqTranslator : public TranslatorInterface {
   /// an empty token sequence here.
   std::vector<std::string> Translate(
       const std::vector<std::string>& source) const override;
-
-  /// Greedy decode (beam width 1 shortcut, used in tests).
-  std::vector<std::string> TranslateGreedy(
-      const std::vector<std::string>& source) const;
 
   void CollectParameters(std::vector<Var>* out) const override;
 

@@ -27,7 +27,8 @@ Var CharCnnEmbedder::EmbedChars(const std::vector<int>& char_ids) const {
   return char_embedding_->Forward(char_ids);
 }
 
-Var CharCnnEmbedder::ForwardFromEmbedded(const Var& char_matrix) const {
+Var CharCnnEmbedder::Forward(const std::vector<int>& char_ids) const {
+  const Var char_matrix = EmbedChars(char_ids);
   std::vector<Var> parts;
   parts.reserve(widths_.size());
   for (size_t w = 0; w < widths_.size(); ++w) {
@@ -35,10 +36,6 @@ Var CharCnnEmbedder::ForwardFromEmbedded(const Var& char_matrix) const {
                                     conv_biases_[w], widths_[w]));
   }
   return ops::ConcatCols(parts);
-}
-
-Var CharCnnEmbedder::Forward(const std::vector<int>& char_ids) const {
-  return ForwardFromEmbedded(EmbedChars(char_ids));
 }
 
 void CharCnnEmbedder::CollectParameters(std::vector<Var>* out) const {

@@ -26,11 +26,6 @@ class CharCnnEmbedder : public Module {
   /// Maps one word's character ids to its [1, output_dim] representation.
   Var Forward(const std::vector<int>& char_ids) const;
 
-  /// Same as Forward but starting from an already-embedded character
-  /// matrix [len, char_dim]; used to take gradients w.r.t. character
-  /// embeddings for the adversarial influence computation.
-  Var ForwardFromEmbedded(const Var& char_matrix) const;
-
   /// Embeds character ids without convolving: [len, char_dim].
   Var EmbedChars(const std::vector<int>& char_ids) const;
 

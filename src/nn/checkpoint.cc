@@ -13,7 +13,6 @@ namespace nn {
 namespace {
 
 constexpr uint32_t kMagic = 0x4E4C434Bu;  // "NLCK"
-constexpr uint32_t kVersionV1 = 1;        // no footer (read-compat only)
 constexpr uint32_t kVersion = 2;          // CRC32C footer over header+payload
 constexpr uint32_t kMaxRank = 8;
 
@@ -60,20 +59,17 @@ Status ParseImage(const std::string& buf, const std::string& path,
     return Status::ParseError("truncated checkpoint header: " + path);
   }
   if (magic != kMagic) return Status::ParseError("bad magic: " + path);
-  if (version != kVersionV1 && version != kVersion) {
+  if (version != kVersion) {
     return Status::ParseError("unsupported checkpoint version: " + path);
   }
-  size_t payload_end = buf.size();
-  if (version == kVersion) {
-    if (buf.size() < 4 * sizeof(uint32_t)) {
-      return Status::ParseError("truncated checkpoint: " + path);
-    }
-    payload_end = buf.size() - sizeof(uint32_t);
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, buf.data() + payload_end, sizeof(uint32_t));
-    if (stored_crc != Crc32c(buf.data(), payload_end)) {
-      return Status::ParseError("corrupt checkpoint (CRC mismatch): " + path);
-    }
+  if (buf.size() < 4 * sizeof(uint32_t)) {
+    return Status::ParseError("truncated checkpoint: " + path);
+  }
+  const size_t payload_end = buf.size() - sizeof(uint32_t);
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, buf.data() + payload_end, sizeof(uint32_t));
+  if (stored_crc != Crc32c(buf.data(), payload_end)) {
+    return Status::ParseError("corrupt checkpoint (CRC mismatch): " + path);
   }
   if (params != nullptr && count != params->size()) {
     return Status::FailedPrecondition(
@@ -141,7 +137,7 @@ Status Checkpoint::Save(const std::string& path,
     NLIDB_RETURN_IF_ERROR(
         out.Append(p->value.data(), p->value.size() * sizeof(float)));
   }
-  // v2 footer: CRC32C of everything above it. Torn or bit-flipped files
+  // Footer: CRC32C of everything above it. Torn or bit-flipped files
   // fail the checksum on load instead of parsing into garbage.
   const uint32_t crc = out.crc();
   NLIDB_RETURN_IF_ERROR(out.Append(&crc, sizeof(crc)));

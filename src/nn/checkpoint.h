@@ -22,13 +22,14 @@ class Checkpoint {
   static Status Save(const std::string& path, const std::vector<Var>& params);
 
   /// Reads tensors from `path` into `params` (in order). Parsing is
-  /// staged: the file is fully validated (v2 files additionally against
-  /// their CRC32C footer) before any parameter is written, so a corrupt
-  /// checkpoint never leaves a model half-loaded.
+  /// staged: the file is fully validated, its CRC32C footer included,
+  /// before any parameter is written, so a corrupt checkpoint never
+  /// leaves a model half-loaded. Only version 2 (the format Save writes)
+  /// is accepted; anything else is ParseError.
   static Status Load(const std::string& path, const std::vector<Var>& params);
 
   /// Structural integrity check without a receiving model: verifies the
-  /// header, the CRC footer (v2), and that every tensor record parses to
+  /// header, the CRC footer, and that every tensor record parses to
   /// exactly the end of the payload. Snapshot selection uses this to
   /// reject torn or corrupt files before mutating any pipeline state.
   static Status Verify(const std::string& path);

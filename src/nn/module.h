@@ -31,13 +31,6 @@ class Module {
     CollectParameters(&out);
     return out;
   }
-
-  /// Total number of scalar parameters.
-  size_t NumParameters() const {
-    size_t n = 0;
-    for (const auto& p : Parameters()) n += p->value.size();
-    return n;
-  }
 };
 
 }  // namespace nn

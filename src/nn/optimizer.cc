@@ -22,39 +22,9 @@ float ClipGradNorm(const std::vector<Var>& params, float max_norm) {
   return total;
 }
 
-void Optimizer::ZeroGrad() {
-  for (const auto& p : params_) {
-    if (!p->grad.empty()) p->grad.Fill(0.0f);
-  }
-}
-
-Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_) {
-      velocity_.push_back(Tensor::Zeros(p->value.shape()));
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Var& p = params_[i];
-    if (p->grad.empty()) continue;
-    if (momentum_ > 0.0f) {
-      velocity_[i].Scale(momentum_);
-      velocity_[i].Axpy(1.0f, p->grad);
-      p->value.Axpy(-lr_, velocity_[i]);
-    } else {
-      p->value.Axpy(-lr_, p->grad);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

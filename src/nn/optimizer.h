@@ -13,55 +13,25 @@ namespace nn {
 /// pre-clip global norm.
 float ClipGradNorm(const std::vector<Var>& params, float max_norm);
 
-/// Base optimizer over a fixed parameter list.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Var> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update using the gradients currently stored on params.
-  virtual void Step() = 0;
-
-  /// Zeroes all parameter gradients.
-  void ZeroGrad();
-
-  const std::vector<Var>& params() const { return params_; }
-
- protected:
-  std::vector<Var> params_;
-};
-
-/// Stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction, over a fixed parameter list.
+class Adam {
  public:
   Adam(std::vector<Var> params, float lr = 1e-3f, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
+  /// Applies one update using the gradients currently stored on params.
+  void Step();
+
+  /// Zeroes all parameter gradients.
+  void ZeroGrad() { nlidb::ZeroGrad(params_); }
+
+  const std::vector<Var>& params() const { return params_; }
 
  private:
+  std::vector<Var> params_;
   float lr_;
   float beta1_;
   float beta2_;

@@ -13,10 +13,6 @@ Tensor& AutogradNode::EnsureGrad() {
   return grad;
 }
 
-void AutogradNode::AccumulateGrad(const Tensor& g) {
-  EnsureGrad().Add(g);
-}
-
 Var MakeVar(Tensor value, bool requires_grad) {
   auto node = std::make_shared<AutogradNode>();
   node->value = std::move(value);

@@ -27,8 +27,6 @@ class AutogradNode {
 
   /// Ensures `grad` is allocated (zero) with value's shape.
   Tensor& EnsureGrad();
-  /// Adds `g` into this node's gradient.
-  void AccumulateGrad(const Tensor& g);
 };
 
 using Var = std::shared_ptr<AutogradNode>;

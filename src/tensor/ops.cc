@@ -271,24 +271,6 @@ Var SliceCols(const Var& a, int start, int len) {
   });
 }
 
-Var MeanRows(const Var& a) {
-  NLIDB_CHECK(a->value.rank() == 2 && a->value.rows() > 0) << "MeanRows shape";
-  const int m = a->value.rows();
-  const int nc = a->value.cols();
-  Tensor out({1, nc});
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < nc; ++j) out(0, j) += a->value(i, j);
-  }
-  out.Scale(1.0f / static_cast<float>(m));
-  return NewNode(std::move(out), {a}, [m](AutogradNode& n) {
-    Tensor* ga = &n.parents[0]->EnsureGrad();
-    const float inv = 1.0f / static_cast<float>(m);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n.grad.cols(); ++j) (*ga)(i, j) += inv * n.grad(0, j);
-    }
-  });
-}
-
 Var RowMax(const Var& a) {
   NLIDB_CHECK(a->value.rank() == 2 && a->value.cols() > 0) << "RowMax shape";
   const int m = a->value.rows();
@@ -337,18 +319,6 @@ Var SumAll(const Var& a) {
   return NewNode(std::move(out), {a}, [](AutogradNode& n) {
     Tensor* ga = &n.parents[0]->EnsureGrad();
     const float g = n.grad(0);
-    for (float& x : ga->vec()) x += g;
-  });
-}
-
-Var MeanAll(const Var& a) {
-  NLIDB_CHECK(!a->value.empty()) << "MeanAll of empty tensor";
-  const float inv = 1.0f / static_cast<float>(a->value.size());
-  Tensor out({1});
-  out(0) = a->value.Sum() * inv;
-  return NewNode(std::move(out), {a}, [inv](AutogradNode& n) {
-    Tensor* ga = &n.parents[0]->EnsureGrad();
-    const float g = n.grad(0) * inv;
     for (float& x : ga->vec()) x += g;
   });
 }
@@ -485,23 +455,6 @@ Var LayerNormRows(const Var& a, const Var& gain, const Var& bias) {
         (*ga)(i, j) += istd * (dxhat - (sum_dxhat + xhat * sum_dxhat_xhat) /
                                            static_cast<float>(nc));
       }
-    }
-  });
-}
-
-Var Dropout(const Var& a, float p, Rng& rng, bool train) {
-  if (!train || p <= 0.0f) return a;
-  const float keep = 1.0f - p;
-  auto mask = std::make_shared<std::vector<float>>(a->value.size());
-  Tensor out = a->value;
-  for (size_t i = 0; i < out.size(); ++i) {
-    (*mask)[i] = rng.NextBool(keep) ? 1.0f / keep : 0.0f;
-    out.vec()[i] *= (*mask)[i];
-  }
-  return NewNode(std::move(out), {a}, [mask](AutogradNode& n) {
-    Tensor* ga = &n.parents[0]->EnsureGrad();
-    for (size_t i = 0; i < n.grad.size(); ++i) {
-      ga->vec()[i] += n.grad.vec()[i] * (*mask)[i];
     }
   });
 }

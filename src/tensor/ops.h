@@ -55,9 +55,6 @@ Var PickRow(const Var& a, int i);
 /// Copies columns [start, start+len) of [m,n] into [m,len].
 Var SliceCols(const Var& a, int start, int len);
 
-/// Mean over rows of [m,n] -> [1,n].
-Var MeanRows(const Var& a);
-
 /// Row-wise max of [m,n] -> [m,1]; gradient flows to each row's argmax.
 Var RowMax(const Var& a);
 
@@ -66,9 +63,6 @@ Var RowMean(const Var& a);
 
 /// Sum of all entries -> [1].
 Var SumAll(const Var& a);
-
-/// Mean of all entries -> [1].
-Var MeanAll(const Var& a);
 
 /// Gathers rows of `weight` ([vocab, d]) at `indices` -> [n, d].
 /// Backward scatter-adds into the weight gradient (sparse update).
@@ -83,9 +77,6 @@ Var Conv1dMean(const Var& input, const Var& weight, const Var& bias, int k);
 /// Per-row layer normalization with learnable gain/bias:
 ///   y_ij = gain_j * (x_ij - mean_i) / sqrt(var_i + eps) + bias_j.
 Var LayerNormRows(const Var& a, const Var& gain, const Var& bias);
-
-/// Inverted-dropout mask applied when `train` is true; identity otherwise.
-Var Dropout(const Var& a, float p, Rng& rng, bool train);
 
 /// Scatter-add of a [1,n] score row into a [1,width] vector at the given
 /// column indices (duplicates accumulate). Used by the copy mechanism to

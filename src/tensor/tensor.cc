@@ -63,10 +63,6 @@ Tensor Tensor::Xavier(int fan_in, int fan_out, Rng& rng) {
   return Uniform({fan_in, fan_out}, -bound, bound, rng);
 }
 
-Tensor Tensor::FromVector(const std::vector<float>& values) {
-  return Tensor({static_cast<int>(values.size())}, values);
-}
-
 float& Tensor::at(int i, int j) {
   NLIDB_CHECK(rank() == 2 && i >= 0 && i < rows() && j >= 0 && j < cols())
       << "at(" << i << "," << j << ") out of bounds";
@@ -103,17 +99,6 @@ float Tensor::Sum() const {
   return s;
 }
 
-float Tensor::Max() const {
-  NLIDB_CHECK(!data_.empty()) << "Max of empty tensor";
-  return *std::max_element(data_.begin(), data_.end());
-}
-
-float Tensor::AbsMax() const {
-  float m = 0.0f;
-  for (float x : data_) m = std::max(m, std::fabs(x));
-  return m;
-}
-
 float Tensor::Norm2() const {
   float s = 0.0f;
   for (float x : data_) s += x * x;
@@ -125,30 +110,6 @@ float Tensor::NormP(float p) const {
   float s = 0.0f;
   for (float x : data_) s += std::pow(std::fabs(x), p);
   return std::pow(s, 1.0f / p);
-}
-
-Tensor Tensor::Row(int i) const {
-  NLIDB_CHECK(rank() == 2 && i >= 0 && i < rows()) << "Row out of bounds";
-  Tensor out({cols()});
-  std::copy(data_.begin() + static_cast<size_t>(i) * cols(),
-            data_.begin() + static_cast<size_t>(i + 1) * cols(),
-            out.data_.begin());
-  return out;
-}
-
-void Tensor::SetRow(int i, const Tensor& row) {
-  NLIDB_CHECK(rank() == 2 && i >= 0 && i < rows()) << "SetRow out of bounds";
-  NLIDB_CHECK(static_cast<int>(row.size()) == cols()) << "SetRow width mismatch";
-  std::copy(row.data_.begin(), row.data_.end(),
-            data_.begin() + static_cast<size_t>(i) * cols());
-}
-
-Tensor Tensor::Reshaped(std::vector<int> new_shape) const {
-  NLIDB_CHECK(NumElements(new_shape) == data_.size()) << "Reshape size mismatch";
-  Tensor out;
-  out.shape_ = std::move(new_shape);
-  out.data_ = data_;
-  return out;
 }
 
 Tensor Tensor::Transposed() const {

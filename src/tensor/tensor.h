@@ -15,8 +15,7 @@ namespace nlidb {
 /// This is the numeric substrate for the from-scratch neural network stack
 /// (the paper used PyTorch-class frameworks; none is available offline, so
 /// the library ships its own — see DESIGN.md "Substitutions").
-/// Rank 1 and rank 2 cover every model in the paper; rank-3 is supported
-/// for batched intermediates.
+/// Every tensor the models build is rank 1 or rank 2.
 class Tensor {
  public:
   /// An empty (rank-0, zero-element) tensor.
@@ -44,8 +43,6 @@ class Tensor {
   static Tensor Uniform(std::vector<int> shape, float lo, float hi, Rng& rng);
   /// Xavier/Glorot uniform init for a [fan_in, fan_out] weight matrix.
   static Tensor Xavier(int fan_in, int fan_out, Rng& rng);
-  /// Rank-1 tensor from values.
-  static Tensor FromVector(const std::vector<float>& values);
 
   const std::vector<int>& shape() const { return shape_; }
   int rank() const { return static_cast<int>(shape_.size()); }
@@ -82,20 +79,11 @@ class Tensor {
 
   /// Reductions.
   float Sum() const;
-  float Max() const;
-  float AbsMax() const;
   /// L2 norm of all entries.
   float Norm2() const;
   /// Lp norm (p >= 1) of all entries.
   float NormP(float p) const;
 
-  /// Returns a copy of row `i` (rank-2 only) as a rank-1 tensor.
-  Tensor Row(int i) const;
-  /// Overwrites row `i` with `row` (rank-2 only; row.size() == cols()).
-  void SetRow(int i, const Tensor& row);
-
-  /// Reshape without copying data; product of new shape must equal size().
-  Tensor Reshaped(std::vector<int> new_shape) const;
   /// Transpose of a rank-2 tensor.
   Tensor Transposed() const;
 

@@ -33,18 +33,6 @@ float EditSimilarity(std::string_view a, std::string_view b) {
                     static_cast<float>(mx);
 }
 
-float SemanticDistance(const EmbeddingProvider& provider, const std::string& a,
-                       const std::string& b) {
-  return EmbeddingProvider::L2Distance(provider.Vector(a), provider.Vector(b));
-}
-
-float PhraseSemanticDistance(const EmbeddingProvider& provider,
-                             const std::vector<std::string>& a,
-                             const std::vector<std::string>& b) {
-  return EmbeddingProvider::L2Distance(provider.PhraseVector(a),
-                                       provider.PhraseVector(b));
-}
-
 float PhraseCosine(const EmbeddingProvider& provider,
                    const std::vector<std::string>& a,
                    const std::vector<std::string>& b) {

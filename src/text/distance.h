@@ -16,16 +16,6 @@ int EditDistance(std::string_view a, std::string_view b);
 /// 1 - EditDistance / max(len): 1 for identical strings, 0 for disjoint.
 float EditSimilarity(std::string_view a, std::string_view b);
 
-/// Euclidean distance between single-word embeddings (the paper's
-/// "semantic distance", footnote 1).
-float SemanticDistance(const EmbeddingProvider& provider,
-                       const std::string& a, const std::string& b);
-
-/// Euclidean distance between phrase (mean-of-words) embeddings.
-float PhraseSemanticDistance(const EmbeddingProvider& provider,
-                             const std::vector<std::string>& a,
-                             const std::vector<std::string>& b);
-
 /// Cosine similarity between phrase embeddings; the context-free mention
 /// matching in Sec. VII-A1 uses this alongside edit distance.
 float PhraseCosine(const EmbeddingProvider& provider,

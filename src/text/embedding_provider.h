@@ -35,14 +35,17 @@ class EmbeddingProvider {
 
   /// Registers `members` as belonging to `concept_name`. A word may belong to
   /// several concepts; its vector is pulled toward the mean of their
-  /// centroids. Invalidates the vector cache.
+  /// centroids. Setup only: it clears the vector cache, which frees every
+  /// reference `Vector` has returned, so call it before any lookup whose
+  /// result is kept, and never while other threads use the provider.
   void AddCluster(const std::string& concept_name,
                   const std::vector<std::string>& members);
 
   /// Registers every cluster in `clusters`.
   void AddClusters(const std::vector<LexiconCluster>& clusters);
 
-  /// The embedding of `word` (lowercased by the caller). Cached.
+  /// The embedding of `word` (lowercased by the caller). Cached; the
+  /// reference stays valid until the next `AddCluster`.
   const std::vector<float>& Vector(const std::string& word) const;
 
   /// Mean of the word vectors of `words` (empty -> zero vector).
@@ -74,8 +77,8 @@ class EmbeddingProvider {
   // lookups (serving workers sharing one pipeline) race without a lock.
   // mu_ guards the cache map and the concept registry; the expensive
   // vector computation runs outside the critical section on a snapshot.
-  // Returned references stay valid across later insertions because
-  // unordered_map never moves its nodes.
+  // Returned references stay valid across later cache insertions because
+  // unordered_map never moves its nodes; AddCluster's clear frees them.
   mutable Mutex mu_{"text.embedding_cache"};
   // word -> list of concepts it belongs to. Written by AddCluster
   // (setup/training time; it also clears cache_ under mu_), snapshotted

@@ -15,7 +15,6 @@ Vocab::Vocab() {
 int Vocab::AddToken(const std::string& token) {
   auto it = token_to_id_.find(token);
   if (it != token_to_id_.end()) return it->second;
-  if (frozen_) return kUnk;
   const int id = static_cast<int>(id_to_token_.size());
   token_to_id_.emplace(token, id);
   id_to_token_.push_back(token);

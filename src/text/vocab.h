@@ -11,9 +11,8 @@ namespace text {
 /// A token <-> id mapping with reserved special tokens.
 ///
 /// Ids 0..3 are always <pad>, <unk>, <s>, </s>. Unknown tokens map to
-/// kUnk on lookup. The vocabulary is mutable until `Freeze()`; afterwards
-/// unseen tokens silently map to <unk> (matching the paper's handling of
-/// out-of-vocabulary tokens).
+/// kUnk on lookup (matching the paper's handling of out-of-vocabulary
+/// tokens).
 class Vocab {
  public:
   static constexpr int kPad = 0;
@@ -23,8 +22,7 @@ class Vocab {
 
   Vocab();
 
-  /// Adds `token` if absent (no-op when frozen) and returns its id
-  /// (<unk> for unseen tokens of a frozen vocab).
+  /// Adds `token` if absent and returns its id.
   int AddToken(const std::string& token);
 
   /// Id lookup; returns kUnk when absent.
@@ -42,14 +40,11 @@ class Vocab {
   /// Converts ids back to tokens.
   std::vector<std::string> Decode(const std::vector<int>& ids) const;
 
-  void Freeze() { frozen_ = true; }
-  bool frozen() const { return frozen_; }
   int size() const { return static_cast<int>(id_to_token_.size()); }
 
  private:
   std::unordered_map<std::string, int> token_to_id_;
   std::vector<std::string> id_to_token_;
-  bool frozen_ = false;
 };
 
 /// Character vocabulary: fixed alphabet (a-z, 0-9, '-', '.', punctuation

@@ -58,17 +58,6 @@ TEST(RngTest, GaussianHasRoughlyUnitMoments) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
 }
 
-TEST(RngTest, WeightedPickFollowsWeights) {
-  Rng rng(5);
-  std::vector<float> weights = {1.0f, 3.0f};
-  int count1 = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    count1 += rng.NextWeighted(weights) == 1;
-  }
-  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.03);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(9);
   std::vector<int> v(50);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "testing/threads.h"
 
@@ -13,13 +14,16 @@ namespace {
 
 TEST(WorkspaceTest, FloatsAreZeroInitialized) {
   Workspace ws;
-  float* a = ws.Floats(100);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a[i], 0.0f);
-  // Dirty the buffer, release it, re-acquire: must come back zeroed.
-  for (int i = 0; i < 100; ++i) a[i] = 3.5f;
-  ws.Reset();
+  float* a = nullptr;
+  {
+    Workspace::Scope scope(ws);
+    a = ws.Floats(100);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(a[i], 0.0f);
+    // Dirty the buffer; the scope's end releases it.
+    for (int i = 0; i < 100; ++i) a[i] = 3.5f;
+  }
   float* b = ws.Floats(100);
-  EXPECT_EQ(b, a) << "reset should reuse the retained block";
+  EXPECT_EQ(b, a) << "a released buffer's block should be reused";
   for (int i = 0; i < 100; ++i) EXPECT_EQ(b[i], 0.0f);
 }
 
@@ -31,18 +35,21 @@ TEST(WorkspaceTest, BuffersDoNotOverlapAndStayAligned) {
   // buffers never share a cache line.
   EXPECT_GE(b - a, 17);
   EXPECT_EQ((b - a) % 16, 0);
-  EXPECT_EQ(ws.live_buffers(), 2);
 }
 
-TEST(WorkspaceTest, ResetRetainsCapacity) {
+TEST(WorkspaceTest, ScopeRetainsBlocks) {
   Workspace ws;
-  (void)ws.Floats(1000);
-  (void)ws.Floats(200000);  // forces a second (oversized) block
-  const size_t reserved = ws.reserved();
-  EXPECT_GE(reserved, 201000u);
-  ws.Reset();
-  EXPECT_EQ(ws.reserved(), reserved);
-  EXPECT_EQ(ws.live_buffers(), 0);
+  float* small = nullptr;
+  float* big = nullptr;
+  {
+    Workspace::Scope scope(ws);
+    small = ws.Floats(1000);
+    big = ws.Floats(200000);  // forces a second (oversized) block
+  }
+  // Both blocks survive the rewind: the same requests get the same
+  // storage back instead of fresh allocations.
+  EXPECT_EQ(ws.Floats(1000), small);
+  EXPECT_EQ(ws.Floats(200000), big);
 }
 
 TEST(WorkspaceTest, ScopeRewindsToSnapshot) {
@@ -54,10 +61,8 @@ TEST(WorkspaceTest, ScopeRewindsToSnapshot) {
     Workspace::Scope scope(ws);
     inner_first = ws.Floats(64);
     (void)ws.Floats(128);
-    EXPECT_EQ(ws.live_buffers(), 3);
   }
   // Scope end releases only the inner buffers; the outer one survives.
-  EXPECT_EQ(ws.live_buffers(), 1);
   EXPECT_EQ(outer[0], 7.0f);
   float* reused = ws.Floats(64);
   EXPECT_EQ(reused, inner_first) << "scope must rewind the bump pointer";
@@ -65,33 +70,37 @@ TEST(WorkspaceTest, ScopeRewindsToSnapshot) {
 
 TEST(WorkspaceTest, NestedScopes) {
   Workspace ws;
-  Workspace::Scope a(ws);
-  float* x = ws.Floats(16);
+  float* x = nullptr;
+  float* y = nullptr;
   {
-    Workspace::Scope b(ws);
-    float* y = ws.Floats(16);
-    EXPECT_NE(x, y);
+    Workspace::Scope a(ws);
+    x = ws.Floats(16);
     {
-      Workspace::Scope c(ws);
-      (void)ws.Floats(300000);  // spills into a fresh block inside c
-      EXPECT_GT(ws.live_buffers(), 2);
+      Workspace::Scope b(ws);
+      y = ws.Floats(16);
+      EXPECT_NE(x, y);
+      {
+        Workspace::Scope c(ws);
+        (void)ws.Floats(300000);  // spills into a fresh block inside c
+      }
+      // c's end returns to the first block, right after y.
+      EXPECT_EQ(ws.Floats(8), y + 16);
     }
-    EXPECT_EQ(ws.live_buffers(), 2);
-    float* y2 = ws.Floats(8);
-    EXPECT_NE(y2, nullptr);
+    EXPECT_EQ(ws.Floats(16), y);
   }
-  EXPECT_EQ(ws.live_buffers(), 1);
+  EXPECT_EQ(ws.Floats(16), x);
 }
 
 TEST(WorkspaceTest, ScopeOnFreshWorkspace) {
   // A scope opened before the first allocation must rewind to empty.
   Workspace ws;
+  float* first = nullptr;
   {
     Workspace::Scope scope(ws);
-    (void)ws.Floats(10);
+    first = ws.Floats(10);
     (void)ws.Floats(10);
   }
-  EXPECT_EQ(ws.live_buffers(), 0);
+  EXPECT_EQ(ws.Floats(10), first);
 }
 
 TEST(WorkspaceTest, ScopeRewindsOnException) {
@@ -102,19 +111,20 @@ TEST(WorkspaceTest, ScopeRewindsOnException) {
   Workspace ws;
   float* outer = ws.Floats(32);
   outer[0] = 5.0f;
-  const size_t reserved_before = ws.reserved();
+  float* first_inner = nullptr;
   for (int attempt = 0; attempt < 50; ++attempt) {
     try {
       Workspace::Scope scope(ws);
-      (void)ws.Floats(64);
+      float* inner = ws.Floats(64);
+      if (first_inner == nullptr) first_inner = inner;
+      EXPECT_EQ(inner, first_inner)
+          << "repeated rewind-on-exception must not move or grow the arena";
       (void)ws.Floats(128);
       throw std::runtime_error("mid-request failure");
     } catch (const std::runtime_error&) {
     }
-    EXPECT_EQ(ws.live_buffers(), 1);
   }
-  EXPECT_EQ(ws.reserved(), reserved_before)
-      << "repeated rewind-on-exception must not grow the arena";
+  EXPECT_EQ(ws.Floats(64), first_inner);
   EXPECT_EQ(outer[0], 5.0f);
 }
 
@@ -122,9 +132,9 @@ TEST(WorkspaceStressTest, InterleavedScopesAcrossThreads) {
   // Many threads serving requests at once: every thread hammers its own
   // thread-local arena with nested scopes, interleaved rewinds, and
   // occasional exceptions, while checking its buffers are never shared
-  // or corrupted. Each thread lives through every round, so after its
-  // first request steady-state requests must not allocate — per-thread
-  // reserved() stays flat.
+  // or corrupted. Each thread lives through every round, so every
+  // request on a thread must get the same storage as its first one:
+  // steady-state requests neither grow the arena nor drift through it.
 #if defined(NLIDB_SANITIZER_BUILD)
   const int kRounds = 30;
 #else
@@ -133,52 +143,55 @@ TEST(WorkspaceStressTest, InterleavedScopesAcrossThreads) {
   constexpr int kThreads = 8;
   constexpr int kItemsPerThread = 8;
 
-  // One simulated request. Returns false on any correctness violation:
-  // corrupted outer buffer after inner rewinds, or arena growth on a
-  // thread whose arena already reached its high-water mark (the
-  // steady-state check is per-thread, against that thread's own previous
-  // watermark).
-  auto hammer = [](int item) {
+  // Per thread, the request buffer and inner buffer its first request got.
+  std::vector<float*> first_outer(kThreads, nullptr);
+  std::vector<float*> first_inner(kThreads, nullptr);
+
+  // One simulated request on thread `t`. Returns false on any correctness
+  // violation: corrupted outer buffer after inner rewinds, or a buffer
+  // that differs from the thread's first request's.
+  auto hammer = [&](int t, int item) {
     Workspace& ws = Workspace::ThreadLocal();
-    const size_t reserved_before = ws.reserved();
-    const bool warmed = reserved_before > 0;
-    {
-      Workspace::Scope request_scope(ws);
-      float* a = ws.Floats(64);
-      const float tag = static_cast<float>(item + 1);
-      for (int i = 0; i < 64; ++i) a[i] = tag;
-      for (int inner = 0; inner < 4; ++inner) {
-        try {
-          Workspace::Scope scope(ws);
-          float* b = ws.Floats(257);  // odd size: exercises align rounding
-          for (int i = 0; i < 257; ++i) b[i] = -tag;
-          if (inner == 2) throw std::runtime_error("simulated kernel failure");
-        } catch (const std::runtime_error&) {
-        }
-        // The outer buffer must be untouched by inner scopes rewinding.
-        for (int i = 0; i < 64; ++i) {
-          if (a[i] != tag) return false;
-        }
+    Workspace::Scope request_scope(ws);
+    float* a = ws.Floats(64);
+    if (first_outer[t] == nullptr) first_outer[t] = a;
+    if (a != first_outer[t]) return false;
+    const float tag = static_cast<float>(item + 1);
+    for (int i = 0; i < 64; ++i) a[i] = tag;
+    for (int inner = 0; inner < 4; ++inner) {
+      try {
+        Workspace::Scope scope(ws);
+        float* b = ws.Floats(257);  // odd size: exercises align rounding
+        if (first_inner[t] == nullptr) first_inner[t] = b;
+        if (b != first_inner[t]) return false;
+        for (int i = 0; i < 257; ++i) b[i] = -tag;
+        if (inner == 2) throw std::runtime_error("simulated kernel failure");
+      } catch (const std::runtime_error&) {
+      }
+      // The outer buffer must be untouched by inner scopes rewinding.
+      for (int i = 0; i < 64; ++i) {
+        if (a[i] != tag) return false;
       }
     }
-    return !warmed || ws.reserved() == reserved_before;
+    return true;
   };
 
   std::atomic<bool> ok{true};
   testing::RunOnThreads(kThreads, [&](int t) {
     for (int round = 0; round < kRounds && ok.load(); ++round) {
       for (int i = t * kItemsPerThread; i < (t + 1) * kItemsPerThread; ++i) {
-        if (!hammer(i)) ok.store(false);
+        if (!hammer(t, i)) ok.store(false);
       }
     }
   });
   ASSERT_TRUE(ok.load());
 
-  // The calling thread ran index 0 through every round: its arena must
-  // have settled at exactly one retained block despite kRounds *
-  // interleaved scope rewinds and exceptions.
-  EXPECT_GT(Workspace::ThreadLocal().reserved(), 0u);
-  EXPECT_EQ(Workspace::ThreadLocal().live_buffers(), 0);
+  // The calling thread ran index 0 through every round: after kRounds *
+  // interleaved scope rewinds and exceptions every buffer is released,
+  // so the next request starts where its first one did.
+  Workspace& ws = Workspace::ThreadLocal();
+  Workspace::Scope scope(ws);
+  EXPECT_EQ(ws.Floats(64), first_outer[0]);
 }
 
 TEST(WorkspaceTest, ThreadLocalIsPerThread) {

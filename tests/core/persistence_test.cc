@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "common/file_io.h"
 #include "data/generator.h"
 #include "eval/metrics.h"
 
@@ -25,6 +26,18 @@ TEST(VocabPersistenceTest, SaveLoadRoundTrip) {
   auto tokens = LoadVocabTokens(path);
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ(*tokens, (std::vector<std::string>{"which", "film", "c1"}));
+  std::remove(path.c_str());
+}
+
+TEST(VocabPersistenceTest, HeaderlessTokenListIsParseError) {
+  // A bare token list (no `NLIDB-VOCAB v2` header, so no CRC or count)
+  // is rejected rather than trusted.
+  const std::string path = TempDirFor("headerless.vocab");
+  ASSERT_TRUE(io::WriteFileAtomic(path, "which\nfilm\nc1\n").ok());
+  auto tokens = LoadVocabTokens(path);
+  EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  EXPECT_NE(tokens.status().message().find("missing vocab header"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

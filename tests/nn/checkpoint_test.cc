@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
+#include "common/file_io.h"
 #include "nn/layers.h"
 #include "tensor/autograd.h"
 
@@ -19,7 +21,8 @@ std::string TempPath(const char* name) {
 
 // Committed corruption corpus: hand-built v1/v2 images plus truncated,
 // bit-flipped, and torn variants (tests/corpus/checkpoints/README-free
-// binary fixtures; shapes are one [2,3] and one [4] tensor).
+// binary fixtures; shapes are one [2,3] and one [4] tensor). Version 1
+// (no CRC footer) is not accepted: valid_v1.ckpt is the rejection case.
 std::string CorpusPath(const char* name) {
   return std::string(NLIDB_TEST_SOURCE_DIR) + "/corpus/checkpoints/" + name;
 }
@@ -98,11 +101,16 @@ TEST(CheckpointCorpusTest, ValidV2VerifiesAndLoads) {
   EXPECT_EQ(params[1]->value.vec(), std::vector<float>(4, 0.0f));
 }
 
-TEST(CheckpointCorpusTest, V1ReadCompat) {
-  // v1 files (no CRC footer) written by earlier releases still load.
-  EXPECT_TRUE(Checkpoint::Verify(CorpusPath("valid_v1.ckpt")).ok());
+TEST(CheckpointCorpusTest, V1IsParseErrorAndLeavesModelUntouched) {
+  Status verified = Checkpoint::Verify(CorpusPath("valid_v1.ckpt"));
+  EXPECT_EQ(verified.code(), StatusCode::kParseError);
+  EXPECT_NE(verified.message().find("version"), std::string::npos);
   std::vector<Var> params = CorpusShapedParams();
-  EXPECT_TRUE(Checkpoint::Load(CorpusPath("valid_v1.ckpt"), params).ok());
+  params[0]->value.vec().assign(6, 7.5f);
+  EXPECT_EQ(Checkpoint::Load(CorpusPath("valid_v1.ckpt"), params).code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(params[0]->value.vec(), std::vector<float>(6, 7.5f));
+  EXPECT_EQ(params[1]->value.vec(), std::vector<float>(4, 0.0f));
 }
 
 TEST(CheckpointCorpusTest, TruncatedIsParseError) {
@@ -122,9 +130,22 @@ TEST(CheckpointCorpusTest, TornWriteIsParseError) {
 }
 
 TEST(CheckpointCorpusTest, TrailingBytesRejected) {
-  // v1 has no CRC; the exact-end-of-payload check still catches junk.
-  EXPECT_EQ(Checkpoint::Verify(CorpusPath("trailing_v1.ckpt")).code(),
-            StatusCode::kParseError);
+  // Junk between the last tensor and the footer, with a CRC that covers
+  // it: the checksum passes, so the exact-end-of-payload check must be
+  // what catches it.
+  StatusOr<std::string> image =
+      io::ReadFileToString(CorpusPath("valid_v2.ckpt"));
+  ASSERT_TRUE(image.ok());
+  std::string trailing = image->substr(0, image->size() - sizeof(uint32_t));
+  trailing += "JUNKJUNK";
+  const uint32_t crc = Crc32c(trailing.data(), trailing.size());
+  trailing.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  const std::string path = TempPath("ckpt_trailing.bin");
+  ASSERT_TRUE(io::WriteFileAtomic(path, trailing).ok());
+  Status s = Checkpoint::Verify(path);
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_NE(s.message().find("trailing bytes"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointCorpusTest, CorruptLoadNeverHalfWritesTheModel) {

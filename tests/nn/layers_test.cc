@@ -101,10 +101,13 @@ TEST(MlpTest, LearnsXor) {
   }
 }
 
-TEST(ModuleTest, NumParametersCountsScalars) {
+TEST(ModuleTest, ParametersListWeightThenBias) {
   Rng rng(7);
   Linear layer(3, 2, rng);
-  EXPECT_EQ(layer.NumParameters(), 3u * 2u + 2u);
+  const std::vector<Var> params = layer.Parameters();
+  ASSERT_EQ(params.size(), 2u);
+  EXPECT_EQ(params[0]->value.size(), 3u * 2u);
+  EXPECT_EQ(params[1]->value.size(), 2u);
 }
 
 }  // namespace

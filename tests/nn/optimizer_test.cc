@@ -16,35 +16,6 @@ Var QuadLoss(const Var& w) {
   return ops::SumAll(ops::Mul(shifted, shifted));
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Var w = MakeVar(Tensor::Zeros({1, 4}), /*requires_grad=*/true);
-  Sgd opt({w}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    Var loss = QuadLoss(w);
-    opt.ZeroGrad();
-    Backward(loss);
-    opt.Step();
-  }
-  for (float v : w->value.vec()) EXPECT_NEAR(v, 3.0f, 1e-3f);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  Var w1 = MakeVar(Tensor::Zeros({1, 2}), true);
-  Var w2 = MakeVar(Tensor::Zeros({1, 2}), true);
-  Sgd plain({w1}, 0.01f);
-  Sgd momentum({w2}, 0.01f, 0.9f);
-  for (int i = 0; i < 30; ++i) {
-    plain.ZeroGrad();
-    Backward(QuadLoss(w1));
-    plain.Step();
-    momentum.ZeroGrad();
-    Backward(QuadLoss(w2));
-    momentum.Step();
-  }
-  // With momentum, w2 should be closer to the optimum of 3.
-  EXPECT_GT(w2->value(0, 0), w1->value(0, 0));
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   Var w = MakeVar(Tensor::Full({1, 4}, -5.0f), true);
   Adam opt({w}, 0.2f);
@@ -89,7 +60,7 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   EXPECT_FLOAT_EQ(a->grad(0, 1), 0.4f);
 }
 
-TEST(OptimizerTest, ZeroGradResets) {
+TEST(AdamTest, ZeroGradResets) {
   Var w = MakeVar(Tensor::Zeros({1, 2}), true);
   Adam opt({w}, 0.1f);
   Backward(QuadLoss(w));

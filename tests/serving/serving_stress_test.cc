@@ -211,16 +211,18 @@ TEST_F(ServingStressTest, InfeasibleDeadlineShedsOnServiceEstimate) {
   options.num_workers = 1;
   serving::ServingEngine engine(*pipeline_, options);
 
-  // One served request seeds the EWMA service estimate; its e2e time
-  // bounds the service time from above.
+  // One served request seeds the EWMA service estimate. Its e2e time
+  // minus its queue wait bounds the service time from above; the queue
+  // wait must come out, because admission compares against service time
+  // alone and a loaded machine can make the wait several times longer.
   const serving::ServedResult seed = engine.Query(Request());
   ASSERT_EQ(Count("serving.completed"), 1u);
   ASSERT_GT(seed.e2e_ns, 0u);
 
-  // A live deadline of ~1/8 of that request is under half the estimate:
-  // shed at admission without queueing.
+  // A live deadline of ~1/8 of that service time is under half the
+  // estimate: shed at admission without queueing.
   core::QueryRequest tight = Request();
-  tight.deadline = Deadline::AfterNanos(seed.e2e_ns / 8);
+  tight.deadline = Deadline::AfterNanos((seed.e2e_ns - seed.queue_wait_ns) / 8);
   const serving::ServedResult shed = engine.Query(std::move(tight));
   EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(shed.status.message(),

@@ -30,15 +30,6 @@ TEST(VocabTest, UnknownMapsToUnk) {
   EXPECT_EQ(v.GetId("never-seen"), Vocab::kUnk);
 }
 
-TEST(VocabTest, FrozenVocabRejectsNewTokens) {
-  Vocab v;
-  v.AddToken("a");
-  v.Freeze();
-  EXPECT_EQ(v.AddToken("b"), Vocab::kUnk);
-  EXPECT_FALSE(v.Contains("b"));
-  EXPECT_TRUE(v.Contains("a"));
-}
-
 TEST(VocabTest, EncodeDecodeRoundTrip) {
   Vocab v;
   for (const char* t : {"who", "won", "the", "race"}) v.AddToken(t);
