@@ -139,12 +139,6 @@ const char* MutatorName(MutatorKind kind) {
   return "?";
 }
 
-bool IsAnswerPreserving(MutatorKind kind) {
-  // Every mutator rewrites only the question surface except the
-  // counterfactual one, which rewrites the gold condition value too.
-  return kind != MutatorKind::kCounterfactualValue;
-}
-
 const std::vector<MutatorKind>& AllMutators() {
   static const std::vector<MutatorKind> kAll = [] {
     std::vector<MutatorKind> all;

@@ -52,10 +52,6 @@ inline constexpr int kNumMutators = static_cast<int>(MutatorKind::kCount);
 
 const char* MutatorName(MutatorKind kind);
 
-/// True when the mutator leaves the gold query (and therefore its
-/// executed rows) untouched. kCounterfactualValue rewrites the gold.
-bool IsAnswerPreserving(MutatorKind kind);
-
 /// All mutator kinds in enum order (the default attack surface).
 const std::vector<MutatorKind>& AllMutators();
 

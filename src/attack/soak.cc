@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/failpoint.h"
-#include "common/lockdep.h"
 #include "common/metrics.h"
 
 namespace nlidb {
@@ -14,12 +13,11 @@ std::string SoakReport::ToString() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "soak: %.1f s wall, %.0f qps resolved (offered %.0f), "
-                "service %.3f ms, deadline misses %lld, failpoints %lld, "
-                "lockdep reports %d\n",
+                "service %.3f ms, deadline misses %lld, failpoints %lld\n",
                 wall_s, qps, offered_qps,
                 static_cast<double>(service_ns) / 1e6,
                 static_cast<long long>(deadline_misses),
-                static_cast<long long>(failpoints_fired), lockdep_reports);
+                static_cast<long long>(failpoints_fired));
   return matrix.Render() + "soak: " + OpenLoopReport::ToString() + buf;
 }
 
@@ -58,7 +56,6 @@ SoakReport RunSoak(const core::NlidbPipeline& pipeline,
   serving_options.num_workers = options.workers;
   serving_options.queue_capacity = options.queue_capacity;
 
-  if (lockdep::Enabled()) lockdep::ClearReports();
   static_cast<serving::OpenLoopReport&>(report) = serving::RunOpenLoop(
       pipeline, requests, options.queries, serving_options,
       report.offered_qps, options.seed, service_ns,
@@ -71,8 +68,6 @@ SoakReport RunSoak(const core::NlidbPipeline& pipeline,
   report.failpoints_fired = metrics::MetricsRegistry::Global()
                                 .GetCounter("failpoint.fired")
                                 .Value();
-  report.lockdep_reports =
-      lockdep::Enabled() ? static_cast<int>(lockdep::Reports().size()) : -1;
   report.qps = report.wall_s > 0
                    ? static_cast<double>(options.queries) / report.wall_s
                    : 0.0;

@@ -7,8 +7,7 @@
 // (serving/open_loop.h), optionally under a random-delay failpoint
 // schedule, and triages every resolved ticket into the per-mutator ×
 // per-stage AttackMatrix. The run doubles as a correctness gate: the
-// serving counters must balance exactly and, with the lockdep detector
-// live, no inversion report may fire. Callers set SoakOptions in code;
+// serving counters must balance exactly. Callers set SoakOptions in code;
 // bench_attack scales the run length with NLIDB_ATTACK_QUERIES.
 
 #include <cstdint>
@@ -42,9 +41,6 @@ struct SoakOptions {
 /// The driver's counter snapshot plus what the soak adds on top.
 struct SoakReport : serving::OpenLoopReport {
   AttackMatrix matrix;
-
-  /// Lockdep findings during the run (-1: detector not enabled).
-  int lockdep_reports = -1;
 
   /// Failpoint fires observed during the run (0 when no schedule).
   int64_t failpoints_fired = 0;

@@ -68,11 +68,6 @@ inline Status CheckCancel(const CancelContext* ctx, const char* where) {
   return ctx == nullptr ? Status::Ok() : ctx->Check(where);
 }
 
-/// Null-tolerant Expired.
-inline bool CancelExpired(const CancelContext* ctx) {
-  return ctx != nullptr && ctx->Expired();
-}
-
 }  // namespace nlidb
 
 #endif  // NLIDB_COMMON_DEADLINE_H_

@@ -24,7 +24,7 @@ namespace {
 // Leaked (like the trace sink state) so failpoints fired from atexit
 // hooks or static destructors never touch a destroyed registry.
 struct Registry {
-  Mutex mu{"failpoint.registry"};
+  Mutex mu;
   std::map<std::string, Action> sites NLIDB_GUARDED_BY(mu);
   bool random_delay NLIDB_GUARDED_BY(mu) = false;
   uint64_t random_seed NLIDB_GUARDED_BY(mu) = 0;

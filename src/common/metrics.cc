@@ -103,7 +103,7 @@ void Histogram::Reset() {
 // MetricsRegistry
 
 struct MetricsRegistry::Impl {
-  mutable Mutex mu{"metrics.registry"};
+  mutable Mutex mu;
   // unique_ptr values: instruments hand out long-lived references, so
   // they must not move when the maps rehash/rebalance.
   std::map<std::string, std::unique_ptr<Counter>> counters

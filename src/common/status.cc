@@ -16,8 +16,6 @@ const char* StatusCodeName(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kIoError:
       return "IoError";
     case StatusCode::kParseError:

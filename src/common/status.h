@@ -18,7 +18,6 @@ enum class StatusCode {
   kOutOfRange,
   kFailedPrecondition,
   kInternal,
-  kUnimplemented,
   kIoError,
   kParseError,
   kDeadlineExceeded,
@@ -65,9 +64,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));

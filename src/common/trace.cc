@@ -32,7 +32,7 @@ std::atomic<bool> g_enabled{false};
 std::atomic<int> g_next_span_id{1};
 
 struct SinkState {
-  Mutex mu{"trace.sink"};
+  Mutex mu;
   std::shared_ptr<TraceSink> sink NLIDB_GUARDED_BY(mu);
 };
 
@@ -230,7 +230,7 @@ void TraceSpan::Annotate(const char* key, int64_t value) {
 // JsonLinesSink
 
 struct JsonLinesSink::Impl {
-  Mutex mu{"trace.json_sink"};
+  Mutex mu;
   std::FILE* file NLIDB_GUARDED_BY(mu) = nullptr;
 };
 
@@ -276,7 +276,7 @@ void JsonLinesSink::OnSpanEnd(const SpanRecord& record) {
 // InMemorySink
 
 struct InMemorySink::Impl {
-  mutable Mutex mu{"trace.mem_sink"};
+  mutable Mutex mu;
   std::vector<SpanRecord> records NLIDB_GUARDED_BY(mu);
 };
 

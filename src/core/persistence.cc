@@ -233,8 +233,7 @@ Status LoadPipeline(NlidbPipeline& pipeline, const std::string& dir) {
           "persistence.fallback_loads");
   const std::filesystem::path base(dir);
   if (!std::filesystem::exists(base / kManifest)) {
-    // Legacy flat layout: the five files directly in `dir`.
-    return LoadPipelineFrom(pipeline, base);
+    return Status::NotFound("no snapshot MANIFEST in " + dir);
   }
   const std::vector<std::string> entries = ReadManifest(base);
   if (entries.empty()) {

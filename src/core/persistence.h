@@ -22,8 +22,8 @@ Status SavePipeline(const NlidbPipeline& pipeline, const std::string& dir);
 /// listed in MANIFEST are validated (CRC + structural parse) newest
 /// first and the first complete one is loaded — a partial or corrupt
 /// save falls back to the previous snapshot (counted in
-/// `persistence.fallback_loads`). Directories without a MANIFEST are
-/// read in the legacy flat layout. The receiving pipeline must have
+/// `persistence.fallback_loads`). A directory without a MANIFEST is
+/// NotFound. The receiving pipeline must have
 /// been constructed with the same ModelConfig and an
 /// equivalently-configured EmbeddingProvider; mismatched architectures
 /// fail with FailedPrecondition (no partial loads).

@@ -152,7 +152,7 @@ class SchemaRegistry {
   };
 
   const std::shared_ptr<const text::EmbeddingProvider> provider_;
-  mutable Mutex mu_{"schema.registry"};
+  mutable Mutex mu_;
   /// Registered tables by id; ids are dense and never reused.
   std::vector<Registered> tables_ NLIDB_GUARDED_BY(mu_);
   std::unordered_map<std::string, TableId> name_to_id_ NLIDB_GUARDED_BY(mu_);

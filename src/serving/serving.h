@@ -79,7 +79,7 @@ class ServingEngine {
 
    private:
     friend class ServingEngine;
-    Mutex mu_{"serving.ticket"};
+    Mutex mu_;
     CondVar cv_;
     bool done_ NLIDB_GUARDED_BY(mu_) = false;
     ServedResult result_ NLIDB_GUARDED_BY(mu_);
@@ -122,14 +122,16 @@ class ServingEngine {
   const core::NlidbPipeline& pipeline_;
   const ServingOptions options_;
 
-  Mutex mu_{"serving.queue"};
+  // Lock order: shutdown_mu_, then mu_, then a Ticket's mu_ (DESIGN.md
+  // §14). Nothing takes them the other way round.
+  Mutex mu_;
   CondVar cv_;
   std::vector<Pending> queue_ NLIDB_GUARDED_BY(mu_);
   bool shutdown_ NLIDB_GUARDED_BY(mu_) = false;
 
   /// Serializes Shutdown against concurrent Shutdown/destruction (join
   /// must happen exactly once).
-  Mutex shutdown_mu_{"serving.shutdown"};
+  Mutex shutdown_mu_;
   bool workers_joined_ NLIDB_GUARDED_BY(shutdown_mu_) = false;
 
   /// EWMA of recent service times, feeding admission feasibility.

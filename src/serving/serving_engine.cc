@@ -168,9 +168,7 @@ void ServingEngine::WorkerLoop() {
     Pending pending;
     {
       MutexLock lock(mu_);
-      // WaitIdle: a serving worker parked on an empty admission queue
-      // is idle, not stuck — exempt from the lockdep watchdog.
-      while (!shutdown_ && queue_.empty()) cv_.WaitIdle(mu_);
+      while (!shutdown_ && queue_.empty()) cv_.Wait(mu_);
       // Shutdown drains the queue itself, so a woken worker with
       // shutdown_ set has nothing left to pick up.
       if (shutdown_) return;

@@ -137,17 +137,6 @@ float EmbeddingProvider::Cosine(const std::vector<float>& a,
   return dot / (std::sqrt(na) * std::sqrt(nb));
 }
 
-float EmbeddingProvider::L2Distance(const std::vector<float>& a,
-                                    const std::vector<float>& b) {
-  NLIDB_CHECK(a.size() == b.size()) << "L2Distance dim mismatch";
-  float s = 0.0f;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const float d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s);
-}
-
 float EmbeddingProvider::WordSimilarity(const std::string& a,
                                         const std::string& b) const {
   return Cosine(Vector(ToLower(a)), Vector(ToLower(b)));

@@ -54,10 +54,6 @@ class EmbeddingProvider {
   /// Cosine similarity in [-1, 1]; 0 when either vector is zero.
   static float Cosine(const std::vector<float>& a, const std::vector<float>& b);
 
-  /// Euclidean (L2) distance.
-  static float L2Distance(const std::vector<float>& a,
-                          const std::vector<float>& b);
-
   /// Cosine similarity between two single words.
   float WordSimilarity(const std::string& a, const std::string& b) const;
 
@@ -79,7 +75,7 @@ class EmbeddingProvider {
   // vector computation runs outside the critical section on a snapshot.
   // Returned references stay valid across later cache insertions because
   // unordered_map never moves its nodes; AddCluster's clear frees them.
-  mutable Mutex mu_{"text.embedding_cache"};
+  mutable Mutex mu_;
   // word -> list of concepts it belongs to. Written by AddCluster
   // (setup/training time; it also clears cache_ under mu_), snapshotted
   // under mu_ by Vector() on a cache miss.

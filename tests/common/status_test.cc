@@ -26,7 +26,6 @@ TEST(StatusTest, AllFactoriesProduceDistinctCodes) {
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::IoError("x").code(), StatusCode::kIoError);
   EXPECT_EQ(Status::ParseError("x").code(), StatusCode::kParseError);
 }

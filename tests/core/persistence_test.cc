@@ -117,6 +117,43 @@ TEST(PipelinePersistenceTest, MissingDirectoryFails) {
   EXPECT_FALSE(LoadPipeline(pipeline, TempDirFor("does_not_exist_xyz")).ok());
 }
 
+TEST(PipelinePersistenceTest, FlatArtifactsWithoutManifestFail) {
+  auto provider = std::make_shared<text::EmbeddingProvider>();
+  data::RegisterDomainClusters(*provider);
+  data::GeneratorConfig gc;
+  gc.num_tables = 4;
+  gc.seed = 57;
+  data::Splits splits = data::GenerateWikiSqlSplits(gc);
+  ModelConfig config = ModelConfig::Tiny();
+  config.word_dim = provider->dim();
+  NlidbPipeline trained(config, provider);
+  trained.Train(splits.train);
+  const std::string saved = TempDirFor("pipeline_flat_src");
+  ASSERT_TRUE(SavePipeline(trained, saved).ok());
+
+  // The five artifacts of the one snapshot, copied directly into a
+  // directory that has no MANIFEST: only SavePipeline's layout loads.
+  const std::filesystem::path flat = TempDirFor("pipeline_flat");
+  std::filesystem::remove_all(flat);
+  std::filesystem::create_directories(flat);
+  int copied = 0;
+  for (const auto& snap : std::filesystem::directory_iterator(saved)) {
+    if (!snap.is_directory()) continue;
+    for (const auto& file : std::filesystem::directory_iterator(snap)) {
+      std::filesystem::copy_file(file.path(), flat / file.path().filename());
+      ++copied;
+    }
+  }
+  ASSERT_EQ(copied, 5);
+
+  NlidbPipeline restored(config, provider);
+  const Status s = LoadPipeline(restored, flat.string());
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_NE(s.message().find("MANIFEST"), std::string::npos) << s.message();
+  std::filesystem::remove_all(saved);
+  std::filesystem::remove_all(flat);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace nlidb

@@ -25,7 +25,7 @@ class Ledger {
   const std::string name_;
   const int* const limit_;
   std::atomic<long> fast_total_{0};
-  mutable Mutex mu_{"fixture.ledger"};
+  mutable Mutex mu_;
   CondVar cv_;
   std::vector<int> entries_ NLIDB_GUARDED_BY(mu_);
   int total_ NLIDB_GUARDED_BY(mu_) = 0;

@@ -16,7 +16,7 @@ class Ledger {
   void Add(int d);
 
  private:
-  Mutex mu_{"fixture.ledger"};
+  Mutex mu_;
   int total_ NLIDB_GUARDED_BY(mu_) = 0;
   int pending_ = 0;
   std::string label_;

@@ -14,7 +14,7 @@ class Ledger {
   void Add(int d);
 
  private:
-  Mutex mu_{"fixture.ledger"};
+  Mutex mu_;
   int total_ NLIDB_GUARDED_BY(mu_) = 0;
   // Written once before threads start.  nlidb-lint: disable(mutex-coverage)
   int pending_ = 0;

@@ -4,7 +4,7 @@
 
 namespace nlidb {
 
-Mutex g_mu{"fixture.naked"};
+Mutex g_mu;
 int g_total NLIDB_GUARDED_BY(g_mu) = 0;
 
 void Manual() {

@@ -123,13 +123,11 @@ TEST(LintTest, NakedLockSuppressedSameLineAndPrecedingLine) {
   EXPECT_TRUE(Lint({"tests/lint/fixtures/naked_lock_suppressed.cc"}).empty());
 }
 
-TEST(LintTest, NakedLockExemptsMutexAndLockdepInternals) {
+TEST(LintTest, NakedLockExemptsMutexWrapper) {
   const std::string body = "void F(std::mutex& m) { m.lock(); m.unlock(); }\n";
-  for (const char* path : {"src/common/mutex.h", "src/common/lockdep.cc",
-                           "src/common/lockdep.h"}) {
-    EXPECT_EQ(CountRule(LintFiles({LoadSource(path, body)}), "naked-lock"), 0)
-        << path;
-  }
+  EXPECT_EQ(CountRule(LintFiles({LoadSource("src/common/mutex.h", body)}),
+                      "naked-lock"),
+            0);
   EXPECT_EQ(CountRule(LintFiles({LoadSource("src/serving/serving.cc", body)}),
                       "naked-lock"),
             1);
@@ -283,12 +281,12 @@ TEST(LintTest, RawGetenvScopeAndExemptions) {
   const std::string read =
       "#include <cstdlib>\n"
       "const char* F() { return std::getenv(\"X\"); }\n";
-  // The four process-switch readers, and everything outside src/, may
+  // The three process-switch readers, and everything outside src/, may
   // read the environment.
   for (const char* path :
        {"src/tensor/tensor.cc", "src/common/trace.cc",
-        "src/common/failpoint.cc", "src/common/lockdep.cc",
-        "tests/core/foo_test.cc", "tools/gen.cc", "bench/bench_foo.cc"}) {
+        "src/common/failpoint.cc", "tests/core/foo_test.cc", "tools/gen.cc",
+        "bench/bench_foo.cc"}) {
     EXPECT_EQ(CountRule(LintFiles({LoadSource(path, read)}), "raw-getenv"),
               0)
         << path;

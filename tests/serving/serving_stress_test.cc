@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/lockdep.h"
 #include "common/metrics.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
@@ -266,24 +265,6 @@ TEST_F(ServingStressTest, TightDeadlinesUnderLoadStayInBand) {
   }
   engine.Shutdown();
   ExpectCountersConsistent();
-}
-
-// Runs last: when the suite executes with NLIDB_DEADLOCK=on (the
-// serving_stress_lockdep ctest entry and the TSan/fault CI legs), the
-// whole battery above fed the lock-order graph — serving.queue,
-// serving.ticket, pool.*, metrics.registry — and none of it may have
-// produced an order-inversion report. Guards against
-// detector false positives on the real locking discipline as much as
-// against real inversions sneaking into serving.
-TEST(ServingLockDiscipline, NoInversionReportsAcrossSuite) {
-  if (!lockdep::Enabled()) {
-    GTEST_SKIP() << "lock-discipline analyzer disabled";
-  }
-  for (const lockdep::Report& r : lockdep::Reports()) {
-    EXPECT_NE(r.kind, lockdep::Report::Kind::kOrderInversion)
-        << r.message << "\n" << r.cycle << "\n" << r.first_stack << "\n"
-        << r.second_stack;
-  }
 }
 
 }  // namespace

@@ -366,10 +366,10 @@ void CheckRawFileWrite(const SourceFile& file, std::vector<Finding>* out) {
 const char kRawGetenv[] = "raw-getenv";
 
 /// The src/ files that read process switches which cannot change an
-/// answer: GEMM tier, trace sink, failpoints, lockdep.
+/// answer: GEMM tier, trace sink, failpoints.
 bool EnvSwitchFile(const std::string& path) {
   return path == "src/tensor/tensor.cc" || path == "src/common/trace.cc" ||
-         path == "src/common/failpoint.cc" || path == "src/common/lockdep.cc";
+         path == "src/common/failpoint.cc";
 }
 
 void CheckRawGetenv(const SourceFile& file, std::vector<Finding>* out) {
@@ -400,12 +400,11 @@ const char kMutexUnguarded[] = "mutex-unguarded";
 
 const char kNakedLock[] = "naked-lock";
 
-/// The lock-infrastructure files where direct Lock()/Unlock()/lock()/
+/// The lock-infrastructure file where direct Lock()/Unlock()/lock()/
 /// unlock() calls are the implementation, not a violation: the Mutex
-/// wrapper itself and the lockdep detector operating beneath it.
+/// wrapper itself.
 bool LockInternalFile(const std::string& path) {
-  return path == "src/common/mutex.h" || path == "src/common/lockdep.h" ||
-         path == "src/common/lockdep.cc";
+  return path == "src/common/mutex.h";
 }
 
 void CheckNakedLock(const SourceFile& file, std::vector<Finding>* out) {
@@ -413,17 +412,15 @@ void CheckNakedLock(const SourceFile& file, std::vector<Finding>* out) {
   // Zero-argument Lock/Unlock (and the std-style lowercase aliases)
   // invoked through . or -> — i.e. manual mutex manipulation. try_lock
   // variants are allowed (there is no RAII shape for a conditional
-  // acquire); scoped helpers MutexLock/MutexUnlock never appear as
-  // member calls.
+  // acquire); the scoped MutexLock never appears as a member call.
   static const std::regex re(
       "(?:\\.|->)\\s*(?:Lock|Unlock|lock|unlock)\\s*\\(\\s*\\)");
   for (size_t i = 0; i < file.code.size(); ++i) {
     if (std::regex_search(file.code[i], re)) {
       Report(file, static_cast<int>(i) + 1, kNakedLock,
              "direct Lock()/Unlock() call; hold locks through MutexLock "
-             "and drop them through MutexUnlock (src/common/mutex.h) so "
-             "every exit path — returns, exceptions — restores the lock "
-             "invariant and the lockdep held-set stays balanced",
+             "(src/common/mutex.h) so every exit path — returns, "
+             "exceptions — restores the lock invariant",
              out);
     }
   }
@@ -471,7 +468,7 @@ std::vector<ParsedClass> ParseClasses(const SourceFile& file,
     std::string stmt;
     int stmt_line = 0;
     // The enclosing statement as of this frame's '{', restored when the
-    // brace pair turns out to be an initializer (`Mutex mu_{"name"};`)
+    // brace pair turns out to be an initializer (`int n_{0};`)
     // rather than a body.
     std::string pending_stmt;
     int pending_line = 0;
@@ -651,10 +648,9 @@ void CheckMutexUnguarded(const SourceFile& file, std::vector<Finding>* out) {
   // Fires only where NLIDB_GUARDED_BY can actually be written: class
   // members and file/namespace-scope globals. Function-local mutexes
   // guard locals the declaration attribute cannot name, so they are out
-  // of scope for this rule (naked-lock and lockdep still watch them).
+  // of scope for this rule (naked-lock and TSan still watch them).
   // Statement text arrives with brace initializers elided, so both
-  // `Mutex mu_;` and `Mutex mu_{"serving.queue"};` reduce to the same
-  // shape.
+  // `Mutex mu_;` and `Mutex mu_{};` reduce to the same shape.
   static const std::regex decl(
       "^(?:mutable\\s+|static\\s+|inline\\s+)*"
       "(?:std::mutex|std::recursive_mutex|std::timed_mutex|"
@@ -690,10 +686,6 @@ void CheckMutexUnguarded(const SourceFile& file, std::vector<Finding>* out) {
 }
 
 void CheckMutexCoverage(const SourceFile& file, std::vector<Finding>* out) {
-  // mutex.h's own identity fields (name/site, ctor-set) and the lockdep
-  // graph internals (raw std::mutex by necessity — it runs beneath the
-  // annotated wrapper) are the two structural exemptions.
-  if (LockInternalFile(file.path)) return;
   for (const ParsedClass& cls : ParseClasses(file)) {
     bool owns_mutex = false;
     for (const MemberStmt& m : cls.members) {
@@ -861,7 +853,7 @@ std::vector<std::string> RuleDescriptions() {
       "mutex-unguarded: every mutex member has NLIDB_GUARDED_BY state "
       "in the same file",
       "naked-lock: no direct Lock()/Unlock() calls outside the Mutex "
-      "wrapper and lockdep internals; use MutexLock / MutexUnlock",
+      "wrapper; use MutexLock",
       "mutex-coverage: every field of a mutex-owning class is "
       "NLIDB_GUARDED_BY-annotated, const, atomic, or suppressed with "
       "a rationale",
