@@ -76,7 +76,7 @@ inline const char* SchemaJsonPath() {
   return v != nullptr ? v : "BENCH_schema.json";
 }
 
-/// Output path for bench_attack's soak + hardening report.
+/// Output path for bench_attack's attack + hardening report.
 inline const char* AttackJsonPath() {
   const char* v = std::getenv("NLIDB_BENCH_ATTACK_JSON");
   return v != nullptr ? v : "BENCH_attack.json";

@@ -38,28 +38,23 @@ struct BenchEnv {
   core::ModelConfig config;
 };
 
-/// The count in environment variable `name`, or `fallback` when it is
+/// The table count in NLIDB_BENCH_TABLES, or `fallback` when it is
 /// unset or empty. A typo must not silently shrink a run: anything but
-/// a whole positive decimal no larger than `max` prints a message and
+/// a whole positive decimal no larger than INT_MAX prints a message and
 /// exits 2.
-inline unsigned long long EnvCount(const char* name,
-                                   unsigned long long fallback,
-                                   unsigned long long max = ULLONG_MAX) {
-  const char* v = std::getenv(name);
+inline int EnvTables(int fallback = 60) {
+  const char* v = std::getenv("NLIDB_BENCH_TABLES");
   if (v == nullptr || *v == '\0') return fallback;
   char* end = nullptr;
   errno = 0;
   const unsigned long long n = std::strtoull(v, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
-      errno == ERANGE || n == 0 || n > max) {
-    std::fprintf(stderr, "%s=\"%s\" is not a positive count\n", name, v);
+      errno == ERANGE || n == 0 || n > INT_MAX) {
+    std::fprintf(stderr, "NLIDB_BENCH_TABLES=\"%s\" is not a positive count\n",
+                 v);
     std::exit(2);
   }
-  return n;
-}
-
-inline int EnvTables(int fallback = 60) {
-  return static_cast<int>(EnvCount("NLIDB_BENCH_TABLES", fallback, INT_MAX));
+  return static_cast<int>(n);
 }
 
 /// Nearest-rank q-quantile (0 < q <= 1) of `samples`: the smallest

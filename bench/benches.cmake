@@ -11,8 +11,7 @@ endfunction()
 
 nlidb_bench(bench_table1_mention_cases bench_table1_mention_cases.cc)
 nlidb_bench(bench_table2_main bench_table2_main.cc)
-nlidb_bench(bench_table2_ablation bench_table2_ablation.cc)
-nlidb_bench(bench_table3_recovery bench_table3_recovery.cc)
+nlidb_bench(bench_table2_3_variants bench_table2_3_variants.cc)
 nlidb_bench(bench_table4_overnight bench_table4_overnight.cc)
 nlidb_bench(bench_table4_paraphrase bench_table4_paraphrase.cc)
 nlidb_bench(bench_fig5_gradients bench_fig5_gradients.cc)

@@ -20,7 +20,7 @@ namespace attack {
 /// Deterministic offline accuracy-under-attack: sequential
 /// pipeline.Query over every mutant, triaged into a matrix. No serving
 /// engine, no deadlines — this isolates model robustness from load
-/// effects (the soak driver measures those).
+/// effects.
 AttackMatrix EvaluateUnderAttack(const core::NlidbPipeline& pipeline,
                                  const std::vector<Mutant>& mutants);
 

@@ -20,7 +20,7 @@ namespace attack {
 /// generator's styles; lexical, morphological and missing are the
 /// mutation engine's synonym-swap, inflection and implicit-column
 /// mutators applied to the naive corpus — the same operators the
-/// adversarial soak replays, so the benchmark and the attack surface
+/// hardening loop attacks with, so the benchmark and the attack surface
 /// cannot drift apart.
 struct ParaphraseBenchCorpus {
   struct Category {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/metrics.h"
 #include "common/strings.h"
 #include "eval/metrics.h"
 
@@ -168,25 +167,6 @@ std::string AttackMatrix::Render() const {
     }
   }
   return out;
-}
-
-void AttackMatrix::ExportMetrics() const {
-  auto& registry = metrics::MetricsRegistry::Global();
-  for (int r = 0; r <= kCleanRow; ++r) {
-    if (RowTotal(r) == 0) continue;
-    const std::string prefix = std::string("attack.") + RowName(r);
-    for (int s = 0; s < kNumStages; ++s) {
-      if (counts[r][s] == 0) continue;
-      registry
-          .GetCounter(prefix + "." + StageName(static_cast<FailStage>(s)))
-          .Increment(static_cast<int64_t>(counts[r][s]));
-    }
-    const double acc = RowAccuracy(r);
-    if (acc >= 0.0) {
-      registry.GetGauge(prefix + ".accuracy_permille")
-          .Update(static_cast<int64_t>(1000.0 * acc));
-    }
-  }
 }
 
 }  // namespace attack

@@ -6,8 +6,8 @@
 // Every (gold example, serving outcome) pair is classified into exactly
 // one FailStage using the QueryResult's per-stage artifacts, and the
 // buckets accumulate into a per-mutator × per-stage accuracy-under-attack
-// matrix — the unit the soak driver reports, BENCH_attack.json commits,
-// and the hardening loop consumes.
+// matrix — the unit BENCH_attack.json commits and the hardening loop
+// consumes.
 
 #include <cstdint>
 #include <string>
@@ -84,13 +84,9 @@ struct AttackMatrix {
 
   /// Fixed-width table (rows = mutators + clean, columns = stages).
   std::string Render() const;
-
-  /// Publishes every cell as `attack.<mutator>.<stage>` counters plus
-  /// `attack.<mutator>.accuracy_permille` into the global registry.
-  void ExportMetrics() const;
 };
 
-/// Row label for Render()/ExportMetrics: MutatorName or "clean".
+/// Row label for Render(): MutatorName or "clean".
 const char* RowName(int row);
 
 }  // namespace attack

@@ -147,12 +147,6 @@ void ActivateRandomDelay(uint64_t seed) {
   PublishActive(ActiveCount(r));
 }
 
-bool RandomDelayActive() {
-  Registry& r = GetRegistry();
-  MutexLock lock(r.mu);
-  return r.random_delay;
-}
-
 void Deactivate(const std::string& site) {
   Registry& r = GetRegistry();
   MutexLock lock(r.mu);
@@ -178,13 +172,9 @@ void InitFromEnv() {
       const std::string t = Strip(token);
       if (t.empty()) continue;
       if (StartsWith(t, "random-delay:")) {
-        Registry& r = GetRegistry();
-        MutexLock lock(r.mu);
-        r.random_delay = true;
-        r.random_seed = std::strtoull(t.c_str() + 13, nullptr, 10);
-        PublishActive(ActiveCount(r));
-        NLIDB_LOG(Info) << "failpoint random-delay schedule, seed "
-                        << r.random_seed;
+        const uint64_t seed = std::strtoull(t.c_str() + 13, nullptr, 10);
+        ActivateRandomDelay(seed);
+        NLIDB_LOG(Info) << "failpoint random-delay schedule, seed " << seed;
         continue;
       }
       const size_t eq = t.find('=');

@@ -81,12 +81,9 @@ Status Activate(const std::string& site, const std::string& spec);
 
 /// Activates the random-delay schedule mode programmatically — the same
 /// mode NLIDB_FAILPOINTS="random-delay:<seed>" enables from the
-/// environment. The attack soak driver uses this to perturb thread
-/// schedules under a caller-chosen seed. Deactivated by DeactivateAll().
+/// environment. Resets the per-site hit counts, so a seed replays the
+/// same fire pattern. Deactivated by DeactivateAll().
 void ActivateRandomDelay(uint64_t seed);
-
-/// True while the random-delay schedule is on (env- or API-activated).
-bool RandomDelayActive();
 
 /// Deactivates one site / all sites (and random-delay mode).
 void Deactivate(const std::string& site);

@@ -122,8 +122,8 @@ class ServingEngine {
   const core::NlidbPipeline& pipeline_;
   const ServingOptions options_;
 
-  // Lock order: shutdown_mu_, then mu_, then a Ticket's mu_ (DESIGN.md
-  // §14). Nothing takes them the other way round.
+  // Lock order (DESIGN.md §14): shutdown_mu_ before mu_ or a Ticket's
+  // mu_. mu_ and a Ticket's mu_ are never held together.
   Mutex mu_;
   CondVar cv_;
   std::vector<Pending> queue_ NLIDB_GUARDED_BY(mu_);

@@ -135,25 +135,28 @@ std::shared_ptr<ServingEngine::Ticket> ServingEngine::Submit(
   pending.ticket = ticket;
   pending.submit_ns = now;
   pending.parent_span = trace::CurrentSpanId();
+  // A rejection is decided under the queue lock but resolved after it is
+  // released, so the queue lock is never held around a ticket lock.
+  const char* rejection = nullptr;
   {
     MutexLock lock(mu_);
     if (shutdown_) {
       counters.rejected_shutdown.Increment();
-      ServedResult rejected;
-      rejected.status = Status::Unavailable("serving engine is shut down");
-      Resolve(*ticket, std::move(rejected));
-      return ticket;
-    }
-    if (static_cast<int>(queue_.size()) >= options_.queue_capacity) {
+      rejection = "serving engine is shut down";
+    } else if (static_cast<int>(queue_.size()) >= options_.queue_capacity) {
       counters.rejected_queue_full.Increment();
-      ServedResult rejected;
-      rejected.status = Status::Unavailable("serving queue is full");
-      Resolve(*ticket, std::move(rejected));
-      return ticket;
+      rejection = "serving queue is full";
+    } else {
+      counters.admitted.Increment();
+      queue_.push_back(std::move(pending));
+      counters.queue_depth_peak.Update(static_cast<int64_t>(queue_.size()));
     }
-    counters.admitted.Increment();
-    queue_.push_back(std::move(pending));
-    counters.queue_depth_peak.Update(static_cast<int64_t>(queue_.size()));
+  }
+  if (rejection != nullptr) {
+    ServedResult rejected;
+    rejected.status = Status::Unavailable(rejection);
+    Resolve(*ticket, std::move(rejected));
+    return ticket;
   }
   cv_.NotifyOne();
   return ticket;

@@ -1,7 +1,7 @@
 // Triage-layer tests: TriageOutcome must land every (status, result)
 // combination in exactly one FailStage, and the AttackMatrix accounting
-// (answered/accuracy/worst-row/merge/export) must be exact — the
-// hardening loop and the bench gate both consume these numbers.
+// (answered/accuracy/worst-row/merge/render) must be exact — the
+// hardening loop and bench_attack both consume these numbers.
 
 #include "attack/triage.h"
 
@@ -9,7 +9,6 @@
 
 #include <memory>
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "sql/table.h"
 #include "sql/value.h"
@@ -200,27 +199,6 @@ TEST(AttackMatrixTest, RowNamesAndRender) {
   EXPECT_NE(table.find("100.00%"), std::string::npos);
   // Untouched rows are elided.
   EXPECT_EQ(table.find("typo_casing"), std::string::npos);
-}
-
-TEST(AttackMatrixTest, ExportMetricsPublishesCountsAndAccuracy) {
-  metrics::MetricsRegistry::Global().ResetAll();
-  AttackMatrix m;
-  m.Add(MutatorKind::kSynonymSwap, FailStage::kOk);
-  m.Add(MutatorKind::kSynonymSwap, FailStage::kOk);
-  m.Add(MutatorKind::kSynonymSwap, FailStage::kMentionMiss);
-  m.Add(MutatorKind::kSynonymSwap, FailStage::kShedDeadline);
-  m.ExportMetrics();
-
-  auto& registry = metrics::MetricsRegistry::Global();
-  EXPECT_EQ(registry.GetCounter("attack.synonym_swap.ok").Value(), 2);
-  EXPECT_EQ(registry.GetCounter("attack.synonym_swap.mention_miss").Value(),
-            1);
-  EXPECT_EQ(registry.GetCounter("attack.synonym_swap.shed_deadline").Value(),
-            1);
-  // 2 ok / 3 answered.
-  EXPECT_EQ(registry.GetGauge("attack.synonym_swap.accuracy_permille").Value(),
-            666);
-  metrics::MetricsRegistry::Global().ResetAll();
 }
 
 }  // namespace

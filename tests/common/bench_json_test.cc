@@ -3,8 +3,7 @@
 // load-bearing behaviors: a save rewrites the whole file (each file has
 // one writer, so no key outlives the run that set it), string escaping,
 // compact number formatting, and the env-overridable output paths. Also
-// covers bench/bench_util.h's strict reader for the count variables
-// (NLIDB_BENCH_TABLES, NLIDB_ATTACK_QUERIES).
+// covers bench/bench_util.h's strict NLIDB_BENCH_TABLES reader.
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"

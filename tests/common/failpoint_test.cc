@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -116,6 +117,42 @@ TEST(FailpointTest, ScopedFailpointDeactivatesOnExit) {
 TEST(FailpointTest, DelayActionProceedsOk) {
   failpoint::ScopedFailpoint fp("test/delay", "delay:1");
   EXPECT_TRUE(NLIDB_FAILPOINT("test/delay").ok());
+}
+
+// The random-delay schedule: which hits of a site fire is a pure
+// function of (seed, site, hit count), so a seed replays exactly.
+TEST(FailpointTest, RandomDelayScheduleIsSeededAndCounted) {
+  constexpr int kHits = 400;
+  const char* site = "test/random_delay";
+  auto fire_pattern = [&](uint64_t seed) {
+    failpoint::ActivateRandomDelay(seed);
+    const int64_t fired_before = CounterValue("failpoint.fired");
+    const int64_t site_before =
+        CounterValue(std::string("failpoint.") + site);
+    std::vector<bool> pattern;
+    int fires = 0;
+    for (int i = 0; i < kHits; ++i) {
+      const bool fired =
+          failpoint::Fire(site).kind == failpoint::ActionKind::kDelay;
+      pattern.push_back(fired);
+      fires += fired;
+    }
+    failpoint::DeactivateAll();
+    EXPECT_EQ(CounterValue("failpoint.fired"), fired_before + fires);
+    EXPECT_EQ(CounterValue(std::string("failpoint.") + site),
+              site_before + fires);
+    return pattern;
+  };
+
+  const std::vector<bool> first = fire_pattern(11);
+  EXPECT_EQ(fire_pattern(11), first);
+  EXPECT_NE(fire_pattern(12), first);
+  // Each hit fires with probability 1/8: 50 expected of 400.
+  const int fires = static_cast<int>(
+      std::count(first.begin(), first.end(), true));
+  EXPECT_GE(fires, 25);
+  EXPECT_LE(fires, 75);
+  EXPECT_FALSE(failpoint::AnyActive());
 }
 
 TEST(FailpointTest, MalformedSpecsRejected) {

@@ -81,35 +81,41 @@ class ServingStressTest : public ::testing::Test {
 };
 
 TEST_F(ServingStressTest, RacingSubmitsAndCancelsAllResolve) {
-  serving::ServingOptions options;
-  options.num_workers = 4;
-  options.queue_capacity = 1024;
-  serving::ServingEngine engine(*pipeline_, options);
+  // 1 and 8 workers cover both ends of the engine's size around the
+  // default of 4.
+  for (int workers : {1, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    metrics::MetricsRegistry::Global().ResetAll();
+    serving::ServingOptions options;
+    options.num_workers = workers;
+    options.queue_capacity = 1024;
+    serving::ServingEngine engine(*pipeline_, options);
 
-  const int kThreads = kScale;
-  const int kPerThread = 16;
-  std::atomic<bool> cancel{false};
-  std::atomic<int> resolved{0};
-  testing::RunOnThreads(kThreads, [&](int t) {
-    for (int i = 0; i < kPerThread; ++i) {
-      core::QueryRequest request = Request();
-      // Odd submissions share a cancel flag that flips mid-run, so
-      // dequeue-time cancellation races live traffic.
-      if ((t + i) % 2 == 1) request.cancel = &cancel;
-      serving::ServedResult served = engine.Query(std::move(request));
-      // Any in-band resolution is legal under the race; what must
-      // never happen is a hang (test timeout) or a crash.
-      resolved.fetch_add(1, std::memory_order_relaxed);
-      if (i == kPerThread / 2 && t == 0) {
-        cancel.store(true, std::memory_order_relaxed);
+    const int kThreads = kScale;
+    const int kPerThread = 16;
+    std::atomic<bool> cancel{false};
+    std::atomic<int> resolved{0};
+    testing::RunOnThreads(kThreads, [&](int t) {
+      for (int i = 0; i < kPerThread; ++i) {
+        core::QueryRequest request = Request();
+        // Odd submissions share a cancel flag that flips mid-run, so
+        // dequeue-time cancellation races live traffic.
+        if ((t + i) % 2 == 1) request.cancel = &cancel;
+        serving::ServedResult served = engine.Query(std::move(request));
+        // Any in-band resolution is legal under the race; what must
+        // never happen is a hang (test timeout) or a crash.
+        resolved.fetch_add(1, std::memory_order_relaxed);
+        if (i == kPerThread / 2 && t == 0) {
+          cancel.store(true, std::memory_order_relaxed);
+        }
       }
-    }
-  });
-  EXPECT_EQ(resolved.load(), kThreads * kPerThread);
-  engine.Shutdown();
-  ExpectCountersConsistent();
-  EXPECT_EQ(Count("serving.submitted"),
-            static_cast<uint64_t>(kThreads * kPerThread));
+    });
+    EXPECT_EQ(resolved.load(), kThreads * kPerThread);
+    engine.Shutdown();
+    ExpectCountersConsistent();
+    EXPECT_EQ(Count("serving.submitted"),
+              static_cast<uint64_t>(kThreads * kPerThread));
+  }
 }
 
 TEST_F(ServingStressTest, ZeroWorkersQueueFillsThenDrainsOnShutdown) {
