@@ -5,9 +5,10 @@
 //
 // Before the google-benchmark suite runs, main() times the tiled GEMM
 // kernels against the seed-equivalent reference loops (gemm_reference.cc,
-// compiled with the seed's flags) and the tanh row kernels of both tiers
-// against a libm std::tanh loop, and writes the results to
-// BENCH_substrate.json (override the path with NLIDB_BENCH_JSON).
+// compiled with the seed's flags), each tier's RowsAB at the decoder's
+// beam heights, and the tanh row kernels of both tiers against a libm
+// std::tanh loop, and writes the results to BENCH_substrate.json
+// (override the path with NLIDB_BENCH_JSON).
 
 #include <benchmark/benchmark.h>
 
@@ -248,6 +249,45 @@ void RunSubstrateGemmReport(bench::FlatJson& json) {
   }
 }
 
+// --- Beam-height GEMM per tier (BENCH_substrate.json) -------------------
+
+// The decoder's GEMMs have one row per live beam, so m <= 5 at the
+// paper's beam width: below the AVX2 6-row tile, on the leftover-row
+// tile the square cases above never reach. Times the GRU gate products
+// [m,k] x [k,384] (k = 176 input, 128 hidden) on each tier's RowsAB.
+void RunSubstrateSmallMReport(bench::FlatJson& json) {
+  struct TierCase {
+    const char* key;
+    gemm::RowsABFn rows_ab;
+  };
+  std::vector<TierCase> tiers = {{"base", &gemm::base::RowsAB}};
+  if (gemm::avx2::Available()) tiers.push_back({"avx2", &gemm::avx2::RowsAB});
+  constexpr int kN = 384;
+  std::printf("\nsubstrate: beam-height RowsAB, [m,k] x [k,%d]\n", kN);
+  std::printf("%-6s %4s %4s %12s %9s\n", "tier", "m", "k", "ns/op", "GMAC/s");
+  for (int k : {176, 128}) {
+    for (int m : {1, 3, 5, 6}) {
+      Rng rng(static_cast<uint64_t>(m) * 1000 + k);
+      const Tensor a = Tensor::Gaussian({m, k}, 1.0f, rng);
+      const Tensor b = Tensor::Gaussian({k, kN}, 1.0f, rng);
+      Tensor out = Tensor::Zeros({m, kN});
+      for (const TierCase& t : tiers) {
+        const double ns = BestNsPerCall([&] {
+          out.Fill(0.0f);
+          t.rows_ab(a.data(), b.data(), out.data(), m, k, kN);
+          benchmark::DoNotOptimize(out.data());
+        });
+        const double gmacs = static_cast<double>(m) * k * kN / ns;
+        std::printf("%-6s %4d %4d %12.0f %9.2f\n", t.key, m, k, ns, gmacs);
+        const std::string stem = "gemm_ab_m" + std::to_string(m) + "_k" +
+                                 std::to_string(k) + "_n384_" + t.key;
+        json.Set(stem + "_ns", ns);
+        json.Set(stem + "_gmacs", gmacs);
+      }
+    }
+  }
+}
+
 // --- tanh row kernels vs libm (BENCH_substrate.json) -------------------
 
 using TanhFn = void (*)(const float* in, float* out, int n);
@@ -297,6 +337,7 @@ int main(int argc, char** argv) {
     nlidb::bench::FlatJson json;
     nlidb::bench::SetMachineKeys(json);
     nlidb::RunSubstrateGemmReport(json);
+    nlidb::RunSubstrateSmallMReport(json);
     nlidb::RunSubstrateTanhReport(json);
     json.Save(nlidb::bench::SubstrateJsonPath());
     std::printf("wrote %s (%zu keys)\n\n", nlidb::bench::SubstrateJsonPath(),

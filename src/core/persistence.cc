@@ -177,7 +177,6 @@ Status SavePipeline(const NlidbPipeline& pipeline, const std::string& dir) {
   static metrics::Counter& saves =
       metrics::MetricsRegistry::Global().GetCounter(
           "persistence.snapshot_saves");
-  failpoint::InitFromEnv();
   const std::filesystem::path base(dir);
   std::error_code ec;
   std::filesystem::create_directories(base, ec);

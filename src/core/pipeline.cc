@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -15,6 +16,10 @@ NlidbPipeline::NlidbPipeline(const ModelConfig& config,
                              std::shared_ptr<text::EmbeddingProvider> provider)
     : config_(config), provider_(std::move(provider)) {
   NLIDB_CHECK(provider_ != nullptr) << "pipeline needs an embedding provider";
+  // Arms NLIDB_FAILPOINTS (once per process), so every binary that builds
+  // a pipeline runs under a requested fault schedule, not only the ones
+  // that write or load files.
+  failpoint::InitFromEnv();
   classifier_ = std::make_unique<ColumnMentionClassifier>(config_, *provider_);
   value_detector_ = std::make_unique<ValueDetector>(config_, *provider_);
   translator_ = std::make_unique<Seq2SeqTranslator>(config_);

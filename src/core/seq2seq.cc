@@ -61,7 +61,7 @@ const char* Seq2SeqTranslator::DecodeModeName(DecodeMode mode) {
 }
 
 Seq2SeqTranslator::Seq2SeqTranslator(const ModelConfig& config)
-    : config_(config), symbol_rng_(config.seed + 2) {
+    : config_(config) {
   Rng rng(config_.seed + 3);
   const int d = config_.word_dim;
   const int h = config_.seq2seq_hidden;

@@ -180,7 +180,6 @@ class Seq2SeqTranslator : public TranslatorInterface {
 
   ModelConfig config_;
   text::Vocab vocab_;
-  mutable Rng symbol_rng_;
   std::atomic<DecodeMode> decode_mode_{DecodeMode::kFast};
 
   std::unique_ptr<nn::Embedding> embedding_;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,9 +31,10 @@ void ExpectBitwiseEqual(const Tensor& got, const Tensor& want,
       << context;
 }
 
-// Shapes chosen to hit: single row/col, every residue mod the 4-row
-// micro-panel, residues around the 8- and 16-wide column panels, and a
-// couple of larger blocks.
+// Shapes chosen to hit: single row/col, every residue mod the full
+// tile heights (4 rows on the base tier, 6 on AVX2) so each leftover-row
+// tile runs, residues around the one-vector (4/8) and multi-vector
+// (8/16/32) column panels, and a couple of larger blocks.
 struct Shape {
   int m, k, n;
 };
@@ -42,10 +45,42 @@ const Shape kShapes[] = {
     {13, 19, 5}, {16, 32, 48}, {31, 33, 35}, {40, 24, 8}, {64, 48, 72},
 };
 
+// kShapes, plus the decoder's beam products (m = 1..6 rows at beam width
+// 5: GRU input/hidden gates, attention query, output scores) and column
+// residues around the 32-wide panel at every leftover-row height.
+std::vector<Shape> AllShapes() {
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  const Shape decoder_kn[] = {{0, 176, 384}, {0, 128, 384}, {0, 128, 64},
+                              {0, 256, 37}};
+  for (int m = 1; m <= 6; ++m) {
+    for (const Shape& kn : decoder_kn) shapes.push_back({m, kn.k, kn.n});
+  }
+  for (int n : {31, 32, 33, 40, 56}) {
+    for (int m = 1; m <= 7; ++m) shapes.push_back({m, 13, n});
+  }
+  return shapes;
+}
+
+// Adapters from one tier's raw row kernel to the Tensor signature.
+template <gemm::RowsABFn kRows>
+void TierAB(const Tensor& a, const Tensor& b, Tensor& out) {
+  kRows(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.cols());
+}
+
+template <gemm::RowsABtFn kRows>
+void TierABt(const Tensor& a, const Tensor& b, Tensor& out) {
+  kRows(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.rows());
+}
+
+template <gemm::RowsAtBFn kRows>
+void TierAtB(const Tensor& a, const Tensor& b, Tensor& out) {
+  kRows(a.data(), b.data(), out.data(), a.rows(), a.cols(), b.cols());
+}
+
 void CheckKernel(GemmFn tiled, GemmFn reference, bool transpose_a,
                  bool transpose_b, float zero_fraction) {
   Rng rng(12345);
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : AllShapes()) {
     // a carries the contraction on rows when transposed: AtB contracts
     // a's rows with b's rows; ABt contracts a's cols with b's cols.
     const std::vector<int> a_shape =
@@ -106,25 +141,41 @@ TEST(GemmTest, TransposeADenseAndSparsePathsMatchReferenceBitwise) {
 }
 
 TEST(GemmTest, BothIsaTiersMatchReferenceBitwise) {
-  // MatMulAccumulate dispatches to whichever tier this machine supports;
-  // exercise base and avx2 row kernels directly so the tier NOT chosen
-  // by the dispatcher is still covered (on non-AVX2 builds the avx2
-  // symbols forward to base, which is fine — the assertion still holds).
-  Rng rng(4242);
-  for (const Shape& s : kShapes) {
-    Tensor a = Tensor::Gaussian({s.m, s.k}, 1.0f, rng);
-    Tensor b = Tensor::Gaussian({s.k, s.n}, 1.0f, rng);
-    Tensor want = Tensor::Gaussian({s.m, s.n}, 0.5f, rng);
-    Tensor got_base = want;
-    Tensor got_avx2 = want;
-    MatMulAccumulateReference(a, b, want);
-    gemm::base::RowsAB(a.data(), b.data(), got_base.data(), s.m, s.k, s.n);
-    gemm::avx2::RowsAB(a.data(), b.data(), got_avx2.data(), s.m, s.k, s.n);
-    const std::string ctx = "m=" + std::to_string(s.m) +
-                            " k=" + std::to_string(s.k) +
-                            " n=" + std::to_string(s.n);
-    ExpectBitwiseEqual(got_base, want, "base " + ctx);
-    ExpectBitwiseEqual(got_avx2, want, "avx2 " + ctx);
+  // The Tensor-level entry points dispatch to whichever tier this
+  // machine supports; call every row kernel of both tiers directly so
+  // the tier NOT chosen by the dispatcher is still covered (on non-AVX2
+  // builds the avx2 symbols forward to base, which is fine — the
+  // assertion still holds). RowsAtB has no sparse path of its own, so
+  // dense inputs cover it.
+  {
+    SCOPED_TRACE("base RowsAB");
+    CheckKernel(&TierAB<gemm::base::RowsAB>, &MatMulAccumulateReference,
+                false, false, 0.0f);
+  }
+  {
+    SCOPED_TRACE("avx2 RowsAB");
+    CheckKernel(&TierAB<gemm::avx2::RowsAB>, &MatMulAccumulateReference,
+                false, false, 0.0f);
+  }
+  {
+    SCOPED_TRACE("base RowsABt");
+    CheckKernel(&TierABt<gemm::base::RowsABt>,
+                &MatMulTransposeBAccumulateReference, false, true, 0.0f);
+  }
+  {
+    SCOPED_TRACE("avx2 RowsABt");
+    CheckKernel(&TierABt<gemm::avx2::RowsABt>,
+                &MatMulTransposeBAccumulateReference, false, true, 0.0f);
+  }
+  {
+    SCOPED_TRACE("base RowsAtB");
+    CheckKernel(&TierAtB<gemm::base::RowsAtB>,
+                &MatMulTransposeAAccumulateReference, true, false, 0.0f);
+  }
+  {
+    SCOPED_TRACE("avx2 RowsAtB");
+    CheckKernel(&TierAtB<gemm::avx2::RowsAtB>,
+                &MatMulTransposeAAccumulateReference, true, false, 0.0f);
   }
 }
 
