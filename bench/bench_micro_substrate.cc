@@ -6,8 +6,9 @@
 // Before the google-benchmark suite runs, main() times the tiled GEMM
 // kernels against the seed-equivalent reference loops (gemm_reference.cc,
 // compiled with the seed's flags), each tier's RowsAB at the decoder's
-// beam heights, and the tanh row kernels of both tiers against a libm
-// std::tanh loop, and writes the results to BENCH_substrate.json
+// beam heights, and the tanh row kernels (base, AVX2 and AVX-512; a
+// kernel the CPU lacks prints "skipped" and writes no key) against a
+// libm std::tanh loop, and writes the results to BENCH_substrate.json
 // (override the path with NLIDB_BENCH_JSON).
 
 #include <benchmark/benchmark.h>
@@ -308,17 +309,23 @@ void RunSubstrateTanhReport(bench::FlatJson& json) {
   struct TanhCase {
     const char* key;
     TanhFn fn;
+    bool available;
   };
-  std::vector<TanhCase> cases = {{"libm", &LibmTanhRows},
-                                 {"base", &gemm::base::TanhRows}};
-  if (gemm::avx2::Available()) {
-    cases.push_back({"avx2", &gemm::avx2::TanhRows});
-  }
+  const TanhCase cases[] = {
+      {"libm", &LibmTanhRows, true},
+      {"base", &gemm::base::TanhRows, true},
+      {"avx2", &gemm::avx2::TanhRows, gemm::avx2::Available()},
+      {"avx512", &gemm::avx512::TanhRows, gemm::avx512::Available()},
+  };
   std::printf("\nsubstrate: tanh on a %dx%d attention block\n", kRows,
               kCols);
   std::printf("%-6s %12s\n", "tanh", "ns/elem");
   const int n = static_cast<int>(in.size());
   for (const TanhCase& c : cases) {
+    if (!c.available) {
+      std::printf("%-6s %12s\n", c.key, "skipped");
+      continue;
+    }
     const double ns = BestNsPerCall([&] {
                         c.fn(in.data(), out.data(), n);
                         benchmark::DoNotOptimize(out.data());

@@ -59,20 +59,6 @@ StatusOr<Var> ValueDetector::ForwardFromVectors(
   return mlp_->Forward(MakeVar(std::move(input)));
 }
 
-StatusOr<float> ValueDetector::Score(
-    const std::vector<std::string>& span_tokens,
-    const sql::ColumnStatistics& stats) const {
-  return ScoreEmbedding(provider_->PhraseVector(span_tokens), stats);
-}
-
-StatusOr<float> ValueDetector::ScoreEmbedding(
-    const std::vector<float>& span_embedding,
-    const sql::ColumnStatistics& stats) const {
-  StatusOr<Var> logit = ForwardFromVectors(span_embedding, stats.embedding);
-  if (!logit.ok()) return logit.status();
-  return Sigmoid((*logit)->value.vec()[0]);
-}
-
 StatusOr<std::vector<float>> ValueDetector::ScoreColumns(
     const std::vector<float>& span_embedding,
     const std::vector<sql::ColumnStatistics>& table_stats,

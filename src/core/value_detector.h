@@ -37,10 +37,6 @@ class ValueDetector : public nn::Module {
   StatusOr<Var> ForwardFromVectors(const std::vector<float>& span_embedding,
                                    const std::vector<float>& column_stats) const;
 
-  /// P(span is a value of the column described by `stats`).
-  StatusOr<float> Score(const std::vector<std::string>& span_tokens,
-                        const sql::ColumnStatistics& stats) const;
-
   /// Candidate value spans of a question: contiguous spans of length
   /// 1..max_value_span containing no stop words (Sec. IV-D).
   std::vector<text::Span> CandidateSpans(
@@ -66,14 +62,10 @@ class ValueDetector : public nn::Module {
   const text::EmbeddingProvider& provider() const { return *provider_; }
 
  private:
-  // Score for an already embedded span (the provider's PhraseVector of
-  // its tokens) through the autograd graph; `Score` runs it.
-  StatusOr<float> ScoreEmbedding(const std::vector<float>& span_embedding,
-                                 const sql::ColumnStatistics& stats) const;
-
-  // Scores of one embedded span against table_stats[c] for every c in
-  // `columns`, from one graph-free [k, 2d] pass of the MLP (Detect's
-  // path). Each score is bitwise equal to ScoreEmbedding's.
+  // P(span is a value of table_stats[c]) of one embedded span for every
+  // c in `columns`, from one graph-free [k, 2d] pass of the MLP (Detect's
+  // path). Each score is bitwise equal to the sigmoid of
+  // ForwardFromVectors' logit (testing::AutogradValueScore checks it).
   StatusOr<std::vector<float>> ScoreColumns(
       const std::vector<float>& span_embedding,
       const std::vector<sql::ColumnStatistics>& table_stats,

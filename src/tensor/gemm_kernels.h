@@ -13,12 +13,16 @@
 // machine runs the model never changes its outputs.
 //
 // tanh does not call libm. The base tier is a scalar port of the fdlibm
-// tanhf -> expm1f algorithm (the code glibc ships for tanhf on x86-64);
-// the AVX2 tier runs the same float operations on 8 lanes and hands
-// lanes outside its range (|x| >= 22, |x| < 2^-55, ±0, inf, NaN) to the
-// scalar port. tests/tensor/tanh_kernel_test.cc checks the two tiers
-// bit for bit over all 2^32 inputs, so a glibc whose tanhf rounds
-// differently cannot change model outputs.
+// tanhf -> expm1f algorithm (the code glibc ships for tanhf on x86-64).
+// tanh_vec.h runs the same float operations on every lane of a vector
+// and hands lanes outside its range (|x| >= 22, |x| < 2^-55, ±0, inf,
+// NaN) to the scalar port; the AVX2 tier instantiates it at 8 lanes and
+// gemm_kernels_avx512.cc at 16. The AVX2 tier's tanh_rows is the
+// 16-lane kernel when avx512::Available(); there is no AVX-512 tier,
+// and the GEMMs stay on the AVX2 kernels.
+// tests/tensor/tanh_kernel_test.cc checks every instantiation against
+// the scalar port bit for bit over all 2^32 inputs, so a glibc whose
+// tanhf rounds differently cannot change model outputs.
 
 namespace nlidb {
 namespace gemm {
@@ -54,6 +58,13 @@ void RowsABt(const float* a, const float* b, float* out, int m, int k, int n);
 void RowsAtB(const float* a, const float* b, float* out, int k, int m, int n);
 void TanhRows(const float* in, float* out, int n);
 }  // namespace avx2
+
+namespace avx512 {
+/// True only when this TU was compiled at x86-64-v4 AND the running CPU
+/// supports it. Not a tier: the AVX2 tier's tanh_rows resolves here.
+[[nodiscard]] bool Available();
+void TanhRows(const float* in, float* out, int n);
+}  // namespace avx512
 
 struct RowKernels {
   RowsABFn rows_ab;

@@ -40,6 +40,8 @@ typedef float VecF4 __attribute__((vector_size(16)));
 /// 256-bit lane for the AVX2 tier (GCC splits it into two 128-bit ops
 /// when the target lacks AVX, so the type itself is always legal).
 typedef float VecF8 __attribute__((vector_size(32)));
+/// 512-bit lane for the AVX-512 tanh (tanh_vec.h); no GEMM tile uses it.
+typedef float VecF16 __attribute__((vector_size(64)));
 
 template <typename Vec>
 inline constexpr int kLanes = static_cast<int>(sizeof(Vec) / sizeof(float));

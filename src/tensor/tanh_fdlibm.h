@@ -3,9 +3,10 @@
 
 // Constants of the fdlibm single-precision tanhf -> expm1f algorithm
 // (s_tanhf.c / s_expm1f.c, the code glibc ships for tanhf on x86-64),
-// shared by the scalar port in gemm_kernels_base.cc and its 8-lane
-// AVX2 form in gemm_kernels_avx2.cc. Bit patterns are fdlibm's; the
-// kernels compare |x| as an integer against the k*Bits thresholds.
+// shared by the scalar port in gemm_kernels_base.cc and its vector form
+// in tanh_vec.h (8 lanes on AVX2, 16 on AVX-512). Bit patterns are
+// fdlibm's; the kernels compare |x| as an integer against the k*Bits
+// thresholds.
 
 #include <bit>
 #include <cstdint>

@@ -232,8 +232,14 @@ namespace {
 
 constexpr RowKernels kBaseKernels{base::RowsAB, base::RowsABt, base::RowsAtB,
                                   base::TanhRows};
-constexpr RowKernels kAvx2Kernels{avx2::RowsAB, avx2::RowsABt, avx2::RowsAtB,
-                                  avx2::TanhRows};
+// The AVX2 tier's tanh runs 16 lanes wide where the CPU has AVX-512;
+// the tier keeps naming the GEMM kernels, which stay 8 lanes wide.
+const RowKernels& Avx2Kernels() {
+  static const RowKernels kernels{
+      avx2::RowsAB, avx2::RowsABt, avx2::RowsAtB,
+      avx512::Available() ? avx512::TanhRows : avx2::TanhRows};
+  return kernels;
+}
 
 Tier TierFromEnv() {
   const char* env = std::getenv("NLIDB_GEMM_TIER");
@@ -274,7 +280,7 @@ const RowKernels& Kernels() {
       metrics::MetricsRegistry::Global().GetCounter("gemm.dispatch.base");
   if (ActiveTier() == Tier::kAvx2) {
     dispatch_avx2.Increment();
-    return kAvx2Kernels;
+    return Avx2Kernels();
   }
   dispatch_base.Increment();
   return kBaseKernels;
@@ -285,7 +291,7 @@ const RowKernels& Kernels() {
 void TanhRaw(const float* in, float* out, int n) {
   // Not through Kernels(): its counters count GEMM dispatches.
   const gemm::RowKernels& kr = gemm::ActiveTier() == gemm::Tier::kAvx2
-                                   ? gemm::kAvx2Kernels
+                                   ? gemm::Avx2Kernels()
                                    : gemm::kBaseKernels;
   kr.tanh_rows(in, out, n);
 }

@@ -4,6 +4,7 @@
 
 #include "core/trainer.h"
 #include "data/generator.h"
+#include "testing/value_score.h"
 
 namespace nlidb {
 namespace core {
@@ -65,7 +66,7 @@ TEST(ValueDetectorTest, ScoreWithMismatchedStatsEmbeddingIsStatusNotAbort) {
   ValueDetector det(Config(16), provider);
   sql::ColumnStatistics stats;
   stats.embedding.assign(4, 0.1f);  // wrong dim: provider is 16-wide
-  StatusOr<float> s = det.Score({"word"}, stats);
+  StatusOr<float> s = testing::AutogradValueScore(det, {"word"}, stats);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
 }
@@ -75,7 +76,7 @@ TEST(ValueDetectorTest, ScoreIsProbability) {
   ValueDetector det(Config(16), provider);
   sql::ColumnStatistics stats;
   stats.embedding.assign(16, 0.1f);
-  const float s = det.Score({"word"}, stats).value();
+  const float s = testing::AutogradValueScore(det, {"word"}, stats).value();
   EXPECT_GT(s, 0.0f);
   EXPECT_LT(s, 1.0f);
 }
@@ -125,7 +126,8 @@ TEST(ValueDetectorTest, LearnsCounterfactualDetection) {
                   .ok());
   auto stats = sql::ComputeTableStatistics(table, *provider);
   // "hugo novak" never occurs in the table but is made of name-pool words.
-  const float person_score = det.Score({"hugo", "novak"}, stats[0]).value();
+  const float person_score =
+      testing::AutogradValueScore(det, {"hugo", "novak"}, stats[0]).value();
   EXPECT_GT(person_score, 0.5f) << "counterfactual name not detected";
 }
 

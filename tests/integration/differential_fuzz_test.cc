@@ -37,6 +37,7 @@
 #include "text/tokenizer.h"
 #include "testing/influence.h"
 #include "testing/trace.h"
+#include "testing/value_score.h"
 
 namespace nlidb {
 namespace {
@@ -479,9 +480,9 @@ TEST_F(DifferentialFuzzTest, DecoderFastPathMatchesReferenceBitwise) {
 TEST_F(DifferentialFuzzTest, ValueDetectionMatchesPerColumnScoresBitwise) {
   // Detect scores a span's type-compatible columns in one graph-free
   // MLP pass. The oracle is the loop it replaced: every candidate span
-  // against every compatible column through the autograd `Score`, kept
-  // above 0.5 and sorted the same way. The untrained detector scores
-  // near 0.5, so both sides of the threshold occur.
+  // against every compatible column through testing::AutogradValueScore,
+  // kept above 0.5 and sorted the same way. The untrained detector
+  // scores near 0.5, so both sides of the threshold occur.
   text::EmbeddingProvider provider;
   data::RegisterDomainClusters(provider);
   core::ModelConfig config = core::ModelConfig::Tiny();
@@ -509,7 +510,9 @@ TEST_F(DifferentialFuzzTest, ValueDetectionMatchesPerColumnScoresBitwise) {
       det.span = span;
       for (size_t c = 0; c < stats.size(); ++c) {
         if (stats[c].type == sql::DataType::kReal && !all_numeric) continue;
-        const float score = detector.Score(span_tokens, stats[c]).value();
+        const float score =
+            testing::AutogradValueScore(detector, span_tokens, stats[c])
+                .value();
         if (score > 0.5f) det.column_scores.push_back({static_cast<int>(c), score});
       }
       if (det.column_scores.empty()) continue;

@@ -1,8 +1,10 @@
-// Bitwise tests for the tanh row kernels (gemm_kernels.h). The AVX2 tier
-// must reproduce the scalar fdlibm port exactly, so the sweep compares the
-// two over every one of the 2^32 float bit patterns, split across eight
-// threads. The named cases pin the range boundaries the AVX2
-// tier hands to the scalar port and check the port's values there.
+// Bitwise tests for the tanh row kernels (gemm_kernels.h). The vector
+// instantiations of tanh_vec.h, 8 lanes on AVX2 and 16 on AVX-512, must
+// reproduce the scalar fdlibm port exactly, so the sweep compares every
+// one the CPU can run with the port over all 2^32 float bit patterns,
+// split across eight threads. The named cases pin the range boundaries
+// the vector kernels hand to the scalar port and check the port's values
+// there.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +24,32 @@ namespace {
 
 uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
 
-TEST(TanhKernelTest, Avx2TierMatchesScalarPortOnEveryFloat) {
-  if (!gemm::avx2::Available()) GTEST_SKIP() << "CPU lacks AVX2";
+struct VectorKernel {
+  const char* name;
+  gemm::TanhRowsFn fn;
+};
+
+/// The vector tanh kernels this CPU can run.
+std::vector<VectorKernel> AvailableKernels() {
+  std::vector<VectorKernel> kernels;
+  if (gemm::avx2::Available()) {
+    kernels.push_back({"avx2", gemm::avx2::TanhRows});
+  }
+  if (gemm::avx512::Available()) {
+    kernels.push_back({"avx512", gemm::avx512::TanhRows});
+  }
+  return kernels;
+}
+
+TEST(TanhKernelTest, VectorKernelsMatchScalarPortOnEveryFloat) {
+  const std::vector<VectorKernel> kernels = AvailableKernels();
+  if (kernels.empty()) GTEST_SKIP() << "CPU lacks AVX2: no vector kernel";
   constexpr int kBlockBits = 16;
   constexpr int kBlock = 1 << kBlockBits;
   constexpr int kNumBlocks = 1 << (32 - kBlockBits);
-  std::atomic<uint64_t> mismatches{0};
-  std::atomic<uint32_t> first_bad{0};
+  const size_t num_kernels = kernels.size();
+  std::vector<std::atomic<uint64_t>> mismatches(num_kernels);
+  std::vector<std::atomic<uint32_t>> first_bad(num_kernels);
   constexpr int kThreads = 8;
   testing::RunOnThreads(kThreads, [&](int t) {
     const int bb = t * (kNumBlocks / kThreads);
@@ -41,21 +62,32 @@ TEST(TanhKernelTest, Avx2TierMatchesScalarPortOnEveryFloat) {
       for (int j = 0; j < kBlock; ++j) {
         in[j] = std::bit_cast<float>(hi | static_cast<uint32_t>(j));
       }
+      // The scalar port once per block, whatever the number of kernels.
       gemm::base::TanhRows(in.data(), want.data(), kBlock);
-      gemm::avx2::TanhRows(in.data(), got.data(), kBlock);
-      for (int j = 0; j < kBlock; ++j) {
-        if (Bits(got[j]) != Bits(want[j])) {
-          if (mismatches.fetch_add(1) == 0) first_bad.store(Bits(in[j]));
+      for (size_t k = 0; k < num_kernels; ++k) {
+        kernels[k].fn(in.data(), got.data(), kBlock);
+        for (int j = 0; j < kBlock; ++j) {
+          if (Bits(got[j]) != Bits(want[j]) &&
+              mismatches[k].fetch_add(1) == 0) {
+            first_bad[k].store(Bits(in[j]));
+          }
         }
       }
     }
   });
-  EXPECT_EQ(mismatches.load(), 0u)
-      << "first mismatching input bits 0x" << std::hex << first_bad.load();
+  for (size_t k = 0; k < num_kernels; ++k) {
+    EXPECT_EQ(mismatches[k].load(), 0u)
+        << kernels[k].name << ": first mismatching input bits 0x" << std::hex
+        << first_bad[k].load();
+  }
+  if (!gemm::avx512::Available()) {
+    GTEST_SKIP() << "CPU lacks x86-64-v4 (AVX-512): 16-lane sweep skipped, "
+                    "8-lane sweep passed";
+  }
 }
 
-// The boundaries of the AVX2 tier's range [2^-55, 22) and of the scalar
-// port's branches, each with both signs.
+// The boundaries of the vector kernels' range [2^-55, 22) and of the
+// scalar port's branches, each with both signs.
 std::vector<float> EdgeCases() {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -89,29 +121,37 @@ std::vector<float> EdgeCases() {
 
 TEST(TanhKernelTest, EdgeCasesMatchAtEveryLane) {
   const std::vector<float> cases = EdgeCases();
-  // 11 lanes: one full 8-lane group plus a scalar tail, so every case is
-  // seen in the vector group at every position and in the tail.
-  constexpr int kLanes = 11;
+  const std::vector<VectorKernel> kernels = AvailableKernels();
+  // Rows of 1..31 elements: every case at every lane of a 16-lane group
+  // (and of both 8-lane groups in it) and in every position of tails of
+  // 1..15, with in-range neighbours that take several expm1f branches.
+  constexpr int kMaxRow = 31;
   for (float x : cases) {
     const float want = gemm::base::Tanh(x);
-    for (int pos = 0; pos < kLanes; ++pos) {
-      std::vector<float> in(kLanes, 0.5f);
-      in[pos] = x;
-      std::vector<float> base_out(kLanes);
-      gemm::base::TanhRows(in.data(), base_out.data(), kLanes);
-      EXPECT_EQ(Bits(base_out[pos]), Bits(want)) << "x=" << x;
-      if (!gemm::avx2::Available()) continue;
-      std::vector<float> avx2_out(kLanes);
-      gemm::avx2::TanhRows(in.data(), avx2_out.data(), kLanes);
-      for (int j = 0; j < kLanes; ++j) {
-        EXPECT_EQ(Bits(avx2_out[j]), Bits(base_out[j]))
-            << "x=" << x << " pos=" << pos << " lane=" << j;
-      }
-      // In place, as the decoder calls it.
-      gemm::avx2::TanhRows(in.data(), in.data(), kLanes);
-      for (int j = 0; j < kLanes; ++j) {
-        EXPECT_EQ(Bits(in[j]), Bits(base_out[j]))
-            << "in place x=" << x << " pos=" << pos << " lane=" << j;
+    for (int n = 1; n <= kMaxRow; ++n) {
+      for (int pos = 0; pos < n; ++pos) {
+        std::vector<float> in(n);
+        for (int j = 0; j < n; ++j) {
+          in[j] = -3.0f + 0.37f * static_cast<float>(j);
+        }
+        in[pos] = x;
+        std::vector<float> base_out(n);
+        gemm::base::TanhRows(in.data(), base_out.data(), n);
+        ASSERT_EQ(Bits(base_out[pos]), Bits(want)) << "x=" << x;
+        for (const VectorKernel& kernel : kernels) {
+          std::vector<float> out(n);
+          kernel.fn(in.data(), out.data(), n);
+          std::vector<float> in_place = in;  // as the decoder calls it
+          kernel.fn(in_place.data(), in_place.data(), n);
+          for (int j = 0; j < n; ++j) {
+            EXPECT_EQ(Bits(out[j]), Bits(base_out[j]))
+                << kernel.name << " x=" << x << " n=" << n << " pos=" << pos
+                << " lane=" << j;
+            EXPECT_EQ(Bits(in_place[j]), Bits(base_out[j]))
+                << kernel.name << " in place x=" << x << " n=" << n
+                << " pos=" << pos << " lane=" << j;
+          }
+        }
       }
     }
   }
@@ -138,20 +178,36 @@ TEST(TanhKernelTest, ScalarPortValuesAtBoundaries) {
 }
 
 TEST(TanhKernelTest, TanhRawMatchesScalarPortOnEveryTier) {
-  std::vector<float> in(37);
-  for (size_t i = 0; i < in.size(); ++i) {
-    in[i] = -3.0f + 0.17f * static_cast<float>(i);
-  }
-  std::vector<float> want(in.size());
-  gemm::base::TanhRows(in.data(), want.data(), static_cast<int>(in.size()));
-  for (gemm::Tier tier : {gemm::Tier::kBase, gemm::Tier::kAuto}) {
-    gemm::SetTier(tier);
-    std::vector<float> got = in;
-    TanhRaw(got.data(), got.data(), static_cast<int>(got.size()));
-    for (size_t i = 0; i < in.size(); ++i) {
-      EXPECT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
+  // 37 covers two 16-lane groups plus a tail of 5; 64 is the attention's
+  // row width.
+  for (int n : {37, 64}) {
+    std::vector<float> in(n);
+    for (int i = 0; i < n; ++i) in[i] = -3.0f + 0.17f * static_cast<float>(i);
+    std::vector<float> want(n);
+    gemm::base::TanhRows(in.data(), want.data(), n);
+    for (gemm::Tier tier :
+         {gemm::Tier::kBase, gemm::Tier::kAvx2, gemm::Tier::kAuto}) {
+      gemm::SetTier(tier);
+      std::vector<float> got = in;
+      TanhRaw(got.data(), got.data(), n);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+            << "tier " << static_cast<int>(tier) << " n=" << n << " i=" << i;
+      }
     }
   }
+  gemm::SetTier(gemm::Tier::kAuto);
+}
+
+TEST(TanhKernelTest, Avx2TierTanhRunsSixteenLanesWhereAvailable) {
+  if (!gemm::avx2::Available()) GTEST_SKIP() << "CPU lacks AVX2";
+  gemm::SetTier(gemm::Tier::kAvx2);
+  const gemm::TanhRowsFn want = gemm::avx512::Available()
+                                    ? gemm::avx512::TanhRows
+                                    : gemm::avx2::TanhRows;
+  EXPECT_EQ(gemm::Kernels().tanh_rows, want);
+  gemm::SetTier(gemm::Tier::kBase);
+  EXPECT_EQ(gemm::Kernels().tanh_rows, gemm::base::TanhRows);
   gemm::SetTier(gemm::Tier::kAuto);
 }
 
