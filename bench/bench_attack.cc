@@ -39,9 +39,10 @@ namespace {
 /// Accuracy-under-attack keys for one offline matrix.
 void ExportMatrix(FlatJson& json, const std::string& prefix,
                   const attack::AttackMatrix& matrix) {
-  for (int r = 0; r <= attack::AttackMatrix::kCleanRow; ++r) {
+  for (int r = 0; r < attack::kNumMutators; ++r) {
     if (matrix.RowTotal(r) == 0) continue;
-    const std::string row = attack::RowName(r);
+    const std::string row =
+        attack::MutatorName(static_cast<attack::MutatorKind>(r));
     for (int s = 0; s < attack::kNumStages; ++s) {
       if (matrix.counts[r][s] == 0) continue;
       json.Set(prefix + "_" + row + "_" +
@@ -134,14 +135,14 @@ int Run(bool smoke) {
   // accuracy before vs after retraining, with the clean control.
   bool improved = !harden.hardened_kinds.empty();
   if (!harden.hardened_kinds.empty()) {
-    const int worst = static_cast<int>(harden.hardened_kinds.front());
-    const double before = harden.baseline.RowAccuracy(worst);
-    const double after = harden.hardened.RowAccuracy(worst);
+    const attack::MutatorKind worst = harden.hardened_kinds.front();
+    const double before = harden.baseline.Accuracy(worst);
+    const double after = harden.hardened.Accuracy(worst);
     improved = after >= before;
     std::printf("\nworst bucket %s: %.1f%% -> %.1f%% under attack  [%s]\n",
-                attack::RowName(worst), 100.0 * before, 100.0 * after,
+                attack::MutatorName(worst), 100.0 * before, 100.0 * after,
                 after >= before ? "improved" : "REGRESSED");
-    json.SetString("attack_worst_bucket", attack::RowName(worst));
+    json.SetString("attack_worst_bucket", attack::MutatorName(worst));
     json.Set("attack_worst_acc_baseline", before);
     json.Set("attack_worst_acc_hardened", after);
   }

@@ -43,10 +43,6 @@ const char* StageName(FailStage stage) {
       return "recovery_error";
     case FailStage::kExecutionMismatch:
       return "execution_mismatch";
-    case FailStage::kShedDeadline:
-      return "shed_deadline";
-    case FailStage::kRejected:
-      return "rejected";
     case FailStage::kOtherError:
       return "other_error";
     case FailStage::kCount:
@@ -57,16 +53,7 @@ const char* StageName(FailStage stage) {
 
 FailStage TriageOutcome(const data::Example& gold, const Status& status,
                         const core::QueryResult& result) {
-  if (!status.ok()) {
-    switch (status.code()) {
-      case StatusCode::kDeadlineExceeded:
-        return FailStage::kShedDeadline;
-      case StatusCode::kUnavailable:
-        return FailStage::kRejected;
-      default:
-        return FailStage::kOtherError;
-    }
-  }
+  if (!status.ok()) return FailStage::kOtherError;
   if (!result.recovery_status.ok() || !result.query.has_value()) {
     return FailStage::kRecoveryError;
   }
@@ -87,12 +74,6 @@ FailStage TriageOutcome(const data::Example& gold, const Status& status,
   return FailStage::kTranslateError;
 }
 
-void AttackMatrix::Merge(const AttackMatrix& other) {
-  for (int r = 0; r <= kCleanRow; ++r) {
-    for (int s = 0; s < kNumStages; ++s) counts[r][s] += other.counts[r][s];
-  }
-}
-
 uint64_t AttackMatrix::RowTotal(int row) const {
   uint64_t total = 0;
   for (int s = 0; s < kNumStages; ++s) total += counts[row][s];
@@ -100,16 +81,7 @@ uint64_t AttackMatrix::RowTotal(int row) const {
 }
 
 uint64_t AttackMatrix::RowAnswered(int row) const {
-  uint64_t answered = 0;
-  for (int s = 0; s < kNumStages; ++s) {
-    const auto stage = static_cast<FailStage>(s);
-    if (stage == FailStage::kShedDeadline || stage == FailStage::kRejected ||
-        stage == FailStage::kOtherError) {
-      continue;
-    }
-    answered += counts[row][s];
-  }
-  return answered;
+  return RowTotal(row) - counts[row][static_cast<int>(FailStage::kOtherError)];
 }
 
 double AttackMatrix::RowAccuracy(int row) const {
@@ -133,11 +105,6 @@ int AttackMatrix::WorstRow(uint64_t min_samples) const {
   return worst;
 }
 
-const char* RowName(int row) {
-  if (row == AttackMatrix::kCleanRow) return "clean";
-  return MutatorName(static_cast<MutatorKind>(row));
-}
-
 std::string AttackMatrix::Render() const {
   std::string out;
   char line[256];
@@ -149,9 +116,10 @@ std::string AttackMatrix::Render() const {
     out += line;
   }
   out += "   acc_attack\n";
-  for (int r = 0; r <= kCleanRow; ++r) {
+  for (int r = 0; r < kNumMutators; ++r) {
     if (RowTotal(r) == 0) continue;
-    std::snprintf(line, sizeof(line), "%-22s", RowName(r));
+    std::snprintf(line, sizeof(line), "%-22s",
+                  MutatorName(static_cast<MutatorKind>(r)));
     out += line;
     for (int s = 0; s < kNumStages; ++s) {
       std::snprintf(line, sizeof(line), " %18llu",

@@ -29,9 +29,7 @@ enum class FailStage : int {
   kTranslateError,   // conditions right, select/agg decoded wrong
   kRecoveryError,    // decoder emitted an unrecoverable s^a
   kExecutionMismatch,// right conditions, executor failed on the result
-  kShedDeadline,     // shed, expired, or cancelled (DeadlineExceeded)
-  kRejected,         // queue-full / shutdown rejection (Unavailable)
-  kOtherError,       // any other status-level failure
+  kOtherError,       // the query returned an error status
   kCount,
 };
 
@@ -39,35 +37,26 @@ inline constexpr int kNumStages = static_cast<int>(FailStage::kCount);
 
 const char* StageName(FailStage stage);
 
-/// Buckets one outcome. `status` is what ServingEngine (or
-/// pipeline.Query) returned; `result` is only consulted when it is ok.
+/// Buckets one outcome. `status` is what pipeline.Query returned;
+/// `result` is only consulted when it is ok.
 /// The gold example must be the mutant the query was built from — its
 /// query/table are the reference the prediction is scored against.
 FailStage TriageOutcome(const data::Example& gold, const Status& status,
                         const core::QueryResult& result);
 
-/// Per-mutator × per-stage outcome counts. Row kNumMutators ("clean")
-/// holds unmutated baseline traffic when the caller replays any.
+/// Per-mutator × per-stage outcome counts.
 struct AttackMatrix {
-  static constexpr int kCleanRow = kNumMutators;
-
-  /// counts[mutator][stage]; row kCleanRow is the unmutated control.
-  uint64_t counts[kNumMutators + 1][kNumStages] = {};
+  /// counts[mutator][stage].
+  uint64_t counts[kNumMutators][kNumStages] = {};
 
   void Add(MutatorKind kind, FailStage stage) {
     ++counts[static_cast<int>(kind)][static_cast<int>(stage)];
   }
-  void AddClean(FailStage stage) {
-    ++counts[kCleanRow][static_cast<int>(stage)];
-  }
-
-  /// Merges another matrix in (per-shard accumulation).
-  void Merge(const AttackMatrix& other);
 
   uint64_t RowTotal(int row) const;
 
-  /// Queries that produced an answer: everything except shed/rejected/
-  /// other status-level failures, which say nothing about the models.
+  /// Queries that produced an answer: everything except status-level
+  /// failures, which say nothing about the models.
   uint64_t RowAnswered(int row) const;
 
   /// Accuracy under attack: kOk / answered for one mutator row.
@@ -82,12 +71,9 @@ struct AttackMatrix {
   /// bucket the hardening loop retrains on.
   int WorstRow(uint64_t min_samples = 1) const;
 
-  /// Fixed-width table (rows = mutators + clean, columns = stages).
+  /// Fixed-width table (rows = mutators, columns = stages).
   std::string Render() const;
 };
-
-/// Row label for Render(): MutatorName or "clean".
-const char* RowName(int row);
 
 }  // namespace attack
 }  // namespace nlidb

@@ -7,15 +7,15 @@
 //
 //   NLIDB_RETURN_IF_ERROR(NLIDB_FAILPOINT("checkpoint/after_header"));
 //
-// and control-flow sites (where the reaction is a fallback, not a
-// Status) consult `failpoint::Fire(site)` directly. Sites are inert in
+// and the checked-I/O layer, whose `torn_write` reaction is not a
+// Status, consults `failpoint::Fire(site)` directly. Sites are inert in
 // production: with nothing activated the macro costs exactly one
 // relaxed atomic load, the same discipline as trace::Enabled().
 //
 // Activation is programmatic (`Activate`, `ScopedFailpoint` in tests)
 // or via the environment:
 //
-//   NLIDB_FAILPOINTS="checkpoint/commit=error,seq2seq/beam_exhausted=error"
+//   NLIDB_FAILPOINTS="checkpoint/commit=error,seq2seq/decode=error"
 //   NLIDB_FAILPOINTS="random-delay:12345"   # randomized CI schedule
 //
 // Actions: `error` (the site returns an injected IoError), `torn_write`

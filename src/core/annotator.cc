@@ -327,7 +327,7 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
 StatusOr<Annotation> Annotator::Annotate(
     const std::vector<std::string>& tokens, const sql::Table& table,
     const schema::TableStatsEntry& entry, const NlMetadata* metadata,
-    const CancelContext* ctx, AnnotateDebug* debug) const {
+    const CancelContext* ctx) const {
   if (tokens.empty()) {
     return Status::InvalidArgument("empty question");
   }
@@ -417,11 +417,7 @@ StatusOr<Annotation> Annotator::Annotate(
   }
   NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "annotator.classifier"));
   trace::TraceSpan resolve("annotator.resolve");
-  bool linear_fallback = false;
-  Annotation annotation =
-      resolver_.Resolve(tokens, columns, values, &linear_fallback);
-  if (debug != nullptr) debug->linear_resolution_fallback = linear_fallback;
-  return annotation;
+  return resolver_.Resolve(tokens, columns, values);
 }
 
 }  // namespace core

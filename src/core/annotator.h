@@ -59,13 +59,6 @@ class Annotator {
             const ColumnMentionClassifier* classifier,
             const ValueDetector* value_detector);
 
-  /// Out-of-band facts about how an annotation was produced; degraded
-  /// paths are also visible in metrics, but callers assembling a
-  /// QueryResult need them per request.
-  struct AnnotateDebug {
-    bool linear_resolution_fallback = false;
-  };
-
   /// Annotates a tokenized question against a table. `entry` must be the
   /// schema registry's entry for the same table content (its column
   /// statistics and cell index); an empty question or a stats/schema
@@ -77,8 +70,7 @@ class Annotator {
       const std::vector<std::string>& tokens, const sql::Table& table,
       const schema::TableStatsEntry& entry,
       const NlMetadata* metadata = nullptr,
-      const CancelContext* ctx = nullptr,
-      AnnotateDebug* debug = nullptr) const;
+      const CancelContext* ctx = nullptr) const;
 
   /// Best context-free match of `phrase_tokens` inside `tokens`:
   /// the window with the highest blended edit/semantic similarity, if it

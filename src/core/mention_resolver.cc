@@ -1,12 +1,6 @@
 #include "core/mention_resolver.h"
 
 #include <algorithm>
-#include <exception>
-#include <optional>
-
-#include "common/failpoint.h"
-#include "common/logging.h"
-#include "common/metrics.h"
 
 namespace nlidb {
 namespace core {
@@ -21,37 +15,13 @@ struct ResolvedValue {
   float score = 0.0f;
 };
 
-/// Token distance between two spans: the degraded stand-in for the
-/// dependency tree's structural distance when the parse is unavailable.
-int LinearSpanDistance(const text::Span& a, const text::Span& b) {
-  if (a.Overlaps(b)) return 0;
-  return a.begin >= b.end ? a.begin - b.end + 1 : b.begin - a.end + 1;
-}
-
 }  // namespace
 
 Annotation MentionResolver::Resolve(
     const std::vector<std::string>& tokens,
     const std::vector<ColumnMentionCandidate>& columns,
-    const std::vector<ValueDetector::Detection>& values,
-    bool* used_linear_fallback) const {
-  static metrics::Counter& linear_fallbacks =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "resolver.linear_fallbacks");
-  if (used_linear_fallback != nullptr) *used_linear_fallback = false;
-  std::optional<text::DependencyTree> tree;
-  if (NLIDB_FAILPOINT("resolver/dependency_parse").ok()) {
-    try {
-      tree.emplace(text::DependencyTree::Parse(tokens));
-    } catch (const std::exception& e) {
-      NLIDB_LOG(Warning) << "dependency parse failed (" << e.what()
-                         << "); using linear-distance resolution";
-    }
-  }
-  if (!tree.has_value()) {
-    linear_fallbacks.Increment();
-    if (used_linear_fallback != nullptr) *used_linear_fallback = true;
-  }
+    const std::vector<ValueDetector::Detection>& values) const {
+  const text::DependencyTree tree = text::DependencyTree::Parse(tokens);
 
   // 1. Select non-overlapping value spans, preferring longer spans (a
   // multi-word entity beats its sub-spans) and higher detector scores.
@@ -102,9 +72,7 @@ Annotation MentionResolver::Resolve(
         dist = kImplicitDistancePenalty;
         for (const auto& cm : columns) {
           if (cm.column == col && !cm.span.empty()) {
-            dist = tree.has_value()
-                       ? tree->SpanDistance(det->span, cm.span)
-                       : LinearSpanDistance(det->span, cm.span);
+            dist = tree.SpanDistance(det->span, cm.span);
             break;
           }
         }

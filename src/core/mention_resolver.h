@@ -37,16 +37,11 @@ class MentionResolver {
   /// Resolves mentions into ordered annotation pairs. Pairs are ordered
   /// by first appearance in the question (column span start, or value
   /// span start for implicit mentions), which fixes the c_i/v_i indexing.
-  ///
-  /// Graceful degradation: when the dependency parse fails (failpoint
-  /// "resolver/dependency_parse", or a parser exception), resolution
-  /// falls back to linear token distance instead of failing the query;
-  /// `used_linear_fallback` (optional) reports that the degraded path
-  /// ran, and `resolver.linear_fallbacks` counts it.
+  /// The rule-based dependency parse cannot fail, so resolution has no
+  /// fallback.
   Annotation Resolve(const std::vector<std::string>& tokens,
                      const std::vector<ColumnMentionCandidate>& columns,
-                     const std::vector<ValueDetector::Detection>& values,
-                     bool* used_linear_fallback = nullptr) const;
+                     const std::vector<ValueDetector::Detection>& values) const;
 
  private:
   Strategy strategy_;

@@ -72,14 +72,14 @@ StatusOr<Annotation> NlidbPipeline::Annotate(
   if (table.num_columns() == 0) {
     return Status::InvalidArgument("table has no columns");
   }
-  return AnnotateAgainst(tokens, table, /*ctx=*/nullptr, /*debug=*/nullptr);
+  return AnnotateAgainst(tokens, table, /*ctx=*/nullptr);
 }
 
 StatusOr<Annotation> NlidbPipeline::AnnotateAgainst(
     const std::vector<std::string>& tokens, const sql::Table& table,
-    const CancelContext* ctx, Annotator::AnnotateDebug* debug) const {
+    const CancelContext* ctx) const {
   return annotator_->Annotate(tokens, table, registry_->EntryFor(table),
-                              metadata_, ctx, debug);
+                              metadata_, ctx);
 }
 
 StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
@@ -94,9 +94,6 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
   static metrics::Counter& deadline_exceeded =
       metrics::MetricsRegistry::Global().GetCounter(
           "pipeline.deadline_exceeded");
-  static metrics::Counter& degraded_queries =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "pipeline.degraded_queries");
 
   trace::TraceSpan span("pipeline.query");
   queries.Increment();
@@ -174,12 +171,10 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
     // scoring, which is exactly what the scale bench's "annotate flat vs
     // registry size" check must observe.
     trace::TraceSpan stage("pipeline.annotate", tree);
-    Annotator::AnnotateDebug debug;
     StatusOr<Annotation> annotation =
-        AnnotateAgainst(result.tokens, table, &ctx, &debug);
+        AnnotateAgainst(result.tokens, table, &ctx);
     if (!annotation.ok()) return fail(annotation.status());
     result.annotation = std::move(annotation).value();
-    result.degraded_linear_resolution = debug.linear_resolution_fallback;
   }
 
   {
@@ -200,10 +195,6 @@ StatusOr<QueryResult> NlidbPipeline::Query(const QueryRequest& request) const {
     if (!decoded.ok()) return fail(decoded.status());
     result.annotated_sql = std::move(decoded->tokens);
     result.translate_score = decoded->score;
-    result.degraded_greedy_decode = decoded->used_greedy_fallback;
-  }
-  if (result.degraded_linear_resolution || result.degraded_greedy_decode) {
-    degraded_queries.Increment();
   }
 
   {

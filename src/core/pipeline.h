@@ -106,11 +106,9 @@ struct QueryResult {
   std::optional<std::vector<sql::Value>> rows;
   Status execution_status = Status::Ok();
 
-  /// Graceful-degradation flags (in-band: a degraded answer is still an
-  /// answer, but callers can tell it was produced by a fallback path).
-  /// Dependency parse failed -> mention resolution used linear token
-  /// distance; beam search exhausted -> the greedy decode produced s^a.
-  bool degraded_linear_resolution = false;
+  /// Inert: always false, no stage has a fallback path. Kept only
+  /// because perfbench/driver.cc sets it; the next change to perfbench/
+  /// deletes it.
   bool degraded_greedy_decode = false;
 
   /// Per-stage wall times ("query" root; children: tokenize, resolve,
@@ -153,8 +151,7 @@ class NlidbPipeline {
   /// completed so far land in `request.partial_result` when set).
   /// Downstream model failures (unrecoverable s^a, execution errors)
   /// come back inside the result so callers still see every intermediate
-  /// stage, and degraded fallback paths are flagged on the result rather
-  /// than erroring.
+  /// stage. No stage retries or falls back.
   StatusOr<QueryResult> Query(const QueryRequest& request) const;
 
   /// Step 1 only: q -> annotation. Fails on empty input or a
@@ -192,12 +189,10 @@ class NlidbPipeline {
 
  private:
   /// The one annotate path behind `Annotate` and `Query`: stats lookup,
-  /// then the annotator over every column, polling `ctx` and filling
-  /// `debug` (both optional).
+  /// then the annotator over every column, polling `ctx` (optional).
   StatusOr<Annotation> AnnotateAgainst(const std::vector<std::string>& tokens,
                                        const sql::Table& table,
-                                       const CancelContext* ctx,
-                                       Annotator::AnnotateDebug* debug) const;
+                                       const CancelContext* ctx) const;
 
   ModelConfig config_;
   std::shared_ptr<text::EmbeddingProvider> provider_;

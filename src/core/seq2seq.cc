@@ -179,11 +179,6 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::BeamSearch(
   if (source.empty()) {
     return Status::InvalidArgument("cannot decode an empty source sequence");
   }
-  if (beam_width > 1) {
-    // Injectable exhaustion: lets tests exercise the greedy-fallback path
-    // without crafting a model whose beams genuinely all die.
-    NLIDB_RETURN_IF_ERROR(NLIDB_FAILPOINT("seq2seq/beam_exhausted"));
-  }
   trace::TraceSpan span("seq2seq.translate");
   span.Annotate("beam_width", static_cast<int64_t>(beam_width));
   EncoderOutput enc = Encode(source);
@@ -299,6 +294,8 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::BeamSearch(
     if (beams.empty()) break;
   }
   for (Beam& b : beams) finished.push_back(std::move(b));
+  // Unreachable: the loop starts from one live hypothesis and every exit
+  // keeps one, finished or live (seq2seq_test pins this).
   if (finished.empty()) {
     return Status::Internal("beam search exhausted every hypothesis");
   }
@@ -319,6 +316,9 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::BeamSearch(
 StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::Search(
     const std::vector<std::string>& source, int beam_width,
     const CancelContext* ctx) const {
+  // The query path's one injection site: `error` fails the query in band
+  // with the injected status, `delay` perturbs the serving schedule.
+  NLIDB_RETURN_IF_ERROR(NLIDB_FAILPOINT("seq2seq/decode"));
   switch (decode_mode()) {
     case DecodeMode::kReference:
       return BeamSearch(source, beam_width, ctx, /*grammar=*/nullptr);
@@ -349,38 +349,11 @@ StatusOr<Seq2SeqTranslator::Decoded> Seq2SeqTranslator::Decode(
 StatusOr<Seq2SeqTranslator::Decoded> Seq2SeqTranslator::DecodeWithBeamWidth(
     const std::vector<std::string>& source, int beam_width,
     const CancelContext* ctx) const {
-  static metrics::Counter& greedy_fallbacks =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "seq2seq.greedy_fallbacks");
-  static metrics::Counter& fast_path_queries =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "seq2seq.fast_path_queries");
-  const DecodeMode mode = decode_mode();
-  Decoded out;
-  out.used_fast_path =
-      mode == DecodeMode::kFast || mode == DecodeMode::kFastUnmasked;
-  if (out.used_fast_path) fast_path_queries.Increment();
   StatusOr<ScoredTokens> beam = Search(source, beam_width, ctx);
-  if (beam.ok()) {
-    out.tokens = std::move(beam.value().tokens);
-    out.score = beam.value().score;
-    return out;
-  }
-  // Deadline expiry and malformed input are the caller's problem; only
-  // the search itself failing degrades to greedy.
-  if (beam.status().code() == StatusCode::kDeadlineExceeded ||
-      beam.status().code() == StatusCode::kInvalidArgument ||
-      beam_width <= 1) {
-    return beam.status();
-  }
-  greedy_fallbacks.Increment();
-  NLIDB_LOG(Warning) << "beam search failed (" << beam.status().ToString()
-                     << "); retrying with greedy decode";
-  StatusOr<ScoredTokens> greedy = Search(source, 1, ctx);
-  if (!greedy.ok()) return greedy.status();
-  out.tokens = std::move(greedy.value().tokens);
-  out.score = greedy.value().score;
-  out.used_greedy_fallback = true;
+  if (!beam.ok()) return beam.status();
+  Decoded out;
+  out.tokens = std::move(beam.value().tokens);
+  out.score = beam.value().score;
   return out;
 }
 

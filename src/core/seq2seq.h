@@ -72,31 +72,31 @@ class Seq2SeqTranslator : public TranslatorInterface {
   Var Loss(const std::vector<std::string>& source,
            const std::vector<std::string>& target) const override;
 
-  /// Result of `Decode`: the output tokens, the length-normalized
-  /// log-probability of the winning hypothesis, whether the degraded
-  /// greedy path produced them (beam search exhausted every hypothesis),
-  /// and whether the graph-free fast path served the query.
+  /// Result of `Decode`: the output tokens and the length-normalized
+  /// log-probability of the winning hypothesis.
   struct Decoded {
     std::vector<std::string> tokens;
     float score = 0.0f;
+    /// Inert: always false, nothing falls back to greedy decoding. Kept
+    /// only because perfbench/driver.cc reads it; the next change to
+    /// perfbench/ deletes it.
     bool used_greedy_fallback = false;
-    bool used_fast_path = false;
   };
 
-  /// Deadline-aware decoding, the query-path entry point. Beam search
-  /// (width `config.beam_width`) with graceful degradation: if the beam
-  /// exhausts without any finished hypothesis, retries with greedy
-  /// decode (recorded in `Decoded::used_greedy_fallback` and the
-  /// `seq2seq.greedy_fallbacks` counter) instead of failing the query.
-  /// `ctx` (optional) is polled every decode step; expiry surfaces as
-  /// DeadlineExceeded. Empty source is InvalidArgument.
-  /// Runs the decoder selected by `decode_mode()` (the graph-free fast
-  /// path by default; see DecodeMode).
+  /// Deadline-aware decoding, the query-path entry point: beam search of
+  /// width `config.beam_width` with the decoder selected by
+  /// `decode_mode()` (the graph-free fast path by default; see
+  /// DecodeMode), with no retry. The search starts from one live
+  /// hypothesis and every exit keeps at least one, so it always returns
+  /// a winner (seq2seq_test pins this). `ctx` (optional) is polled every
+  /// decode step; expiry surfaces as DeadlineExceeded. Empty source is
+  /// InvalidArgument, and an injected "seq2seq/decode" failpoint error is
+  /// returned as is.
   StatusOr<Decoded> Decode(const std::vector<std::string>& source,
                            const CancelContext* ctx = nullptr) const;
 
-  /// `Decode` with an explicit beam width (bench and eval harnesses);
-  /// `beam_width >= 1`.
+  /// `Decode` with an explicit beam width (tests compare widths and
+  /// decoders with it); `beam_width >= 1`.
   StatusOr<Decoded> DecodeWithBeamWidth(const std::vector<std::string>& source,
                                         int beam_width,
                                         const CancelContext* ctx = nullptr) const;
@@ -152,7 +152,8 @@ class Seq2SeqTranslator : public TranslatorInterface {
     float score = 0.0f;
   };
 
-  /// Dispatches to the decoder implementation selected by decode_mode().
+  /// Dispatches to the decoder implementation selected by decode_mode(),
+  /// after the "seq2seq/decode" failpoint (every width, every mode).
   StatusOr<ScoredTokens> Search(const std::vector<std::string>& source,
                                 int beam_width, const CancelContext* ctx) const;
 

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "common/workspace.h"
@@ -128,11 +127,6 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
     bool use_grammar_mask, const CancelContext* ctx) const {
   if (source.empty()) {
     return Status::InvalidArgument("cannot decode an empty source sequence");
-  }
-  if (beam_width > 1) {
-    // Injectable exhaustion: lets tests exercise the greedy-fallback path
-    // without crafting a model whose beams genuinely all die.
-    NLIDB_RETURN_IF_ERROR(NLIDB_FAILPOINT("seq2seq/beam_exhausted"));
   }
   trace::TraceSpan span("seq2seq.translate");
   span.Annotate("beam_width", static_cast<int64_t>(beam_width));
@@ -560,6 +554,8 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
     if (beams.empty()) break;
   }
   for (FastBeam& b : beams) finished.push_back(std::move(b));
+  // Unreachable: the loop starts from one live hypothesis and every exit
+  // keeps one, finished or live (seq2seq_test pins this).
   if (finished.empty()) {
     return Status::Internal("beam search exhausted every hypothesis");
   }

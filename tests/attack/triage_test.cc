@@ -1,6 +1,6 @@
 // Triage-layer tests: TriageOutcome must land every (status, result)
 // combination in exactly one FailStage, and the AttackMatrix accounting
-// (answered/accuracy/worst-row/merge/render) must be exact — the
+// (answered/accuracy/worst-row/render) must be exact — the
 // hardening loop and bench_attack both consume these numbers.
 
 #include "attack/triage.h"
@@ -55,15 +55,12 @@ class TriageTest : public ::testing::Test {
   data::Example gold_;
 };
 
-TEST_F(TriageTest, StatusLevelFailuresBucketByCode) {
+TEST_F(TriageTest, StatusLevelFailuresAreOtherError) {
   const core::QueryResult empty;
   EXPECT_EQ(TriageOutcome(gold_,
-                          Status(StatusCode::kDeadlineExceeded, "shed"),
+                          Status(StatusCode::kDeadlineExceeded, "late"),
                           empty),
-            FailStage::kShedDeadline);
-  EXPECT_EQ(
-      TriageOutcome(gold_, Status(StatusCode::kUnavailable, "full"), empty),
-      FailStage::kRejected);
+            FailStage::kOtherError);
   EXPECT_EQ(TriageOutcome(gold_, Status::Internal("boom"), empty),
             FailStage::kOtherError);
 }
@@ -151,47 +148,32 @@ TEST(AttackMatrixTest, AccountingIsExact) {
   m.Add(MutatorKind::kSynonymSwap, FailStage::kOk);
   m.Add(MutatorKind::kSynonymSwap, FailStage::kOk);
   m.Add(MutatorKind::kSynonymSwap, FailStage::kMentionMiss);
-  m.Add(MutatorKind::kSynonymSwap, FailStage::kShedDeadline);
+  m.Add(MutatorKind::kSynonymSwap, FailStage::kOtherError);
   m.Add(MutatorKind::kTokenDrop, FailStage::kOk);
   m.Add(MutatorKind::kTokenDrop, FailStage::kMentionMiss);
   m.Add(MutatorKind::kTokenDrop, FailStage::kMentionMiss);
-  m.Add(MutatorKind::kTokenDrop, FailStage::kRejected);
-  m.AddClean(FailStage::kOk);
+  m.Add(MutatorKind::kTokenDrop, FailStage::kOtherError);
 
   const int swap = static_cast<int>(MutatorKind::kSynonymSwap);
   const int drop = static_cast<int>(MutatorKind::kTokenDrop);
   EXPECT_EQ(m.RowTotal(swap), 4u);
-  // Shed/rejected say nothing about the models: excluded from answered.
+  // Status-level failures say nothing about the models: excluded from
+  // answered.
   EXPECT_EQ(m.RowAnswered(swap), 3u);
   EXPECT_DOUBLE_EQ(m.RowAccuracy(swap), 2.0 / 3.0);
   EXPECT_EQ(m.RowAnswered(drop), 3u);
   EXPECT_DOUBLE_EQ(m.Accuracy(MutatorKind::kTokenDrop), 1.0 / 3.0);
-  EXPECT_EQ(m.RowTotal(AttackMatrix::kCleanRow), 1u);
-  EXPECT_DOUBLE_EQ(m.RowAccuracy(AttackMatrix::kCleanRow), 1.0);
 
   // Empty rows have no accuracy.
   EXPECT_LT(m.RowAccuracy(static_cast<int>(MutatorKind::kTypoCasing)), 0.0);
 
-  // token_drop (33%) is worse than synonym_swap (67%); the clean row is
-  // never a candidate.
+  // token_drop (33%) is worse than synonym_swap (67%).
   EXPECT_EQ(m.WorstRow(), drop);
   // With a floor above both rows' samples nothing qualifies.
   EXPECT_EQ(m.WorstRow(100), -1);
-
-  AttackMatrix other;
-  other.Add(MutatorKind::kSynonymSwap, FailStage::kOk);
-  other.AddClean(FailStage::kTranslateError);
-  m.Merge(other);
-  EXPECT_EQ(m.RowTotal(swap), 5u);
-  EXPECT_EQ(m.RowTotal(AttackMatrix::kCleanRow), 2u);
-  EXPECT_DOUBLE_EQ(m.RowAccuracy(AttackMatrix::kCleanRow), 0.5);
 }
 
-TEST(AttackMatrixTest, RowNamesAndRender) {
-  EXPECT_STREQ(RowName(static_cast<int>(MutatorKind::kSynonymSwap)),
-               "synonym_swap");
-  EXPECT_STREQ(RowName(AttackMatrix::kCleanRow), "clean");
-
+TEST(AttackMatrixTest, RenderNamesRowsByMutator) {
   AttackMatrix m;
   m.Add(MutatorKind::kFillerNoise, FailStage::kOk);
   const std::string table = m.Render();

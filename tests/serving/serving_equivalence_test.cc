@@ -93,8 +93,6 @@ class ServingEquivalenceTest : public ::testing::Test {
     EXPECT_EQ(a.annotated_sql, b.annotated_sql) << label;
     EXPECT_EQ(FloatBits(a.translate_score), FloatBits(b.translate_score))
         << label;
-    EXPECT_EQ(a.degraded_linear_resolution, b.degraded_linear_resolution)
-        << label;
     EXPECT_EQ(a.degraded_greedy_decode, b.degraded_greedy_decode) << label;
     EXPECT_EQ(a.recovery_status.code(), b.recovery_status.code()) << label;
     EXPECT_EQ(a.execution_status.code(), b.execution_status.code()) << label;
